@@ -3,7 +3,7 @@
 The shipped encoder is a deterministic toy: each token maps to a hash bucket
 of a seeded embedding table and the sentence vector is the mean of its token
 vectors (average pooling). The interface is small on purpose so a pretrained
-encoder can be slotted in later: anything with the same three methods works.
+encoder can be slotted in later: anything with the same four methods works.
 """
 
 from __future__ import annotations
@@ -39,9 +39,6 @@ class SentenceEncoder(Protocol):
 
     def accumulate_grad_prepared(self, prepared, dvec: np.ndarray,
                                  grads: dict[str, np.ndarray]) -> None: ...
-
-    def encode(self, tokens: tuple[str, ...],
-               params: dict[str, np.ndarray]) -> np.ndarray: ...
 
 
 class HashBucketSentenceEncoder:
@@ -99,7 +96,3 @@ class HashBucketSentenceEncoder:
         if not self.trainable or prepared.size == 0:
             return
         np.add.at(grads[self.PARAM_NAME], prepared, dvec / prepared.size)
-
-    def encode(self, tokens: tuple[str, ...],
-               params: dict[str, np.ndarray]) -> np.ndarray:
-        return self.encode_prepared(self.prepare(tokens), params)

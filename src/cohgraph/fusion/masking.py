@@ -1,4 +1,4 @@
-"""Visibility masking: which flat elements may attend to which.
+"""Visibility masking (which flat elements may attend to which) and softmax.
 
 A cell is visible when the elements are the same (diagonal), both are
 sentences, or one is a sentence and the other an edge element incident on
@@ -43,6 +43,13 @@ def visible_matrix(seq: FlatSequence) -> np.ndarray:
     return mask
 
 
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Exp-normalize along the last axis, shifted by the maximum for range."""
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Row-wise softmax of scores + mask.
 
@@ -53,7 +60,4 @@ def masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
         raise ValueError(f"shape mismatch: scores {scores.shape} vs mask {mask.shape}")
     if not (mask == 0.0).any(axis=1).all():
         raise FullyMaskedRowError("softmax row with every entry masked")
-    z = scores + mask
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return softmax(scores + mask)

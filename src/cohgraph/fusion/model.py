@@ -10,8 +10,10 @@ uniformly. The attention score between elements i and j is
 with q, k from the element embeddings, r_ij from the pairwise relative
 position embedding, and u, v trainable biases; scores are scaled by
 1/sqrt(d_head) (switchable) and passed through a visibility-masked softmax.
-Each layer then applies the standard value mixing, output projection,
-post-norm residuals, and a rectified feed-forward block.
+Every head of every layer runs the one kernel head_forward / head_backward,
+and head_scores is the only place the score is formed. Each layer then
+applies the standard value mixing, output projection, post-norm residuals,
+and a rectified feed-forward block.
 
 Per-document structure (sequence, mask, distance indices, token buckets) is
 independent of the parameters, so it is prepared once into a SequenceContext
@@ -22,6 +24,7 @@ single time.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,8 +37,8 @@ from ..relations import load_registry
 from ..variants import Variant
 from .config import ModelConfig
 from .encoder import HashBucketSentenceEncoder, SentenceEncoder, stable_bucket
-from .masking import visible_matrix
-from .positions import PositionEncoder, distance_indices
+from .masking import masked_softmax, softmax, visible_matrix
+from .positions import distance_indices, position_embedding, sinusoid_table
 
 LN_EPS = 1e-5
 
@@ -172,12 +175,6 @@ def layer_norm_backward(dy: np.ndarray, cache):
     return dx, dgamma, dbeta
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # tanh form is overflow-safe on both tails
     return 0.5 * (1.0 + np.tanh(0.5 * z))
@@ -195,35 +192,59 @@ def _rectify_grad(z: np.ndarray, kind: str) -> np.ndarray:
     return (z > 0.0).astype(np.float64)
 
 
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def attention_scores(seq: FlatSequence, embeddings: np.ndarray,
-                     head: HeadParams, enc: PositionEncoder,
-                     scale: float | None = None) -> np.ndarray:
-    """Raw (pre-mask, pre-softmax) position-aware attention score matrix."""
-    n = len(seq)
-    if embeddings.shape[0] != n:
-        raise ContractError(
-            f"embeddings rows {embeddings.shape[0]} != sequence length {n}")
-    if embeddings.shape[1] != head.W_q.shape[0]:
-        raise ContractError(
-            f"embedding width {embeddings.shape[1]} != W_q rows {head.W_q.shape[0]}")
-    pe = enc.encode(enc.sequence_features(seq))  # (n, n, d_model)
-    r = pe.reshape(n * n, -1) @ head.W_r
-    r = r.reshape(n, n, -1)
-    if scale is None:
-        scale = 1.0 / np.sqrt(head.W_q.shape[1])
-    q = embeddings @ head.W_q
-    k = embeddings @ head.W_k
+def head_scores(x: np.ndarray, pe2d: np.ndarray, head: HeadParams,
+                scale: float):
+    """Scaled four-term scores q_i.k_j + q_i.r_ij + u.k_j + v.r_ij of one
+    head, before the mask, for layer input x (n, d_model) and position
+    embeddings pe2d (n * n, d_model). Returns (scores, q, k, r)."""
+    n = x.shape[0]
+    r = (pe2d @ head.W_r).reshape(n, n, -1)
+    q = x @ head.W_q
+    k = x @ head.W_k
     s = q @ k.T
     s += np.matmul(r, q[:, :, None])[:, :, 0]
     s += (k @ head.u)[None, :]
     s += r @ head.v
-    return s * scale
+    return s * scale, q, k, r
+
+
+def head_forward(x: np.ndarray, pe2d: np.ndarray, mask: np.ndarray,
+                 head: HeadParams, scale: float):
+    """One head's attention output (n, d_head) and the cache head_backward
+    reads: q, k, values, r and the masked attention probabilities."""
+    s, q, k, r = head_scores(x, pe2d, head, scale)
+    probs = masked_softmax(s, mask)
+    v_mat = x @ head.W_v
+    return probs @ v_mat, (q, k, v_mat, r, probs)
+
+
+def head_backward(dout: np.ndarray, cache: tuple, x: np.ndarray,
+                  pe2d: np.ndarray, head: HeadParams, scale: float,
+                  dx: np.ndarray, dpe2d: np.ndarray) -> HeadParams:
+    """Reverse of head_forward for the output gradient dout (n, d_head).
+
+    Adds the gradients of x and pe2d into dx and dpe2d in place and returns
+    the parameter gradients laid out as a HeadParams.
+    """
+    q, k, v_mat, r, probs = cache
+    n = x.shape[0]
+    dprobs = dout @ v_mat.T
+    dv_mat = probs.T @ dout
+    ds = probs * (dprobs - (dprobs * probs).sum(axis=1, keepdims=True))
+    ds *= scale
+
+    dq = ds @ k + np.matmul(ds[:, None, :], r)[:, 0, :]
+    col = ds.sum(axis=0)
+    dk = ds.T @ q + np.outer(col, head.u)
+    # score terms q_i . r_ij and v . r_ij share the ds_ij factor
+    dr2d = (ds[:, :, None] * (q[:, None, :] + head.v[None, None, :])
+            ).reshape(n * n, -1)
+    grads = HeadParams(
+        W_q=x.T @ dq, W_k=x.T @ dk, W_r=pe2d.T @ dr2d, W_v=x.T @ dv_mat,
+        u=k.T @ col, v=np.tensordot(ds, r, axes=([0, 1], [0, 1])))
+    dx += dq @ head.W_q.T + dk @ head.W_k.T + dv_mat @ head.W_v.T
+    dpe2d += dr2d @ head.W_r.T
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +299,19 @@ class FusionModel:
         self.params = params
         self.encoder = encoder
         self.registry = load_registry()
-        self.position_encoder = PositionEncoder(
-            config.d_model, config.max_relative_distance,
-            params["pos/W_p"], config.position_activation)
+        self.position_table = sinusoid_table(config.max_relative_distance,
+                                             config.d_model)
         self._validate_shapes()
+
+    @staticmethod
+    def _encoder(config: ModelConfig) -> HashBucketSentenceEncoder:
+        return HashBucketSentenceEncoder(config.d_model, config.n_token_buckets,
+                                         trainable=config.encoder_trainable)
 
     @classmethod
     def build(cls, config: ModelConfig) -> "FusionModel":
-        encoder = HashBucketSentenceEncoder(
-            config.d_model, config.n_token_buckets,
-            trainable=config.encoder_trainable)
-        params = _init_params(config, encoder)
-        return cls(config, params, encoder)
+        encoder = cls._encoder(config)
+        return cls(config, _init_params(config, encoder), encoder)
 
     def _validate_shapes(self) -> None:
         expected = expected_param_shapes(self.config)
@@ -305,22 +327,17 @@ class FusionModel:
 
     # -- parameter views ---------------------------------------------------
 
-    def head_params(self, layer: int, head: int) -> HeadParams:
-        p = self.params
-        uv_prefix = (f"layer{layer}" if self.config.share_uv
-                     else f"layer{layer}/head{head}")
-        return HeadParams(
-            W_q=p[f"layer{layer}/head{head}/W_q"],
-            W_k=p[f"layer{layer}/head{head}/W_k"],
-            W_r=p[f"layer{layer}/head{head}/W_r"],
-            W_v=p[f"layer{layer}/head{head}/W_v"],
-            u=p[f"{uv_prefix}/u"],
-            v=p[f"{uv_prefix}/v"])
+    def head_param_names(self, layer: int, head: int) -> dict[str, str]:
+        """HeadParams field -> parameter name for one head."""
+        own = f"layer{layer}/head{head}"
+        uv = f"layer{layer}" if self.config.share_uv else own
+        return {"W_q": f"{own}/W_q", "W_k": f"{own}/W_k",
+                "W_r": f"{own}/W_r", "W_v": f"{own}/W_v",
+                "u": f"{uv}/u", "v": f"{uv}/v"}
 
-    def _uv_names(self, layer: int, head: int) -> tuple[str, str]:
-        prefix = (f"layer{layer}" if self.config.share_uv
-                  else f"layer{layer}/head{head}")
-        return f"{prefix}/u", f"{prefix}/v"
+    def head_params(self, layer: int, head: int) -> HeadParams:
+        return HeadParams(**{field: self.params[name] for field, name
+                             in self.head_param_names(layer, head).items()})
 
     @property
     def score_scale(self) -> float:
@@ -365,11 +382,6 @@ class FusionModel:
 
     # -- embedding ---------------------------------------------------------
 
-    def embed_sequence(self, doc: Document, seq: FlatSequence):
-        """Element embeddings (n, d_model) plus the routing info backward needs."""
-        ctx = self.prepare_sequence(doc, seq)
-        return self._embed(ctx), ctx.routes
-
     def _embed(self, ctx: SequenceContext) -> np.ndarray:
         embeddings = np.empty((len(ctx.seq), self.config.d_model),
                               dtype=np.float64)
@@ -404,22 +416,14 @@ class FusionModel:
         cfg = self.config
         use = (dropout if train_mode and dropout is not None
                and cfg.dropout_rate > 0.0 else None)
-        n = len(ctx.seq)
+        feats2d, pe_lin, pe = position_embedding(
+            self.position_table, ctx.dist_idx, self.params["pos/W_p"],
+            cfg.position_activation)
 
-        embeddings = self._embed(ctx)
-        feats = self.position_encoder.table[ctx.dist_idx]  # (n, n, 4, d)
-        feats2d = feats.reshape(n * n, 4 * cfg.d_model)
-        pe_lin = feats2d @ self.params["pos/W_p"]
-        if cfg.position_activation == "relu":
-            pe_act = np.maximum(pe_lin, 0.0)
-        else:
-            pe_act = pe_lin
-        pe = pe_act.reshape(n, n, cfg.d_model)
-
-        x = embeddings
+        x = self._embed(ctx)
         layer_caches = []
         for l in range(cfg.n_layers):
-            x, layer_cache = self._layer_forward(x, pe, ctx.mask, l, use,
+            x, layer_cache = self._forward_layer(x, pe, ctx.mask, l, use,
                                                  doc_index)
             if not np.isfinite(x).all():
                 raise NumericalError(f"non-finite activations after layer {l}")
@@ -440,14 +444,6 @@ class FusionModel:
         }
         return logits, pooled, cache
 
-    def forward_sequence(self, doc: Document, seq: FlatSequence,
-                         train_mode: bool = False,
-                         dropout: DropoutStream | None = None,
-                         doc_index: int = 0):
-        """Forward pass over a prebuilt (possibly permuted/filtered) sequence."""
-        ctx = self.prepare_sequence(doc, seq)
-        return self.forward_context(ctx, train_mode, dropout, doc_index)
-
     def forward(self, doc: Document, train_mode: bool = False,
                 variant: Variant = Variant.FULL,
                 dropout: DropoutStream | None = None, doc_index: int = 0):
@@ -456,49 +452,16 @@ class FusionModel:
             self.prepare(doc, variant), train_mode, dropout, doc_index)
         return logits, pooled
 
-    def layer_forward(self, seq: FlatSequence, embeddings: np.ndarray,
-                      layer: int, train_mode: bool = False,
-                      dropout: DropoutStream | None = None,
-                      doc_index: int = 0) -> np.ndarray:
-        """Apply one fusion layer to a sequence's embeddings (shape-preserving)."""
-        if embeddings.shape != (len(seq), self.config.d_model):
-            raise ContractError(
-                f"embeddings shape {embeddings.shape} != "
-                f"{(len(seq), self.config.d_model)}")
-        mask = visible_matrix(seq)
-        pe = self.position_encoder.encode(
-            self.position_encoder.sequence_features(seq))
-        use = dropout if (train_mode and dropout is not None
-                          and self.config.dropout_rate > 0.0) else None
-        out, _ = self._layer_forward(embeddings, pe, mask, layer, use, doc_index)
-        if not np.isfinite(out).all():
-            raise NumericalError(f"non-finite activations after layer {layer}")
-        return out
-
-    def _layer_forward(self, x: np.ndarray, pe: np.ndarray, mask: np.ndarray,
+    def _forward_layer(self, x: np.ndarray, pe: np.ndarray, mask: np.ndarray,
                        layer: int, dropout: DropoutStream | None,
                        doc_index: int):
         cfg = self.config
         p = self.params
-        n = x.shape[0]
         scale = self.score_scale
-        pe2d = pe.reshape(n * n, cfg.d_model)
-
-        head_caches = []
-        concat = np.empty((n, cfg.d_model), dtype=np.float64)
-        for h in range(cfg.n_heads):
-            head = self.head_params(layer, h)
-            r = (pe2d @ head.W_r).reshape(n, n, cfg.d_head)
-            q = x @ head.W_q
-            k = x @ head.W_k
-            v_mat = x @ head.W_v
-            s = q @ k.T
-            s += np.matmul(r, q[:, :, None])[:, :, 0]
-            s += (k @ head.u)[None, :]
-            s += r @ head.v
-            probs = _softmax_rows(s * scale + mask)
-            concat[:, h * cfg.d_head:(h + 1) * cfg.d_head] = probs @ v_mat
-            head_caches.append((q, k, v_mat, r, probs))
+        outs, head_caches = zip(*(
+            head_forward(x, pe, mask, self.head_params(layer, h), scale)
+            for h in range(cfg.n_heads)))
+        concat = np.concatenate(outs, axis=1)
 
         attn = concat @ p[f"layer{layer}/W_o"] + p[f"layer{layer}/b_o"]
         if dropout is not None:
@@ -549,25 +512,23 @@ class FusionModel:
         else:
             dx[sent_rows[0]] = dpooled
 
-        dpe = np.zeros((n, n, cfg.d_model), dtype=np.float64)
+        dpe_lin = np.zeros((n * n, cfg.d_model), dtype=np.float64)
         for l in reversed(range(cfg.n_layers)):
-            dx = self._layer_backward(dx, cache["layers"][l], cache["pe"],
-                                      dpe, l, grads)
+            dx = self._backward_layer(dx, cache["layers"][l], cache["pe"],
+                                      dpe_lin, l, grads)
 
         # position projection: pe_lin = feats @ W_p (optional relu after)
-        dpe_lin = dpe.reshape(n * n, cfg.d_model)
         if cfg.position_activation == "relu":
             dpe_lin = dpe_lin * (cache["pe_lin"] > 0.0)
         grads["pos/W_p"] += cache["feats2d"].T @ dpe_lin
 
         self._embed_backward(dx, ctx.routes, grads)
 
-    def _layer_backward(self, dout: np.ndarray, cache: dict, pe: np.ndarray,
+    def _backward_layer(self, dout: np.ndarray, cache: dict, pe: np.ndarray,
                         dpe: np.ndarray, layer: int,
                         grads: dict[str, np.ndarray]) -> np.ndarray:
         cfg = self.config
         p = self.params
-        n = dout.shape[0]
         scale = self.score_scale
 
         dpre2, dg2, db2 = layer_norm_backward(dout, cache["ln2"])
@@ -594,35 +555,13 @@ class FusionModel:
         grads[f"layer{layer}/b_o"] += dattn.sum(axis=0)
         dconcat = dattn @ p[f"layer{layer}/W_o"].T
 
-        x_in = cache["x_in"]
-        pe2d = pe.reshape(n * n, cfg.d_model)
         for h in range(cfg.n_heads):
-            head = self.head_params(layer, h)
-            u_name, v_name = self._uv_names(layer, h)
-            q, k, v_mat, r, probs = cache["heads"][h]
-            dctx = dconcat[:, h * cfg.d_head:(h + 1) * cfg.d_head]
-
-            dprobs = dctx @ v_mat.T
-            dv_mat = probs.T @ dctx
-            ds = probs * (dprobs - (dprobs * probs).sum(axis=1, keepdims=True))
-            ds *= scale
-
-            dq = ds @ k + np.matmul(ds[:, None, :], r)[:, 0, :]
-            col = ds.sum(axis=0)
-            dk = ds.T @ q + np.outer(col, head.u)
-            grads[u_name] += k.T @ col
-            # score terms q_i . r_ij and v . r_ij share the ds_ij factor
-            dr = ds[:, :, None] * (q[:, None, :] + head.v[None, None, :])
-            grads[v_name] += np.tensordot(ds, r, axes=([0, 1], [0, 1]))
-
-            grads[f"layer{layer}/head{h}/W_q"] += x_in.T @ dq
-            grads[f"layer{layer}/head{h}/W_k"] += x_in.T @ dk
-            grads[f"layer{layer}/head{h}/W_v"] += x_in.T @ dv_mat
-            dx += dq @ head.W_q.T + dk @ head.W_k.T + dv_mat @ head.W_v.T
-
-            dr2d = dr.reshape(n * n, cfg.d_head)
-            grads[f"layer{layer}/head{h}/W_r"] += pe2d.T @ dr2d
-            dpe += (dr2d @ head.W_r.T).reshape(n, n, cfg.d_model)
+            dhead = head_backward(
+                dconcat[:, h * cfg.d_head:(h + 1) * cfg.d_head],
+                cache["heads"][h], cache["x_in"], pe, self.head_params(layer, h),
+                scale, dx, dpe)
+            for field, name in self.head_param_names(layer, h).items():
+                grads[name] += getattr(dhead, field)
 
         return dx
 
@@ -661,19 +600,6 @@ class FusionModel:
             raise NumericalError("non-finite loss")
         return loss, grads
 
-    def loss_and_grad(self, batch: list[Document],
-                      variant: Variant = Variant.FULL,
-                      dropout: DropoutStream | None = None,
-                      out_predictions: list[int] | None = None):
-        """Mean cross-entropy over the batch plus gradients for every parameter."""
-        if not batch:
-            raise ContractError("empty batch")
-        for doc in batch:
-            if doc.label is None:
-                raise ContractError(f"document {doc.id!r} is unlabeled")
-        contexts = [self.prepare(doc, variant) for doc in batch]
-        return self.loss_and_grad_contexts(contexts, dropout, out_predictions)
-
     def context_loss(self, contexts: list[SequenceContext]) -> float:
         """Eval-mode mean cross-entropy over prepared contexts (no gradients)."""
         total = 0.0
@@ -682,11 +608,6 @@ class FusionModel:
             probs = softmax(logits)
             total += -np.log(max(probs[ctx.label], 1e-300))
         return total / len(contexts)
-
-    def batch_loss(self, batch: list[Document],
-                   variant: Variant = Variant.FULL) -> float:
-        """Eval-mode mean cross-entropy (no gradients), for FD oracles."""
-        return self.context_loss([self.prepare(doc, variant) for doc in batch])
 
     def predict(self, docs: list[Document],
                 variant: Variant = Variant.FULL) -> list[int]:
@@ -724,35 +645,51 @@ class FusionModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "FusionModel":
+        """Read a checkpoint written by save(); a malformed file raises
+        ContractError naming the path."""
         with open(path, "rb") as fh:
-            magic = fh.read(len(cls.MAGIC))
-            if magic != cls.MAGIC:
+            if fh.read(len(cls.MAGIC)) != cls.MAGIC:
                 raise ContractError(f"{path}: not a fusion checkpoint")
             size = int.from_bytes(fh.read(8), "big")
-            header = json.loads(fh.read(size).decode("utf-8"))
+            try:
+                header = json.loads(fh.read(size).decode("utf-8"))
+            except ValueError as exc:  # invalid UTF-8 or JSON
+                raise ContractError(f"{path}: unreadable header: {exc}") from exc
+            if not isinstance(header, dict):
+                raise ContractError(f"{path}: header is not a JSON object")
             if header.get("format_version") != cls.FORMAT_VERSION:
                 raise ContractError(
                     f"{path}: unsupported checkpoint version "
                     f"{header.get('format_version')}")
-            config = ModelConfig.from_dict(header["config"])
+            try:
+                config = ModelConfig.from_dict(header["config"])
+                table = [(str(t["name"]), tuple(t["shape"]))
+                         for t in header["tensors"]]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ContractError(f"{path}: malformed header: "
+                                    f"{type(exc).__name__}: {exc}") from exc
             expected = expected_param_shapes(config)
             params: dict[str, np.ndarray] = {}
-            for tensor in header["tensors"]:
-                name, shape = tensor["name"], tuple(tensor["shape"])
-                if name not in expected or expected[name] != shape:
+            for name, shape in table:
+                if name in params:
+                    raise ContractError(f"{path}: duplicate tensor {name}")
+                if expected.get(name) != shape:
                     raise ContractError(
                         f"{path}: tensor {name} shape {shape} does not match "
                         f"config expectation {expected.get(name)}")
-                count = int(np.prod(shape)) if shape else 1
-                data = np.frombuffer(fh.read(count * 8), dtype="<f8", count=count)
-                params[name] = data.reshape(shape).astype(np.float64)
+                nbytes = 8 * math.prod(expected[name])
+                data = fh.read(nbytes)
+                if len(data) != nbytes:
+                    raise ContractError(f"{path}: tensor {name} is truncated")
+                params[name] = np.frombuffer(data, dtype="<f8").reshape(
+                    expected[name]).astype(np.float64)
             missing = set(expected) - set(params)
             if missing:
                 raise ContractError(
                     f"{path}: checkpoint missing tensors {sorted(missing)}")
-        encoder = HashBucketSentenceEncoder(
-            config.d_model, config.n_token_buckets,
-            trainable=config.encoder_trainable)
+            if fh.read(1):
+                raise ContractError(f"{path}: trailing bytes after the last tensor")
+        encoder = cls._encoder(config)
         if not config.encoder_trainable:
             # regenerate the frozen table exactly as build() would
             encoder.init_params(np.random.default_rng(np.random.PCG64(config.seed)))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..flat import FlatElement, FlatSequence
+from ..flat import FlatSequence
 
 
 def sinusoid(distance: int, d_model: int) -> np.ndarray:
@@ -39,16 +39,6 @@ def sinusoid_table(max_distance: int, d_model: int) -> np.ndarray:
     return table
 
 
-def pair_distances(elem_i: FlatElement, elem_j: FlatElement,
-                   max_distance: int) -> tuple[int, int, int, int]:
-    """The four clipped signed distances from elem_i to elem_j."""
-    clip = lambda d: max(-max_distance, min(max_distance, d))
-    return (clip(elem_i.start - elem_j.start),
-            clip(elem_i.start - elem_j.end),
-            clip(elem_i.end - elem_j.start),
-            clip(elem_i.end - elem_j.end))
-
-
 def distance_indices(seq: FlatSequence, max_distance: int) -> np.ndarray:
     """(n, n, 4) table-row indices of the clipped distances for all pairs."""
     starts = np.array([el.start for el in seq.elements], dtype=np.int64)
@@ -63,50 +53,18 @@ def distance_indices(seq: FlatSequence, max_distance: int) -> np.ndarray:
     return d + max_distance
 
 
-class PositionEncoder:
-    """Caches the sinusoid table and applies the trainable projection W_p.
+def position_embedding(table: np.ndarray, dist_idx: np.ndarray,
+                       W_p: np.ndarray, activation: str = "none"):
+    """Relative position embeddings of all n * n pairs, row i * n + j for
+    the pair (i, j): the sinusoid rows of the four distances, concatenated
+    and projected by W_p, with an optional ReLU after the projection.
 
-    W_p has shape (4 * d_model, d_model) and lives in the model's parameter
-    store; the encoder holds a reference so in-place optimizer updates stay
-    visible. An optional ReLU after the projection is config-switchable (the
-    default applies none).
+    Returns the (n * n, 4 * d_model) features, the projection before the
+    activation and the (n * n, d_model) embeddings; backward reuses the
+    first two.
     """
-
-    def __init__(self, d_model: int, max_distance: int, W_p: np.ndarray,
-                 activation: str = "none"):
-        if W_p.shape != (4 * d_model, d_model):
-            raise ValueError(
-                f"W_p shape {W_p.shape} != {(4 * d_model, d_model)}")
-        self.d_model = d_model
-        self.max_distance = max_distance
-        self.W_p = W_p
-        self.activation = activation
-        self.table = sinusoid_table(max_distance, d_model)
-
-    def pair_features(self, elem_i: FlatElement, elem_j: FlatElement) -> np.ndarray:
-        """Concatenated sinusoids of the four distances, shape (4 * d_model,)."""
-        dists = pair_distances(elem_i, elem_j, self.max_distance)
-        return np.concatenate([self.table[d + self.max_distance] for d in dists])
-
-    def pair_embedding(self, elem_i: FlatElement, elem_j: FlatElement) -> np.ndarray:
-        """Relative position embedding for one element pair, shape (d_model,)."""
-        pe = self.pair_features(elem_i, elem_j) @ self.W_p
-        if self.activation == "relu":
-            pe = np.maximum(pe, 0.0)
-        return pe
-
-    def sequence_features(self, seq: FlatSequence) -> np.ndarray:
-        """(n, n, 4 * d_model) fixed sinusoid features for all pairs."""
-        idx = distance_indices(seq, self.max_distance)
-        feats = self.table[idx]  # (n, n, 4, d_model)
-        n = len(seq)
-        return feats.reshape(n, n, 4 * self.d_model)
-
-    def encode(self, features: np.ndarray) -> np.ndarray:
-        """Project pair features to (n, n, d_model) embeddings."""
-        n = features.shape[0]
-        pe = features.reshape(n * n, -1) @ self.W_p
-        pe = pe.reshape(n, n, self.d_model)
-        if self.activation == "relu":
-            pe = np.maximum(pe, 0.0)
-        return pe
+    n = dist_idx.shape[0]
+    feats2d = table[dist_idx].reshape(n * n, -1)
+    pe_lin = feats2d @ W_p
+    pe = np.maximum(pe_lin, 0.0) if activation == "relu" else pe_lin
+    return feats2d, pe_lin, pe

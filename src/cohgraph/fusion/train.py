@@ -13,7 +13,6 @@ import numpy as np
 
 from ..documents import Document
 from ..labels import CoherenceLabel
-from ..variants import Variant
 from .config import ModelConfig, TrainConfig
 from .model import ContractError, DropoutStream, FusionModel, NumericalError
 from .optim import AdamW
@@ -99,11 +98,6 @@ def train(dataset: list[Document], model_config: ModelConfig,
     return model, metrics
 
 
-def evaluate_predictions(model: FusionModel, docs: list[Document],
-                         variant: Variant) -> list[CoherenceLabel]:
-    return [CoherenceLabel(i) for i in model.predict(docs, variant=variant)]
-
-
 @dataclass
 class FusionClassifier:
     """fit/predict wrapper used by the cross-validation harness."""
@@ -119,4 +113,5 @@ class FusionClassifier:
 
     def predict(self, docs: list[Document]) -> list[CoherenceLabel]:
         assert self.model is not None, "fit before predict"
-        return evaluate_predictions(self.model, docs, self.train_config.variant)
+        return [CoherenceLabel(i) for i in
+                self.model.predict(docs, variant=self.train_config.variant)]

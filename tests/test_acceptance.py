@@ -151,14 +151,15 @@ def test_c05_permutation_equivariance():
     worst = 0.0
     for doc in docs:
         seq = model.sequence_for(doc)
-        base, _, _ = model.forward_sequence(doc, seq)
+        base, _, _ = model.forward_context(model.prepare_sequence(doc, seq))
         n_sent = seq.n_sentences
         tail = list(seq.elements[n_sent:])
         perm = rng.permutation(len(tail))
         shuffled = FlatSequence(
             seq.elements[:n_sent] + tuple(tail[i] for i in perm),
             seq.n_sentences)
-        permuted, _, _ = model.forward_sequence(doc, shuffled)
+        permuted, _, _ = model.forward_context(
+            model.prepare_sequence(doc, shuffled))
         worst = max(worst, np.abs(permuted - base).max())
     assert worst < 1e-6
     report(f"C5 PASS permutation equivariance over 50 documents "
@@ -186,6 +187,7 @@ def test_c06_edge_free_equals_textonly():
     report("C6 PASS edge-free documents equal the TextOnly path bit-for-bit")
 
 
+@pytest.mark.slow
 def test_c07_ablation_ordering_on_synthetic_data():
     """C7: 5-fold CV on a 500-document synthetic corpus: Full beats each
     single-channel ablation by 0.02 and each ablation beats TextOnly by

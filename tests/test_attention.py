@@ -1,25 +1,37 @@
 """Position-aware attention scores against a term-by-term oracle."""
 
 import numpy as np
+import pytest
 
-from cohgraph.flat import linearize
-from cohgraph.fusion.model import HeadParams, attention_scores
-from cohgraph.fusion.positions import PositionEncoder
+from cohgraph.flat import FlatSequence, linearize
+from cohgraph.fusion.masking import masked_softmax
+from cohgraph.fusion.model import FusionModel, HeadParams, head_scores
+from cohgraph.fusion.positions import (distance_indices, position_embedding,
+                                       sinusoid_table)
 from cohgraph.graph import build_graph
+from cohgraph.synth import SynthProfile, synth_generate
 
-from conftest import make_demo_document
+from conftest import make_demo_document, tiny_model_config
+from oracles import oracle_pair_embedding, oracle_scores
 
 D = 8
+MAX_DISTANCE = 16
+SCALE = 1.0 / np.sqrt(D)
 
 
-def _encoder(seed=0):
+def _W_p(seed=0):
     rng = np.random.default_rng(seed)
-    return PositionEncoder(D, 16, rng.normal(0, 0.3, (4 * D, D)))
+    return rng.normal(0, 0.3, (4 * D, D))
+
+
+def _pe(seq, W_p):
+    """The model's (n * n, D) position embeddings of a sequence."""
+    return position_embedding(sinusoid_table(MAX_DISTANCE, D),
+                              distance_indices(seq, MAX_DISTANCE), W_p)[2]
 
 
 def _demo_sequence():
     """First five elements (four sentences + one entity) of the demo doc."""
-    from cohgraph.flat import FlatSequence
     seq = linearize(build_graph(make_demo_document()))
     return FlatSequence(seq.elements[:5], seq.n_sentences)
 
@@ -40,8 +52,8 @@ def test_all_zero_parameters_give_zero_scores():
     head = HeadParams(*(np.zeros((D, D)) for _ in range(4)),
                       u=np.zeros(D), v=np.zeros(D))
     rng = np.random.default_rng(1)
-    scores = attention_scores(seq, rng.normal(size=(len(seq), D)), head,
-                              _encoder())
+    scores, *_ = head_scores(rng.normal(size=(len(seq), D)),
+                             _pe(seq, _W_p()), head, SCALE)
     np.testing.assert_array_equal(scores, np.zeros((len(seq), len(seq))))
 
 
@@ -52,40 +64,23 @@ def test_identity_projections_reduce_to_content_attention():
                       W_v=np.eye(D), u=np.zeros(D), v=np.zeros(D))
     rng = np.random.default_rng(2)
     emb = rng.normal(size=(len(seq), D))
-    scores = attention_scores(seq, emb, head, _encoder())
+    scores, *_ = head_scores(emb, _pe(seq, _W_p()), head, SCALE)
     np.testing.assert_allclose(scores, (emb @ emb.T) / np.sqrt(D),
                                rtol=0, atol=1e-15)
-
-
-def oracle_scores(seq, emb, head, enc, scale):
-    """The four named terms computed as separate matrix products and summed."""
-    n = len(seq)
-    q = emb @ head.W_q
-    k = emb @ head.W_k
-    r = np.empty((n, n, head.W_r.shape[1]))
-    for i in range(n):
-        for j in range(n):
-            r[i, j] = enc.pair_embedding(seq.elements[i],
-                                         seq.elements[j]) @ head.W_r
-    content = q @ k.T
-    content_pos = np.array([[q[i] @ r[i, j] for j in range(n)]
-                            for i in range(n)])
-    global_content = np.tile(k @ head.u, (n, 1))
-    global_pos = np.array([[head.v @ r[i, j] for j in range(n)]
-                           for i in range(n)])
-    return (content + content_pos + global_content + global_pos) * scale
 
 
 def test_five_element_sequence_matches_term_oracle():
     seq = _demo_sequence()
     assert len(seq) == 5
     rng = np.random.default_rng(3)
-    enc = _encoder(seed=4)
+    W_p = _W_p(seed=4)
+    pair_embedding = lambda a, b: oracle_pair_embedding(a, b, W_p,
+                                                        MAX_DISTANCE)
     for trial in range(5):
         head = _random_head(rng)
         emb = rng.normal(size=(5, D))
-        got = attention_scores(seq, emb, head, enc)
-        want = oracle_scores(seq, emb, head, enc, 1.0 / np.sqrt(D))
+        got, *_ = head_scores(emb, _pe(seq, W_p), head, SCALE)
+        want = oracle_scores(seq, emb, head, pair_embedding, SCALE)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -94,18 +89,35 @@ def test_explicit_scale_override():
     rng = np.random.default_rng(6)
     head = _random_head(rng)
     emb = rng.normal(size=(5, D))
-    enc = _encoder(seed=7)
-    unscaled = attention_scores(seq, emb, head, enc, scale=1.0)
-    scaled = attention_scores(seq, emb, head, enc)
+    pe = _pe(seq, _W_p(seed=7))
+    unscaled, *_ = head_scores(emb, pe, head, 1.0)
+    scaled, *_ = head_scores(emb, pe, head, SCALE)
     np.testing.assert_allclose(scaled, unscaled / np.sqrt(D), atol=1e-15)
 
 
-def test_shape_mismatch_rejected():
-    import pytest
-    from cohgraph.fusion.model import ContractError
-    seq = _demo_sequence()
-    head = _random_head(np.random.default_rng(8))
-    with pytest.raises(ContractError):
-        attention_scores(seq, np.zeros((3, D)), head, _encoder())
-    with pytest.raises(ContractError):
-        attention_scores(seq, np.zeros((5, D + 1)), head, _encoder())
+@pytest.mark.parametrize("share_uv", [False, True])
+@pytest.mark.parametrize("scale_scores", [True, False])
+def test_trained_path_probabilities_match_oracle(share_uv, scale_scores):
+    """Every head's cached attention in forward_context equals the masked
+    softmax of the term oracle's scores on that layer's input."""
+    model = FusionModel.build(tiny_model_config(
+        n_layers=2, share_uv=share_uv, scale_scores=scale_scores))
+    profile = SynthProfile(name="oracle", n_sentences=(3, 5),
+                           tokens_per_sentence=(3, 5), domain_tags=("synthA",))
+    docs = [make_demo_document()] + synth_generate(3, seed=8, profile=profile)
+    cfg = model.config
+    scale = 1.0 / np.sqrt(cfg.d_head) if scale_scores else 1.0
+    W_p = model.params["pos/W_p"]
+    pair_embedding = lambda a, b: oracle_pair_embedding(
+        a, b, W_p, cfg.max_relative_distance)
+    for doc in docs:
+        ctx = model.prepare(doc)
+        _, _, cache = model.forward_context(ctx)
+        for layer, layer_cache in enumerate(cache["layers"]):
+            for h, (*_, probs) in enumerate(layer_cache["heads"]):
+                want = masked_softmax(
+                    oracle_scores(ctx.seq, layer_cache["x_in"],
+                                  model.head_params(layer, h),
+                                  pair_embedding, scale),
+                    ctx.mask)
+                np.testing.assert_allclose(probs, want, rtol=0, atol=1e-12)

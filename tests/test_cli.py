@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import cohgraph
 from cohgraph.cli import main
 from cohgraph.corpus import document_to_record, dumps_canonical, write_corpus
 from cohgraph.synth import SynthProfile, synth_generate
@@ -171,6 +175,25 @@ class TestTrainEval:
                                       "--expect-d-model", "256"])
         assert result.exit_code == 1
         assert "mismatch" in result.output
+
+    def test_eval_malformed_checkpoint_exits_1_without_traceback(
+            self, small_corpus, tmp_path):
+        """Run as a real process, so an uncaught exception would print."""
+        from cohgraph.fusion.model import FusionModel
+        ckpt = tmp_path / "bad.ckpt"
+        header = json.dumps({"format_version": 1, "tensors": []}).encode()
+        ckpt.write_bytes(FusionModel.MAGIC + len(header).to_bytes(8, "big")
+                         + header)
+        src = str(Path(cohgraph.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "cohgraph.cli", "eval", str(ckpt),
+             str(small_corpus), "--report", str(tmp_path / "r.json")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert str(ckpt) in proc.stderr
 
 
     def test_config_file_values_survive_absent_flags(self, runner,

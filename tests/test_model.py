@@ -1,5 +1,7 @@
 """Fusion model: encoder, layers, forward properties, gradients, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,10 @@ def small_docs(n=3, seed=2, n_sentences=(3, 4)):
     return synth_generate(n, seed=seed, profile=profile)
 
 
+def encode(enc, tokens, params):
+    return enc.encode_prepared(enc.prepare(tokens), params)
+
+
 class TestSentenceEncoder:
     def _encoder(self, trainable=True):
         enc = HashBucketSentenceEncoder(8, 16, trainable=trainable)
@@ -31,36 +37,36 @@ class TestSentenceEncoder:
 
     def test_deterministic_for_identical_tokens(self):
         enc, params = self._encoder()
-        a = enc.encode(("the", "cat"), params)
-        b = enc.encode(("the", "cat"), params)
+        a = encode(enc, ("the", "cat"), params)
+        b = encode(enc, ("the", "cat"), params)
         np.testing.assert_array_equal(a, b)
 
     def test_mean_of_repeats_equals_single(self):
         enc, params = self._encoder()
-        np.testing.assert_array_equal(enc.encode(("a", "a"), params),
-                                      enc.encode(("a",), params))
+        np.testing.assert_array_equal(encode(enc, ("a", "a"), params),
+                                      encode(enc, ("a",), params))
 
     def test_disjoint_halves_combine_as_weighted_mean(self):
         """Linearity of the mean over token vectors."""
         enc, params = self._encoder()
         first = ("one", "two", "three")
         second = ("four", "five")
-        whole = enc.encode(first + second, params)
-        combined = (len(first) * enc.encode(first, params)
-                    + len(second) * enc.encode(second, params)) / 5
+        whole = encode(enc, first + second, params)
+        combined = (len(first) * encode(enc, first, params)
+                    + len(second) * encode(enc, second, params)) / 5
         np.testing.assert_allclose(whole, combined, atol=1e-15)
 
     def test_empty_tokens_give_zero_vector_and_flag(self):
         enc, params = self._encoder()
         assert not enc.saw_empty
-        vec = enc.encode((), params)
+        vec = encode(enc, (), params)
         np.testing.assert_array_equal(vec, np.zeros(8))
         assert enc.saw_empty
 
     def test_frozen_encoder_contributes_no_params(self):
         enc, params = self._encoder(trainable=False)
         assert params == {}
-        assert enc.encode(("x",), {}).shape == (8,)
+        assert encode(enc, ("x",), {}).shape == (8,)
 
 
 class TestLayerForward:
@@ -72,10 +78,8 @@ class TestLayerForward:
         model.params["layer0/b_o"][:] = 0.0
         model.params["layer0/ffn/W2"][:] = 0.0
         model.params["layer0/ffn/b2"][:] = 0.0
-        doc = small_docs(1)[0]
-        seq = model.sequence_for(doc)
-        emb, _ = model.embed_sequence(doc, seq)
-        out = model.layer_forward(seq, emb, layer=0)
+        _, _, cache = model.forward_context(model.prepare(small_docs(1)[0]))
+        emb, out = cache["layers"][0]["x_in"], cache["x_out"]
         ones = np.ones(model.config.d_model)
         zeros = np.zeros(model.config.d_model)
         expected, _ = layer_norm_forward(emb, ones, zeros)
@@ -85,17 +89,14 @@ class TestLayerForward:
     def test_shape_contract(self):
         model = FusionModel.build(tiny_model_config())
         for doc in small_docs(3):
-            seq = model.sequence_for(doc)
-            emb, _ = model.embed_sequence(doc, seq)
-            assert model.layer_forward(seq, emb, 0).shape == emb.shape
+            _, _, cache = model.forward_context(model.prepare(doc))
+            assert cache["x_out"].shape == cache["layers"][0]["x_in"].shape
 
     def test_eval_mode_is_bit_deterministic(self):
         model = FusionModel.build(tiny_model_config())
-        doc = small_docs(1)[0]
-        seq = model.sequence_for(doc)
-        emb, _ = model.embed_sequence(doc, seq)
-        np.testing.assert_array_equal(model.layer_forward(seq, emb, 0),
-                                      model.layer_forward(seq, emb, 0))
+        ctx = model.prepare(small_docs(1)[0])
+        np.testing.assert_array_equal(model.forward_context(ctx)[2]["x_out"],
+                                      model.forward_context(ctx)[2]["x_out"])
 
     def test_nonfinite_activation_names_layer(self):
         model = FusionModel.build(tiny_model_config())
@@ -121,7 +122,7 @@ class TestForward:
         rng = np.random.default_rng(0)
         for doc in small_docs(10, seed=5, n_sentences=(4, 7)):
             seq = model.sequence_for(doc)
-            base, _, _ = model.forward_sequence(doc, seq)
+            base, _, _ = model.forward_context(model.prepare_sequence(doc, seq))
             n_sent = seq.n_sentences
             tail = list(seq.elements[n_sent:])
             if len(tail) < 2:
@@ -130,7 +131,8 @@ class TestForward:
             shuffled = FlatSequence(
                 seq.elements[:n_sent] + tuple(tail[i] for i in perm),
                 seq.n_sentences)
-            permuted, _, _ = model.forward_sequence(doc, shuffled)
+            permuted, _, _ = model.forward_context(
+                model.prepare_sequence(doc, shuffled))
             np.testing.assert_allclose(permuted, base, rtol=0, atol=1e-6)
 
     def test_edge_free_document_equals_textonly_path(self):
@@ -171,7 +173,8 @@ class TestLossAndGrad:
         model = FusionModel.build(tiny_model_config())
         model.params["clf/W"][:] = 0.0
         model.params["clf/b"][:] = 0.0
-        loss, _ = model.loss_and_grad(small_docs(3))
+        loss, _ = model.loss_and_grad_contexts(
+            [model.prepare(doc) for doc in small_docs(3)])
         assert loss == pytest.approx(np.log(3.0), abs=1e-12)
 
     def test_unused_relation_embedding_gradient_is_exactly_zero(self):
@@ -184,7 +187,8 @@ class TestLossAndGrad:
                     used.add(model.registry.sense_index(el.payload))
         unused = sorted(set(range(30)) - used)
         assert unused, "fixture should leave some senses unused"
-        _, grads = model.loss_and_grad(docs)
+        _, grads = model.loss_and_grad_contexts(
+            [model.prepare(doc) for doc in docs])
         for row in unused:
             np.testing.assert_array_equal(grads["embed/relation"][row],
                                           np.zeros(model.config.d_model))
@@ -196,15 +200,16 @@ class TestLossAndGrad:
         unlabeled = Document(id=doc.id, sentences=doc.sentences, label=None,
                              annotations=doc.annotations)
         with pytest.raises(ContractError):
-            model.loss_and_grad([unlabeled])
+            model.loss_and_grad_contexts([model.prepare(unlabeled)])
 
     def test_gradients_match_finite_differences(self):
         """Hand-written reverse mode vs central differences, norm-wise."""
         config = tiny_model_config(d_model=16, n_heads=2, d_ffn=24,
                                    n_token_buckets=8, n_entity_buckets=4)
         model = FusionModel.build(config)
-        docs = small_docs(2, n_sentences=(3, 3))
-        _, grads = model.loss_and_grad(docs)
+        contexts = [model.prepare(doc)
+                    for doc in small_docs(2, n_sentences=(3, 3))]
+        _, grads = model.loss_and_grad_contexts(contexts)
         eps = 1e-5
         for name in sorted(model.params):
             p = model.params[name]
@@ -214,9 +219,9 @@ class TestLossAndGrad:
                 idx = it.multi_index
                 orig = p[idx]
                 p[idx] = orig + eps
-                up = model.batch_loss(docs)
+                up = model.context_loss(contexts)
                 p[idx] = orig - eps
-                down = model.batch_loss(docs)
+                down = model.context_loss(contexts)
                 p[idx] = orig
                 fd[idx] = (up - down) / (2 * eps)
             denom = max(np.linalg.norm(grads[name]), np.linalg.norm(fd), 1e-12)
@@ -245,12 +250,55 @@ class TestDropoutStream:
 
     def test_train_forward_uses_dropout(self):
         model = FusionModel.build(tiny_model_config(dropout_rate=0.5))
-        doc = small_docs(1)[0]
-        seq = model.sequence_for(doc)
-        eval_logits, _, _ = model.forward_sequence(doc, seq)
-        train_logits, _, _ = model.forward_sequence(
-            doc, seq, train_mode=True, dropout=DropoutStream(9, 0.5))
+        ctx = model.prepare(small_docs(1)[0])
+        eval_logits, _, _ = model.forward_context(ctx)
+        train_logits, _, _ = model.forward_context(
+            ctx, train_mode=True, dropout=DropoutStream(9, 0.5))
         assert not np.array_equal(eval_logits, train_logits)
+
+
+def split_checkpoint(data: bytes):
+    """(header object, tensor bytes) of a saved checkpoint."""
+    start = len(FusionModel.MAGIC) + 8
+    end = start + int.from_bytes(data[len(FusionModel.MAGIC):start], "big")
+    return json.loads(data[start:end]), data[end:]
+
+
+def _without(key):
+    def edit(header, body):
+        del header[key]
+        return header, body
+    return edit
+
+
+def _with_config(**fields):
+    def edit(header, body):
+        header["config"].update(fields)
+        return header, body
+    return edit
+
+
+def _duplicate_first_tensor(header, body):
+    first = header["tensors"][0]
+    header["tensors"].append(first)
+    return header, body + body[:8 * int(np.prod(first["shape"]))]
+
+
+# (case, edit of (header, tensor bytes), text the error must contain)
+MALFORMED_CHECKPOINTS = [
+    ("config-missing", _without("config"), "config"),
+    ("config-unknown-field", _with_config(bogus=1), "bogus"),
+    ("config-invalid-value", _with_config(d_model=0), "dimensions"),
+    ("tensors-missing", _without("tensors"), "tensors"),
+    ("tensors-not-a-list", lambda h, b: ({**h, "tensors": 5}, b), "malformed"),
+    ("header-not-an-object", lambda h, b: ([h], b), "not a JSON object"),
+    ("header-not-json", lambda h, b: (b"{", b), "unreadable header"),
+    ("header-not-utf8", lambda h, b: (b"\xff", b), "unreadable header"),
+    ("tensor-truncated", lambda h, b: (h, b[:-4]),
+     "tensor pos/W_p is truncated"),
+    ("tensor-duplicated", _duplicate_first_tensor, "duplicate tensor clf/W"),
+    ("trailing-bytes", lambda h, b: (h, b + b"\0"), "trailing bytes"),
+]
 
 
 class TestCheckpoint:
@@ -279,6 +327,23 @@ class TestCheckpoint:
         with pytest.raises(ContractError):
             FusionModel.load(path)
 
+    @pytest.mark.parametrize("case, edit, expect", MALFORMED_CHECKPOINTS,
+                             ids=[c[0] for c in MALFORMED_CHECKPOINTS])
+    def test_malformed_checkpoint_is_contract_error(self, tmp_path, case,
+                                                    edit, expect):
+        path = tmp_path / "model.ckpt"
+        FusionModel.build(tiny_model_config()).save(path)
+        header, body = split_checkpoint(path.read_bytes())
+        header, body = edit(header, body)
+        if not isinstance(header, bytes):
+            header = json.dumps(header).encode("utf-8")
+        path.write_bytes(FusionModel.MAGIC + len(header).to_bytes(8, "big")
+                         + header + body)
+        with pytest.raises(ContractError) as err:
+            FusionModel.load(path)
+        assert str(path) in str(err.value)
+        assert expect in str(err.value)
+
     def test_shape_validation_lists_mismatches(self):
         config = tiny_model_config()
         params = {name: np.zeros(shape)
@@ -304,7 +369,8 @@ def test_share_uv_flag_trains_and_runs():
     doc = small_docs(1)[0]
     logits, _ = model.forward(doc)
     assert np.isfinite(logits).all()
-    loss, grads = model.loss_and_grad(small_docs(2))
+    loss, grads = model.loss_and_grad_contexts(
+        [model.prepare(doc) for doc in small_docs(2)])
     assert np.isfinite(loss)
     assert grads["layer0/u"].shape == (model.config.d_head,)
 

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from cohgraph.flat import ElementKind, FlatElement
-from cohgraph.fusion.positions import (PositionEncoder, pair_distances,
+from cohgraph.flat import ElementKind, FlatElement, FlatSequence
+from cohgraph.fusion.positions import (distance_indices, position_embedding,
                                        sinusoid, sinusoid_table)
+
+from oracles import named_distances, oracle_pair_embedding, oracle_pair_features
 
 # Reference evaluation of the sinusoid formula for distance 3, d_model 8,
 # computed independently at 30-digit precision and rounded to float64.
@@ -50,61 +52,64 @@ def _relation_at(i, payload="rel"):
     return FlatElement(ElementKind.RELATION, payload, i, i + 1)
 
 
+def _distances(a, b, max_distance):
+    """Clipped distances from a to b as read back from distance_indices."""
+    idx = distance_indices(FlatSequence((a, b), 1), max_distance)
+    return tuple(int(d) - max_distance for d in idx[0, 1])
+
+
 def test_sentence_vs_relation_distances():
     """s1 at (1,1) against r1 at (1,2) has distances (0, -1, 0, -1)."""
-    assert pair_distances(_sentence(1), _relation_at(1), 128) == (0, -1, 0, -1)
+    a, b = _sentence(1), _relation_at(1)
+    assert _distances(a, b, 128) == named_distances(a, b, 128) == (0, -1, 0, -1)
 
 
 def test_distances_clip():
     far = FlatElement(ElementKind.ENTITY, "x", 1, 300)
-    assert pair_distances(_sentence(1), far, 128) == (0, -128, 0, -128)
-    assert pair_distances(far, _sentence(1), 128) == (0, 0, 128, 128)
+    near = _sentence(1)
+    assert (_distances(near, far, 128) == named_distances(near, far, 128)
+            == (0, -128, 0, -128))
+    assert (_distances(far, near, 128) == named_distances(far, near, 128)
+            == (0, 0, 128, 128))
 
 
-def _encoder(d_model=8, max_distance=16, seed=0, activation="none"):
+def _W_p(d_model=8, seed=0):
     rng = np.random.default_rng(seed)
-    W_p = rng.normal(0, 0.2, (4 * d_model, d_model))
-    return PositionEncoder(d_model, max_distance, W_p, activation)
+    return rng.normal(0, 0.2, (4 * d_model, d_model))
+
+
+def _embed(seq, W_p, max_distance=16, activation="none"):
+    """(features, embeddings) of every pair, row i * n + j for (i, j)."""
+    d_model = W_p.shape[1]
+    feats, _, pe = position_embedding(sinusoid_table(max_distance, d_model),
+                                      distance_indices(seq, max_distance),
+                                      W_p, activation)
+    return feats, pe
 
 
 def test_self_pair_embedding():
     """Equal elements give concat(p(0) x4) @ W_p."""
-    enc = _encoder()
+    W_p = _W_p()
     el = _sentence(3)
-    expected = np.concatenate([sinusoid(0, 8)] * 4) @ enc.W_p
-    np.testing.assert_array_equal(enc.pair_embedding(el, el), expected)
-
-
-def oracle_pair_embedding(enc: PositionEncoder, a: FlatElement,
-                          b: FlatElement) -> np.ndarray:
-    """Second implementation straight from the four named distances."""
-    clip = lambda x: int(np.clip(x, -enc.max_distance, enc.max_distance))
-    d_start_start = clip(a.start - b.start)
-    d_start_end = clip(a.start - b.end)
-    d_end_start = clip(a.end - b.start)
-    d_end_end = clip(a.end - b.end)
-    feats = np.concatenate([
-        sinusoid(d_start_start, enc.d_model),
-        sinusoid(d_start_end, enc.d_model),
-        sinusoid(d_end_start, enc.d_model),
-        sinusoid(d_end_end, enc.d_model),
-    ])
-    out = feats @ enc.W_p
-    return np.maximum(out, 0) if enc.activation == "relu" else out
+    expected = np.concatenate([sinusoid(0, 8)] * 4) @ W_p
+    _, pe = _embed(FlatSequence((el,), 1), W_p)
+    np.testing.assert_array_equal(pe[0], expected)
 
 
 @pytest.mark.parametrize("activation", ["none", "relu"])
 def test_random_pairs_match_named_distance_oracle(activation):
     rng = np.random.default_rng(99)
-    enc = _encoder(activation=activation)
+    W_p = _W_p()
     for _ in range(50):
         i, j = rng.integers(1, 12, size=2)
         a = (_sentence(int(i)) if rng.random() < 0.5
              else FlatElement(ElementKind.ENTITY, "e", int(min(i, j)),
                               int(max(i, j) + 1)))
         b = (_sentence(int(j)) if rng.random() < 0.5 else _relation_at(int(j)))
-        np.testing.assert_allclose(enc.pair_embedding(a, b),
-                                   oracle_pair_embedding(enc, a, b),
+        _, pe = _embed(FlatSequence((a, b), 1), W_p, activation=activation)
+        np.testing.assert_allclose(pe[1],
+                                   oracle_pair_embedding(a, b, W_p, 16,
+                                                         activation),
                                    rtol=0, atol=1e-15)
 
 
@@ -113,12 +118,14 @@ def test_sequence_features_match_pair_features():
     from cohgraph.flat import linearize
     from conftest import make_demo_document
 
-    enc = _encoder(d_model=6)
+    W_p = _W_p(d_model=6)
     seq = linearize(build_graph(make_demo_document()))
-    feats = enc.sequence_features(seq)
-    pe = enc.encode(feats)
+    feats, pe = _embed(seq, W_p)
+    n = len(seq)
     for i, a in enumerate(seq.elements):
         for j, b in enumerate(seq.elements):
-            np.testing.assert_array_equal(feats[i, j], enc.pair_features(a, b))
-            np.testing.assert_allclose(pe[i, j], enc.pair_embedding(a, b),
+            np.testing.assert_array_equal(feats[i * n + j],
+                                          oracle_pair_features(a, b, 16, 6))
+            np.testing.assert_allclose(pe[i * n + j],
+                                       oracle_pair_embedding(a, b, W_p, 16),
                                        rtol=0, atol=1e-15)
