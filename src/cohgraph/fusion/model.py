@@ -15,10 +15,19 @@ and head_scores is the only place the score is formed. Each layer then
 applies the standard value mixing, output projection, post-norm residuals,
 and a rectified feed-forward block.
 
-Per-document structure (sequence, mask, distance indices, token buckets) is
-independent of the parameters, so it is prepared once into a SequenceContext
-and reused across forward passes; training loops prepare each document a
-single time.
+r_ij depends on the pair only through its clipped distance tuple, and a
+document of n elements has U of those (about 2n to 3n), so the position
+path runs on U rows: the embeddings are projected once per tuple, each head
+projects r on the U rows and gathers its (n, U) position scores per pair,
+and backward sums the pair gradients onto the U rows. Per forward pass the
+memory is O(U * d_model) for the position path, (U, 4 * d_model) features
+being the largest, plus (n, n) scores and probabilities and (n, U) position
+scores per head; nothing of shape (n * n, d_model) is formed.
+
+Per-document structure (sequence, mask, distinct distance tuples and each
+pair's tuple, token buckets) is independent of the parameters, so it is
+prepared once into a SequenceContext and reused across forward passes;
+training loops prepare each document a single time.
 """
 
 from __future__ import annotations
@@ -38,7 +47,8 @@ from ..variants import Variant
 from .config import ModelConfig
 from .encoder import HashBucketSentenceEncoder, SentenceEncoder, stable_bucket
 from .masking import masked_softmax, softmax, visible_matrix
-from .positions import distance_indices, position_embedding, sinusoid_table
+from .positions import (distance_indices, pair_columns, position_embedding,
+                        sinusoid_table, unique_distance_rows)
 
 LN_EPS = 1e-5
 
@@ -71,7 +81,9 @@ class SequenceContext:
 
     seq: FlatSequence
     mask: np.ndarray          # (n, n) additive visibility mask
-    dist_idx: np.ndarray      # (n, n, 4) sinusoid-table row indices
+    pos_rows: np.ndarray      # (U, 4) sinusoid-table rows of each distinct
+                              # clipped distance tuple
+    pos_inv: np.ndarray       # (n, n) pair (i, j) -> its row of pos_rows
     routes: tuple[tuple, ...]  # per element: embedding source info
     label: int | None
     doc_id: str
@@ -192,58 +204,66 @@ def _rectify_grad(z: np.ndarray, kind: str) -> np.ndarray:
     return (z > 0.0).astype(np.float64)
 
 
-def head_scores(x: np.ndarray, pe2d: np.ndarray, head: HeadParams,
-                scale: float):
+def head_scores(x: np.ndarray, pe: np.ndarray, cols: np.ndarray,
+                head: HeadParams, scale: float):
     """Scaled four-term scores q_i.k_j + q_i.r_ij + u.k_j + v.r_ij of one
-    head, before the mask, for layer input x (n, d_model) and position
-    embeddings pe2d (n * n, d_model). Returns (scores, q, k, r)."""
-    n = x.shape[0]
-    r = (pe2d @ head.W_r).reshape(n, n, -1)
+    head, before the mask, for layer input x (n, d_model), the position
+    embeddings pe (U, d_model) of the document's distinct distance tuples
+    and cols = pair_columns(pos_inv, U), the (n, n) flat (n, U) index of
+    each pair.
+
+    r is projected on the U tuple rows only, and the two position terms,
+    (q_i + v).r_c, are formed as one (n, U) product and gathered per pair.
+    Returns (scores, q, k, r) with r (U, d_head).
+    """
+    r = pe @ head.W_r
     q = x @ head.W_q
     k = x @ head.W_k
     s = q @ k.T
-    s += np.matmul(r, q[:, :, None])[:, :, 0]
+    s += ((q + head.v) @ r.T).ravel()[cols]
     s += (k @ head.u)[None, :]
-    s += r @ head.v
     return s * scale, q, k, r
 
 
-def head_forward(x: np.ndarray, pe2d: np.ndarray, mask: np.ndarray,
-                 head: HeadParams, scale: float):
+def head_forward(x: np.ndarray, pe: np.ndarray, cols: np.ndarray,
+                 mask: np.ndarray, head: HeadParams, scale: float):
     """One head's attention output (n, d_head) and the cache head_backward
-    reads: q, k, values, r and the masked attention probabilities."""
-    s, q, k, r = head_scores(x, pe2d, head, scale)
+    reads: q, k, values, r, cols and the masked attention probabilities."""
+    s, q, k, r = head_scores(x, pe, cols, head, scale)
     probs = masked_softmax(s, mask)
     v_mat = x @ head.W_v
-    return probs @ v_mat, (q, k, v_mat, r, probs)
+    return probs @ v_mat, (q, k, v_mat, r, cols, probs)
 
 
 def head_backward(dout: np.ndarray, cache: tuple, x: np.ndarray,
-                  pe2d: np.ndarray, head: HeadParams, scale: float,
-                  dx: np.ndarray, dpe2d: np.ndarray) -> HeadParams:
+                  pe: np.ndarray, head: HeadParams, scale: float,
+                  dx: np.ndarray, dpe: np.ndarray) -> HeadParams:
     """Reverse of head_forward for the output gradient dout (n, d_head).
 
-    Adds the gradients of x and pe2d into dx and dpe2d in place and returns
-    the parameter gradients laid out as a HeadParams.
+    Adds the gradients of x and of the (U, d_model) tuple embeddings pe
+    into dx and dpe in place and returns the parameter gradients laid out
+    as a HeadParams.
     """
-    q, k, v_mat, r, probs = cache
-    n = x.shape[0]
+    q, k, v_mat, r, cols, probs = cache
+    n, n_rows = x.shape[0], r.shape[0]
     dprobs = dout @ v_mat.T
     dv_mat = probs.T @ dout
     ds = probs * (dprobs - (dprobs * probs).sum(axis=1, keepdims=True))
     ds *= scale
 
-    dq = ds @ k + np.matmul(ds[:, None, :], r)[:, 0, :]
+    # pairs of one query that share a distance tuple share r_c, so their
+    # score gradients are summed onto (n, U); bincount adds in a fixed order
+    seg = np.bincount(cols.ravel(), weights=ds.ravel(),
+                      minlength=n * n_rows).reshape(n, n_rows)
+    dq = ds @ k + seg @ r
     col = ds.sum(axis=0)
     dk = ds.T @ q + np.outer(col, head.u)
-    # score terms q_i . r_ij and v . r_ij share the ds_ij factor
-    dr2d = (ds[:, :, None] * (q[:, None, :] + head.v[None, None, :])
-            ).reshape(n * n, -1)
+    dr = seg.T @ (q + head.v)
     grads = HeadParams(
-        W_q=x.T @ dq, W_k=x.T @ dk, W_r=pe2d.T @ dr2d, W_v=x.T @ dv_mat,
-        u=k.T @ col, v=np.tensordot(ds, r, axes=([0, 1], [0, 1])))
+        W_q=x.T @ dq, W_k=x.T @ dk, W_r=pe.T @ dr, W_v=x.T @ dv_mat,
+        u=k.T @ col, v=r.T @ seg.sum(axis=0))
     dx += dq @ head.W_q.T + dk @ head.W_k.T + dv_mat @ head.W_v.T
-    dpe2d += dr2d @ head.W_r.T
+    dpe += dr @ head.W_r.T
     return grads
 
 
@@ -368,10 +388,13 @@ class FusionModel:
                     el.payload, self.config.n_entity_buckets)))
             else:
                 routes.append(("relation", self.registry.sense_index(el.payload)))
+        pos_rows, pos_inv = unique_distance_rows(
+            distance_indices(seq, self.config.max_relative_distance))
         return SequenceContext(
             seq=seq,
             mask=visible_matrix(seq),
-            dist_idx=distance_indices(seq, self.config.max_relative_distance),
+            pos_rows=pos_rows,
+            pos_inv=pos_inv,
             routes=tuple(routes),
             label=int(doc.label) if doc.label is not None else None,
             doc_id=doc.id)
@@ -416,15 +439,16 @@ class FusionModel:
         cfg = self.config
         use = (dropout if train_mode and dropout is not None
                and cfg.dropout_rate > 0.0 else None)
-        feats2d, pe_lin, pe = position_embedding(
-            self.position_table, ctx.dist_idx, self.params["pos/W_p"],
+        feats, pe_lin, pe = position_embedding(
+            self.position_table, ctx.pos_rows, self.params["pos/W_p"],
             cfg.position_activation)
+        cols = pair_columns(ctx.pos_inv, pe.shape[0])
 
         x = self._embed(ctx)
         layer_caches = []
         for l in range(cfg.n_layers):
-            x, layer_cache = self._forward_layer(x, pe, ctx.mask, l, use,
-                                                 doc_index)
+            x, layer_cache = self._forward_layer(x, pe, cols, ctx.mask, l,
+                                                 use, doc_index)
             if not np.isfinite(x).all():
                 raise NumericalError(f"non-finite activations after layer {l}")
             layer_caches.append(layer_cache)
@@ -438,7 +462,7 @@ class FusionModel:
         logits = pooled @ self.params["clf/W"] + self.params["clf/b"]
 
         cache = {
-            "ctx": ctx, "feats2d": feats2d, "pe_lin": pe_lin, "pe": pe,
+            "ctx": ctx, "feats": feats, "pe_lin": pe_lin, "pe": pe,
             "layers": layer_caches, "x_out": x,
             "sent_rows": sent_rows, "pooled": pooled,
         }
@@ -452,14 +476,14 @@ class FusionModel:
             self.prepare(doc, variant), train_mode, dropout, doc_index)
         return logits, pooled
 
-    def _forward_layer(self, x: np.ndarray, pe: np.ndarray, mask: np.ndarray,
-                       layer: int, dropout: DropoutStream | None,
-                       doc_index: int):
+    def _forward_layer(self, x: np.ndarray, pe: np.ndarray, cols: np.ndarray,
+                       mask: np.ndarray, layer: int,
+                       dropout: DropoutStream | None, doc_index: int):
         cfg = self.config
         p = self.params
         scale = self.score_scale
         outs, head_caches = zip(*(
-            head_forward(x, pe, mask, self.head_params(layer, h), scale)
+            head_forward(x, pe, cols, mask, self.head_params(layer, h), scale)
             for h in range(cfg.n_heads)))
         concat = np.concatenate(outs, axis=1)
 
@@ -512,7 +536,7 @@ class FusionModel:
         else:
             dx[sent_rows[0]] = dpooled
 
-        dpe_lin = np.zeros((n * n, cfg.d_model), dtype=np.float64)
+        dpe_lin = np.zeros_like(cache["pe"])
         for l in reversed(range(cfg.n_layers)):
             dx = self._backward_layer(dx, cache["layers"][l], cache["pe"],
                                       dpe_lin, l, grads)
@@ -520,7 +544,7 @@ class FusionModel:
         # position projection: pe_lin = feats @ W_p (optional relu after)
         if cfg.position_activation == "relu":
             dpe_lin = dpe_lin * (cache["pe_lin"] > 0.0)
-        grads["pos/W_p"] += cache["feats2d"].T @ dpe_lin
+        grads["pos/W_p"] += cache["feats"].T @ dpe_lin
 
         self._embed_backward(dx, ctx.routes, grads)
 

@@ -8,6 +8,13 @@ signed distances are
 
 each clipped to +-max_distance. Their sinusoid encodings are concatenated
 into a 4*d_model feature and projected by a trainable matrix to d_model.
+
+After clipping, a document of n elements has only U distinct distance
+tuples (about 2n to 3n, against n * n pairs), so the features and their
+projection are formed once per tuple: pos_rows (U, 4) lists the distinct
+tuples and pos_inv (n, n) maps each pair to its row. Per forward pass the
+position path holds (U, 4 * d_model) features and (U, d_model) embeddings,
+and nothing of shape (n * n, d_model).
 """
 
 from __future__ import annotations
@@ -53,18 +60,49 @@ def distance_indices(seq: FlatSequence, max_distance: int) -> np.ndarray:
     return d + max_distance
 
 
-def position_embedding(table: np.ndarray, dist_idx: np.ndarray,
-                       W_p: np.ndarray, activation: str = "none"):
-    """Relative position embeddings of all n * n pairs, row i * n + j for
-    the pair (i, j): the sinusoid rows of the four distances, concatenated
-    and projected by W_p, with an optional ReLU after the projection.
+def unique_distance_rows(dist_idx: np.ndarray):
+    """The distinct rows of an (n, n, 4) distance_indices table.
 
-    Returns the (n * n, 4 * d_model) features, the projection before the
-    activation and the (n * n, d_model) embeddings; backward reuses the
-    first two.
+    Returns pos_rows (U, 4), the distinct (d1..d4) index tuples in ascending
+    order, and pos_inv (n, n) with pos_rows[pos_inv] == dist_idx. Each tuple
+    is packed into one int64 key so the dedup is a 1-D sort, much cheaper
+    than a row-wise unique. The key base is the range of indices present,
+    at most 2 * max_distance + 1 and at most twice the document's span plus
+    one, so the packed keys cannot overflow for any document that fits in
+    memory.
     """
     n = dist_idx.shape[0]
-    feats2d = table[dist_idx].reshape(n * n, -1)
-    pe_lin = feats2d @ W_p
+    low = dist_idx.min()
+    flat = dist_idx.reshape(n * n, 4) - low
+    base = flat.max() + 1
+    keys = ((flat[:, 0] * base + flat[:, 1]) * base
+            + flat[:, 2]) * base + flat[:, 3]
+    uniq, inv = np.unique(keys, return_inverse=True)
+    pos_rows = np.empty((uniq.shape[0], 4), dtype=np.int64)
+    for c in (3, 2, 1, 0):
+        uniq, pos_rows[:, c] = np.divmod(uniq, base)
+    return pos_rows + low, inv.reshape(n, n)
+
+
+def pair_columns(pos_inv: np.ndarray, n_rows: int) -> np.ndarray:
+    """(n, n) index of pair (i, j) into a flattened (n, n_rows) matrix of
+    per-query, per-tuple terms: i * n_rows + pos_inv[i, j]."""
+    n = pos_inv.shape[0]
+    return pos_inv + np.arange(0, n * n_rows, n_rows)[:, None]
+
+
+def position_embedding(table: np.ndarray, pos_rows: np.ndarray,
+                       W_p: np.ndarray, activation: str = "none"):
+    """Relative position embeddings of the U distinct distance tuples
+    pos_rows (U, 4): the sinusoid rows of the four distances, concatenated
+    and projected by W_p, with an optional ReLU after the projection. The
+    embedding of pair (i, j) is row pos_inv[i, j] of the result.
+
+    Returns the (U, 4 * d_model) features, the projection before the
+    activation and the (U, d_model) embeddings; backward reuses the first
+    two.
+    """
+    feats = table[pos_rows].reshape(pos_rows.shape[0], -1)
+    pe_lin = feats @ W_p
     pe = np.maximum(pe_lin, 0.0) if activation == "relu" else pe_lin
-    return feats2d, pe_lin, pe
+    return feats, pe_lin, pe

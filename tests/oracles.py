@@ -1,8 +1,11 @@
 """Reference implementations the fusion model's fast paths are checked against.
 
-Each oracle is written term by term from the definitions, one element pair
-at a time, and shares no code with the model beyond the scalar `sinusoid`
-formula (which has its own reference-value test).
+The named-distance and score oracles are written term by term from the
+definitions, one element pair at a time, and share no code with the model
+beyond the scalar `sinusoid` formula (which has its own reference-value
+test). The dense head kernel is the attention head over all n * n pairs,
+with an (n * n, d) position embedding per pair, that the model's
+distance-tuple kernel replaced.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from cohgraph.flat import FlatElement
+from cohgraph.fusion.model import HeadParams
 from cohgraph.fusion.positions import sinusoid
 
 
@@ -59,3 +63,40 @@ def oracle_scores(seq, emb, head, pair_embedding, scale):
     global_pos = np.array([[head.v @ r[i, j] for j in range(n)]
                            for i in range(n)])
     return (content + content_pos + global_content + global_pos) * scale
+
+
+def dense_head_scores(x, pe2d, head, scale):
+    """One head's scaled scores before the mask, with a position embedding
+    per pair: pe2d (n * n, d_model), row i * n + j for the pair (i, j).
+    Returns (scores, q, k, r) with r (n, n, d_head)."""
+    n = x.shape[0]
+    r = (pe2d @ head.W_r).reshape(n, n, -1)
+    q = x @ head.W_q
+    k = x @ head.W_k
+    s = q @ k.T
+    s += np.matmul(r, q[:, :, None])[:, :, 0]
+    s += (k @ head.u)[None, :]
+    s += r @ head.v
+    return s * scale, q, k, r
+
+
+def dense_head_backward(dout, q, k, v_mat, r, probs, x, pe2d, head, scale):
+    """Reverse of the dense head for the output gradient dout (n, d_head),
+    given the forward's q, k, values x @ W_v, r and masked probabilities.
+    Returns (HeadParams of parameter gradients, dx, dpe2d)."""
+    n = x.shape[0]
+    dprobs = dout @ v_mat.T
+    dv_mat = probs.T @ dout
+    ds = probs * (dprobs - (dprobs * probs).sum(axis=1, keepdims=True))
+    ds *= scale
+
+    dq = ds @ k + np.matmul(ds[:, None, :], r)[:, 0, :]
+    col = ds.sum(axis=0)
+    dk = ds.T @ q + np.outer(col, head.u)
+    dr2d = (ds[:, :, None] * (q[:, None, :] + head.v[None, None, :])
+            ).reshape(n * n, -1)
+    grads = HeadParams(
+        W_q=x.T @ dq, W_k=x.T @ dk, W_r=pe2d.T @ dr2d, W_v=x.T @ dv_mat,
+        u=k.T @ col, v=np.tensordot(ds, r, axes=([0, 1], [0, 1])))
+    dx = dq @ head.W_q.T + dk @ head.W_k.T + dv_mat @ head.W_v.T
+    return grads, dx, dr2d @ head.W_r.T

@@ -1,18 +1,24 @@
-"""Position-aware attention scores against a term-by-term oracle."""
+"""Position-aware attention scores against a term-by-term oracle, and the
+distance-tuple head kernel against the dense per-pair kernel."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from cohgraph.flat import FlatSequence, linearize
 from cohgraph.fusion.masking import masked_softmax
-from cohgraph.fusion.model import FusionModel, HeadParams, head_scores
-from cohgraph.fusion.positions import (distance_indices, position_embedding,
-                                       sinusoid_table)
+from cohgraph.fusion.model import (FusionModel, HeadParams, head_backward,
+                                   head_forward, head_scores)
+from cohgraph.fusion.positions import (distance_indices, pair_columns,
+                                       position_embedding, sinusoid_table,
+                                       unique_distance_rows)
 from cohgraph.graph import build_graph
 from cohgraph.synth import SynthProfile, synth_generate
 
 from conftest import make_demo_document, tiny_model_config
-from oracles import oracle_pair_embedding, oracle_scores
+from oracles import (dense_head_backward, dense_head_scores,
+                     oracle_pair_embedding, oracle_scores)
 
 D = 8
 MAX_DISTANCE = 16
@@ -25,9 +31,12 @@ def _W_p(seed=0):
 
 
 def _pe(seq, W_p):
-    """The model's (n * n, D) position embeddings of a sequence."""
-    return position_embedding(sinusoid_table(MAX_DISTANCE, D),
-                              distance_indices(seq, MAX_DISTANCE), W_p)[2]
+    """The model's (U, D) distance-tuple embeddings of a sequence and the
+    (n, n) pair columns head_scores gathers them by."""
+    pos_rows, pos_inv = unique_distance_rows(
+        distance_indices(seq, MAX_DISTANCE))
+    pe = position_embedding(sinusoid_table(MAX_DISTANCE, D), pos_rows, W_p)[2]
+    return pe, pair_columns(pos_inv, len(pos_rows))
 
 
 def _demo_sequence():
@@ -53,7 +62,7 @@ def test_all_zero_parameters_give_zero_scores():
                       u=np.zeros(D), v=np.zeros(D))
     rng = np.random.default_rng(1)
     scores, *_ = head_scores(rng.normal(size=(len(seq), D)),
-                             _pe(seq, _W_p()), head, SCALE)
+                             *_pe(seq, _W_p()), head, SCALE)
     np.testing.assert_array_equal(scores, np.zeros((len(seq), len(seq))))
 
 
@@ -64,7 +73,7 @@ def test_identity_projections_reduce_to_content_attention():
                       W_v=np.eye(D), u=np.zeros(D), v=np.zeros(D))
     rng = np.random.default_rng(2)
     emb = rng.normal(size=(len(seq), D))
-    scores, *_ = head_scores(emb, _pe(seq, _W_p()), head, SCALE)
+    scores, *_ = head_scores(emb, *_pe(seq, _W_p()), head, SCALE)
     np.testing.assert_allclose(scores, (emb @ emb.T) / np.sqrt(D),
                                rtol=0, atol=1e-15)
 
@@ -79,7 +88,7 @@ def test_five_element_sequence_matches_term_oracle():
     for trial in range(5):
         head = _random_head(rng)
         emb = rng.normal(size=(5, D))
-        got, *_ = head_scores(emb, _pe(seq, W_p), head, SCALE)
+        got, *_ = head_scores(emb, *_pe(seq, W_p), head, SCALE)
         want = oracle_scores(seq, emb, head, pair_embedding, SCALE)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -89,9 +98,9 @@ def test_explicit_scale_override():
     rng = np.random.default_rng(6)
     head = _random_head(rng)
     emb = rng.normal(size=(5, D))
-    pe = _pe(seq, _W_p(seed=7))
-    unscaled, *_ = head_scores(emb, pe, head, 1.0)
-    scaled, *_ = head_scores(emb, pe, head, SCALE)
+    pe, cols = _pe(seq, _W_p(seed=7))
+    unscaled, *_ = head_scores(emb, pe, cols, head, 1.0)
+    scaled, *_ = head_scores(emb, pe, cols, head, SCALE)
     np.testing.assert_allclose(scaled, unscaled / np.sqrt(D), atol=1e-15)
 
 
@@ -121,3 +130,65 @@ def test_trained_path_probabilities_match_oracle(share_uv, scale_scores):
                                   pair_embedding, scale),
                     ctx.mask)
                 np.testing.assert_allclose(probs, want, rtol=0, atol=1e-12)
+
+
+def _assert_rel_close(got, want, rel=1e-12):
+    """Max absolute difference within rel of the largest |want| entry."""
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=rel * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("position_activation", ["none", "relu"])
+@pytest.mark.parametrize("share_uv", [False, True])
+@pytest.mark.parametrize("scale_scores", [True, False])
+def test_head_kernel_matches_dense_oracle(share_uv, scale_scores,
+                                          position_activation):
+    """On every head of a forward pass, the distance-tuple kernel matches
+    the dense per-pair kernel: scores, probabilities, output, the six
+    parameter gradients, dx, and the per-pair position gradient summed onto
+    the tuple rows. A small max distance makes many pairs share a tuple."""
+    model = FusionModel.build(tiny_model_config(
+        n_layers=2, share_uv=share_uv, scale_scores=scale_scores,
+        position_activation=position_activation, max_relative_distance=3))
+    profile = SynthProfile(name="oracle", n_sentences=(4, 7),
+                           tokens_per_sentence=(3, 5), domain_tags=("synthA",))
+    docs = [make_demo_document()] + synth_generate(3, seed=9, profile=profile)
+    scale = model.score_scale
+    rng = np.random.default_rng(21)
+    for doc in docs:
+        ctx = model.prepare(doc)
+        _, _, cache = model.forward_context(ctx)
+        pe = cache["pe"]
+        n = len(ctx.seq)
+        assert pe.shape[0] < n * n
+        cols = pair_columns(ctx.pos_inv, pe.shape[0])
+        pe2d = pe[ctx.pos_inv].reshape(n * n, -1)
+        for layer, layer_cache in enumerate(cache["layers"]):
+            x = layer_cache["x_in"]
+            for h in range(model.config.n_heads):
+                head = model.head_params(layer, h)
+                want_s, q, k, r = dense_head_scores(x, pe2d, head, scale)
+                got_s, *_ = head_scores(x, pe, cols, head, scale)
+                _assert_rel_close(got_s, want_s)
+
+                out, head_cache = head_forward(x, pe, cols, ctx.mask, head,
+                                               scale)
+                probs = masked_softmax(want_s, ctx.mask)
+                v_mat = x @ head.W_v
+                _assert_rel_close(head_cache[-1], probs)
+                _assert_rel_close(out, probs @ v_mat)
+
+                dout = rng.normal(size=out.shape)
+                dx = np.zeros_like(x)
+                dpe = np.zeros_like(pe)
+                grads = head_backward(dout, head_cache, x, pe, head, scale,
+                                      dx, dpe)
+                want_grads, want_dx, dpe2d = dense_head_backward(
+                    dout, q, k, v_mat, r, probs, x, pe2d, head, scale)
+                for field in dataclasses.fields(HeadParams):
+                    _assert_rel_close(getattr(grads, field.name),
+                                      getattr(want_grads, field.name))
+                _assert_rel_close(dx, want_dx)
+                want_dpe = np.zeros_like(pe)
+                np.add.at(want_dpe, ctx.pos_inv.ravel(), dpe2d)
+                _assert_rel_close(dpe, want_dpe)

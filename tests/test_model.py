@@ -1,12 +1,14 @@
 """Fusion model: encoder, layers, forward properties, gradients, checkpoints."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cohgraph.documents import (AnnotationSet, Document, Sentence)
 from cohgraph.flat import FlatSequence
+from cohgraph.fusion.config import ModelConfig
 from cohgraph.fusion.encoder import HashBucketSentenceEncoder
 from cohgraph.fusion.model import (ContractError, DropoutStream, FusionModel,
                                    NumericalError, expected_param_shapes,
@@ -158,6 +160,24 @@ class TestForward:
         a, _ = model.forward(doc, variant=Variant.TEXT_ONLY)
         b, _ = model.forward(stripped, variant=Variant.TEXT_ONLY)
         np.testing.assert_array_equal(a, b)
+
+    def test_long_document_forward_stays_under_memory_bound(self):
+        """A ~300-element document at the default config: the position path
+        holds (U, 4 * d_model) features and each head (n, n) scores, nothing
+        of shape (n * n, d_model) (which alone would be 176 MiB here)."""
+        profile = SynthProfile(name="long", n_sentences=(76, 76),
+                               explicit_prob=1.0, medium_entity_prob=1.0)
+        doc = synth_generate(3, seed=4, profile=profile)[2]
+        model = FusionModel.build(ModelConfig())
+        ctx = model.prepare(doc)
+        assert 280 <= len(ctx.seq) <= 320
+        tracemalloc.start()
+        try:
+            model.forward_context(ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2 ** 20
 
     def test_repeated_eval_calls_are_bit_identical(self):
         model = FusionModel.build(tiny_model_config())

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cohgraph.flat import ElementKind, FlatElement, FlatSequence
 from cohgraph.fusion.positions import (distance_indices, position_embedding,
-                                       sinusoid, sinusoid_table)
+                                       sinusoid, sinusoid_table,
+                                       unique_distance_rows)
 
 from oracles import named_distances, oracle_pair_embedding, oracle_pair_features
 
@@ -73,18 +76,40 @@ def test_distances_clip():
             == (0, 0, 128, 128))
 
 
+@given(spans=st.lists(st.tuples(st.integers(1, 12), st.integers(0, 5)),
+                      min_size=1, max_size=14),
+       max_distance=st.one_of(st.integers(1, 3), st.just(40_000)))
+def test_unique_rows_rebuild_distance_indices(spans, max_distance):
+    """pos_rows[pos_inv] is exactly distance_indices, with one row per
+    distinct tuple; spans wider than max_distance make clipping fire, and a
+    max distance whose (2 * max + 1) ** 4 exceeds int64 must not overflow
+    the packed keys."""
+    seq = FlatSequence(tuple(FlatElement(ElementKind.ENTITY, "e", start,
+                                         start + width)
+                             for start, width in spans), 1)
+    dist_idx = distance_indices(seq, max_distance)
+    pos_rows, pos_inv = unique_distance_rows(dist_idx)
+    assert pos_inv.shape == (len(seq), len(seq))
+    np.testing.assert_array_equal(pos_rows[pos_inv], dist_idx)
+    assert len(np.unique(pos_rows, axis=0)) == len(pos_rows)
+
+
 def _W_p(d_model=8, seed=0):
     rng = np.random.default_rng(seed)
     return rng.normal(0, 0.2, (4 * d_model, d_model))
 
 
 def _embed(seq, W_p, max_distance=16, activation="none"):
-    """(features, embeddings) of every pair, row i * n + j for (i, j)."""
+    """(features, embeddings) of every pair, row i * n + j for (i, j),
+    gathered from the distance-tuple rows the model computes."""
     d_model = W_p.shape[1]
+    pos_rows, pos_inv = unique_distance_rows(
+        distance_indices(seq, max_distance))
     feats, _, pe = position_embedding(sinusoid_table(max_distance, d_model),
-                                      distance_indices(seq, max_distance),
-                                      W_p, activation)
-    return feats, pe
+                                      pos_rows, W_p, activation)
+    n = len(seq)
+    return (feats[pos_inv].reshape(n * n, -1),
+            pe[pos_inv].reshape(n * n, -1))
 
 
 def test_self_pair_embedding():
