@@ -8,6 +8,7 @@ encoder can be slotted in later: anything with the same four methods works.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 from typing import Protocol
@@ -17,15 +18,21 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def stable_bucket(text: str, n_buckets: int) -> int:
-    """Platform-stable hash bucket (blake2b, not the randomized builtin hash)."""
+    """Platform-stable hash bucket (blake2b, not the randomized builtin hash).
+
+    Memoized: a corpus repeats its tokens and every fit re-prepares it, and
+    the bounded cache holds at most 65,536 (text, n_buckets) entries."""
     digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big") % n_buckets
 
 
 class SentenceEncoder(Protocol):
     """tokens -> d_model vector, with a prepare step so static per-sentence
-    work (hashing, tokenizer lookups) can be done once per document."""
+    work (hashing, tokenizer lookups) can be done once per document. The
+    encode and gradient calls take a list of prepared sentences, so a chunk
+    of documents is encoded in one call."""
 
     d_model: int
     trainable: bool
@@ -34,10 +41,10 @@ class SentenceEncoder(Protocol):
 
     def prepare(self, tokens: tuple[str, ...]): ...
 
-    def encode_prepared(self, prepared,
+    def encode_prepared(self, prepared: list,
                         params: dict[str, np.ndarray]) -> np.ndarray: ...
 
-    def accumulate_grad_prepared(self, prepared, dvec: np.ndarray,
+    def accumulate_grad_prepared(self, prepared: list, dvecs: np.ndarray,
                                  grads: dict[str, np.ndarray]) -> None: ...
 
 
@@ -83,16 +90,31 @@ class HashBucketSentenceEncoder:
     def prepare(self, tokens: tuple[str, ...]) -> np.ndarray:
         return np.array(self.buckets(tokens), dtype=np.int64)
 
-    def encode_prepared(self, prepared: np.ndarray,
+    def encode_prepared(self, prepared: list[np.ndarray],
                         params: dict[str, np.ndarray]) -> np.ndarray:
-        if prepared.size == 0:
+        """(len(prepared), d_model): the mean token vector of each prepared
+        sentence, zero for a sentence without tokens."""
+        counts = np.array([p.size for p in prepared], dtype=np.int64)
+        out = np.zeros((len(prepared), self.d_model), dtype=np.float64)
+        if (counts == 0).any():
             self.saw_empty = True
             logger.warning("encoding an empty token list; emitting a zero vector")
-            return np.zeros(self.d_model, dtype=np.float64)
-        return self._table(params)[prepared].mean(axis=0)
+        full = counts > 0
+        if full.any():
+            rows = self._table(params)[np.concatenate(prepared)]
+            starts = np.cumsum(counts) - counts
+            out[full] = (np.add.reduceat(rows, starts[full], axis=0)
+                         / counts[full, None])
+        return out
 
-    def accumulate_grad_prepared(self, prepared: np.ndarray, dvec: np.ndarray,
+    def accumulate_grad_prepared(self, prepared: list[np.ndarray],
+                                 dvecs: np.ndarray,
                                  grads: dict[str, np.ndarray]) -> None:
-        if not self.trainable or prepared.size == 0:
+        """Add the gradient of encode_prepared(prepared) under the output
+        gradient dvecs (len(prepared), d_model) into grads."""
+        if not self.trainable or not prepared:
             return
-        np.add.at(grads[self.PARAM_NAME], prepared, dvec / prepared.size)
+        counts = np.array([p.size for p in prepared], dtype=np.int64)
+        np.add.at(grads[self.PARAM_NAME], np.concatenate(prepared),
+                  np.repeat(dvecs / np.maximum(counts, 1)[:, None], counts,
+                            axis=0))

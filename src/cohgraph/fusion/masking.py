@@ -51,13 +51,16 @@ def softmax(z: np.ndarray) -> np.ndarray:
 
 
 def masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of scores + mask.
+    """Row-wise softmax of scores + mask, along the last axis.
 
-    Rows sum to 1 over visible entries; masked entries underflow to exactly
-    zero. Raises FullyMaskedRowError if any row has no visible entry.
+    mask has the shape of scores or broadcasts to it (one mask for every
+    head of a document). Rows sum to 1 over visible entries; masked entries
+    underflow to exactly zero. Raises FullyMaskedRowError if any row has no
+    visible entry.
     """
-    if scores.shape != mask.shape:
+    if (mask.ndim != scores.ndim
+            or np.broadcast_shapes(scores.shape, mask.shape) != scores.shape):
         raise ValueError(f"shape mismatch: scores {scores.shape} vs mask {mask.shape}")
-    if not (mask == 0.0).any(axis=1).all():
+    if not (mask == 0.0).any(axis=-1).all():
         raise FullyMaskedRowError("softmax row with every entry masked")
     return softmax(scores + mask)

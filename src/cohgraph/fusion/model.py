@@ -10,24 +10,42 @@ uniformly. The attention score between elements i and j is
 with q, k from the element embeddings, r_ij from the pairwise relative
 position embedding, and u, v trainable biases; scores are scaled by
 1/sqrt(d_head) (switchable) and passed through a visibility-masked softmax.
-Every head of every layer runs the one kernel head_forward / head_backward,
-and head_scores is the only place the score is formed. Each layer then
-applies the standard value mixing, output projection, post-norm residuals,
-and a rectified feed-forward block.
+All heads of a layer run as one batch axis of the kernel head_forward /
+head_backward, and head_scores is the only place the score is formed. Each
+layer then applies the standard value mixing, output projection, post-norm
+residuals, and a rectified feed-forward block.
 
 r_ij depends on the pair only through its clipped distance tuple, and a
 document of n elements has U of those (about 2n to 3n), so the position
 path runs on U rows: the embeddings are projected once per tuple, each head
 projects r on the U rows and gathers its (n, U) position scores per pair,
-and backward sums the pair gradients onto the U rows. Per forward pass the
-memory is O(U * d_model) for the position path, (U, 4 * d_model) features
-being the largest, plus (n, n) scores and probabilities and (n, U) position
-scores per head; nothing of shape (n * n, d_model) is formed.
+and backward sums the pair gradients onto the U rows. Nothing of shape
+(n * n, d_model) is formed.
 
 Per-document structure (sequence, mask, distinct distance tuples and each
 pair's tuple, token buckets) is independent of the parameters, so it is
 prepared once into a SequenceContext and reused across forward passes;
 training loops prepare each document a single time.
+
+Documents run through the layers in chunks: chunk_order walks a batch in
+stable ascending length order and closes a chunk before B documents padded
+to the longest one, n_max, would exceed PAD_ROW_BUDGET rows. A chunk is one
+call per projection, score, softmax, FFN and LayerNorm of each layer, with
+documents and heads as batch axes, and its position path runs on the
+distinct distance tuples of all its documents, which for documents of
+similar length are about those of the longest one. Each document keeps its
+own mask: padded keys are masked for every query, and a padded query row
+sees only itself, so padding never changes a real row and receives exactly
+zero gradient. forward_context runs one context as a chunk of one on the
+same path.
+
+Memory is bounded per chunk, not per batch: one chunk's cache is alive at a
+time, and it holds about B * n_max rows of layer activations and the
+(B, H, n_max, n_max) probabilities per layer, with B * n_max <=
+PAD_ROW_BUDGET; the (B, H, n_max, U) position scores exist only while a
+layer runs. A document longer than half
+the budget runs alone, so every document of more than 48 elements keeps
+the shapes and memory it has on its own.
 """
 
 from __future__ import annotations
@@ -46,13 +64,21 @@ from ..relations import load_registry
 from ..variants import Variant
 from .config import ModelConfig
 from .encoder import HashBucketSentenceEncoder, SentenceEncoder, stable_bucket
-from .masking import masked_softmax, softmax, visible_matrix
+from .masking import MASKED, masked_softmax, softmax, visible_matrix
 from .positions import (distance_indices, pair_columns, position_embedding,
                         sinusoid_table, unique_distance_rows)
 
 LN_EPS = 1e-5
 
 N_RELATION_ROWS = 30  # 15 explicit + 15 implicit senses, canonical order
+
+# Padded rows (documents in a chunk x its longest document) one chunk may
+# hold. Layer caches grow with B * n_max, so this bounds the memory of a
+# chunk's forward pass; a document longer than half of it runs alone. At
+# d_model 32 a training step at 96 rows costs about 5 % more CPU than at
+# 128 and 15 % less than at 64, with caches bounded at three quarters of
+# those at 128.
+PAD_ROW_BUDGET = 96
 
 
 class NumericalError(RuntimeError):
@@ -65,7 +91,9 @@ class ContractError(ValueError):
 
 @dataclass(frozen=True)
 class HeadParams:
-    """Views into one attention head's parameters."""
+    """The parameters of H attention heads: W_q, W_k, W_r, W_v (d_model,
+    H * d_head) with head h in columns h * d_head to (h + 1) * d_head, and
+    u, v (H, d_head). A single head may give u, v as (d_head,)."""
 
     W_q: np.ndarray
     W_k: np.ndarray
@@ -84,7 +112,10 @@ class SequenceContext:
     pos_rows: np.ndarray      # (U, 4) sinusoid-table rows of each distinct
                               # clipped distance tuple
     pos_inv: np.ndarray       # (n, n) pair (i, j) -> its row of pos_rows
-    routes: tuple[tuple, ...]  # per element: embedding source info
+    sentence_rows: np.ndarray  # (S,) element positions of the sentences
+    sentences: tuple          # encoder-prepared tokens of each of them
+    lookups: tuple            # (table name, element positions, table rows)
+                              # for the entity and relation elements
     label: int | None
     doc_id: str
 
@@ -168,9 +199,12 @@ def _init_params(config: ModelConfig,
 
 
 def layer_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
-    mu = x.mean(axis=1, keepdims=True)
+    """LayerNorm over the last axis of x (rows, d)."""
+    # sum / d is what mean computes, without its per-call overhead
+    d = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) / d
     xc = x - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     return gamma * xhat + beta, (xhat, inv, gamma)
@@ -178,93 +212,142 @@ def layer_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
 
 def layer_norm_backward(dy: np.ndarray, cache):
     xhat, inv, gamma = cache
-    d = xhat.shape[1]
+    d = xhat.shape[-1]
     dxhat = dy * gamma
     dgamma = (dy * xhat).sum(axis=0)
     dbeta = dy.sum(axis=0)
-    dx = (inv / d) * (d * dxhat - dxhat.sum(axis=1, keepdims=True)
-                      - xhat * (dxhat * xhat).sum(axis=1, keepdims=True))
+    dx = (inv / d) * (d * dxhat - dxhat.sum(axis=-1, keepdims=True)
+                      - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True))
     return dx, dgamma, dbeta
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # tanh form is overflow-safe on both tails
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
 def _rectify(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == "softplus":
-        return np.logaddexp(0.0, z)
+        # log(1 + e^z) without overflow; several times cheaper than logaddexp
+        return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
     return np.maximum(z, 0.0)
 
 
-def _rectify_grad(z: np.ndarray, kind: str) -> np.ndarray:
+def _rectify_grad(hidden: np.ndarray, kind: str) -> np.ndarray:
+    """Derivative of the rectifier from its output hidden = _rectify(z):
+    softplus'(z) = sigmoid(z) = 1 - exp(-softplus(z))."""
     if kind == "softplus":
-        return _sigmoid(z)
-    return (z > 0.0).astype(np.float64)
+        return -np.expm1(-hidden)
+    return hidden > 0.0
+
+
+def _split_heads(a: np.ndarray, n_rows: int, n_heads: int) -> np.ndarray:
+    """(B * n_rows, H * d_head) -> (B, H, n_rows, d_head), a view."""
+    return a.reshape(-1, n_rows, n_heads,
+                     a.shape[-1] // n_heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(a: np.ndarray) -> np.ndarray:
+    """(B, H, n_rows, d_head) -> (B * n_rows, H * d_head)."""
+    b, h, n_rows, d_head = a.shape
+    return a.transpose(0, 2, 1, 3).reshape(b * n_rows, h * d_head)
 
 
 def head_scores(x: np.ndarray, pe: np.ndarray, cols: np.ndarray,
-                head: HeadParams, scale: float):
-    """Scaled four-term scores q_i.k_j + q_i.r_ij + u.k_j + v.r_ij of one
-    head, before the mask, for layer input x (n, d_model), the position
-    embeddings pe (U, d_model) of the document's distinct distance tuples
-    and cols = pair_columns(pos_inv, U), the (n, n) flat (n, U) index of
-    each pair.
+                heads: HeadParams, scale: float):
+    """Scaled four-term scores q_i.k_j + q_i.r_ij + u.k_j + v.r_ij of every
+    head, before the mask, for a chunk of B documents padded to n rows:
+    layer input x (B * n, d_model), the position embeddings pe (U, d_model)
+    of the chunk's distinct distance tuples and cols = pair_columns(pos_inv,
+    U, H), the (B, H, n, n) flat index of each pair's term in a
+    (B, H, n, U) array.
 
-    r is projected on the U tuple rows only, and the two position terms,
-    (q_i + v).r_c, are formed as one (n, U) product and gathered per pair.
-    Returns (scores, q, k, r) with r (U, d_head).
+    r is projected on the tuple rows only, and the two position terms,
+    (q_i + v).r_c, are formed as one (B, H, n, U) product and gathered per
+    pair. Returns (scores (B, H, n, n), q, k, r) with q, k (B, H, n, d_head)
+    and r (1, H, U, d_head).
     """
-    r = pe @ head.W_r
-    q = x @ head.W_q
-    k = x @ head.W_k
-    s = q @ k.T
-    s += ((q + head.v) @ r.T).ravel()[cols]
-    s += (k @ head.u)[None, :]
-    return s * scale, q, k, r
+    u, v = np.atleast_2d(heads.u), np.atleast_2d(heads.v)
+    n_heads = u.shape[0]
+    n = cols.shape[-1]
+    q = _split_heads(x @ heads.W_q, n, n_heads)
+    k = _split_heads(x @ heads.W_k, n, n_heads)
+    r = _split_heads(pe @ heads.W_r, pe.shape[0], n_heads)
+    s = q @ k.swapaxes(-1, -2)
+    s += ((q + v[:, None, :]) @ r.swapaxes(-1, -2)).ravel()[cols]
+    s += (k @ u[:, :, None]).swapaxes(-1, -2)
+    s *= scale
+    return s, q, k, r
 
 
 def head_forward(x: np.ndarray, pe: np.ndarray, cols: np.ndarray,
-                 mask: np.ndarray, head: HeadParams, scale: float):
-    """One head's attention output (n, d_head) and the cache head_backward
-    reads: q, k, values, r, cols and the masked attention probabilities."""
-    s, q, k, r = head_scores(x, pe, cols, head, scale)
+                 mask: np.ndarray, heads: HeadParams, scale: float):
+    """Every head's attention output, concatenated to (B * n, H * d_head),
+    and the cache head_backward reads: q, k, values, r, cols and the
+    masked attention probabilities (B, H, n, n). mask is (B, 1, n, n)."""
+    s, q, k, r = head_scores(x, pe, cols, heads, scale)
     probs = masked_softmax(s, mask)
-    v_mat = x @ head.W_v
-    return probs @ v_mat, (q, k, v_mat, r, cols, probs)
+    v_mat = _split_heads(x @ heads.W_v, cols.shape[-1], q.shape[1])
+    return _merge_heads(probs @ v_mat), (q, k, v_mat, r, cols, probs)
 
 
 def head_backward(dout: np.ndarray, cache: tuple, x: np.ndarray,
-                  pe: np.ndarray, head: HeadParams, scale: float,
+                  pe: np.ndarray, heads: HeadParams, scale: float,
                   dx: np.ndarray, dpe: np.ndarray) -> HeadParams:
-    """Reverse of head_forward for the output gradient dout (n, d_head).
+    """Reverse of head_forward for the output gradient dout (B * n,
+    H * d_head).
 
     Adds the gradients of x and of the (U, d_model) tuple embeddings pe
-    into dx and dpe in place and returns the parameter gradients laid out
-    as a HeadParams.
+    into dx and dpe in place and returns the parameter gradients, summed
+    over the chunk, laid out as heads is.
     """
     q, k, v_mat, r, cols, probs = cache
-    n, n_rows = x.shape[0], r.shape[0]
-    dprobs = dout @ v_mat.T
-    dv_mat = probs.T @ dout
-    ds = probs * (dprobs - (dprobs * probs).sum(axis=1, keepdims=True))
+    u, v = np.atleast_2d(heads.u), np.atleast_2d(heads.v)
+    # each input gradient is folded into dx or dpe as soon as it is formed,
+    # so few (B, H, n, .) arrays are alive at once
+    dout = _split_heads(dout, q.shape[2], q.shape[1])
+    d_in = _merge_heads(probs.swapaxes(-1, -2) @ dout)
+    grad_v = x.T @ d_in
+    dx += d_in @ heads.W_v.T
+    # softmax backward in place on the probability gradient:
+    # ds = probs * (dprobs - rowsum(dprobs * probs))
+    ds = dout @ v_mat.swapaxes(-1, -2)
+    ds -= (ds * probs).sum(axis=-1, keepdims=True)
+    ds *= probs
     ds *= scale
 
     # pairs of one query that share a distance tuple share r_c, so their
-    # score gradients are summed onto (n, U); bincount adds in a fixed order
+    # score gradients are summed onto (B, H, n, U); bincount adds in a
+    # fixed order
     seg = np.bincount(cols.ravel(), weights=ds.ravel(),
-                      minlength=n * n_rows).reshape(n, n_rows)
-    dq = ds @ k + seg @ r
-    col = ds.sum(axis=0)
-    dk = ds.T @ q + np.outer(col, head.u)
-    dr = seg.T @ (q + head.v)
-    grads = HeadParams(
-        W_q=x.T @ dq, W_k=x.T @ dk, W_r=pe.T @ dr, W_v=x.T @ dv_mat,
-        u=k.T @ col, v=r.T @ seg.sum(axis=0))
-    dx += dq @ head.W_q.T + dk @ head.W_k.T + dv_mat @ head.W_v.T
-    dpe += dr @ head.W_r.T
-    return grads
+                      minlength=q.shape[0] * q.shape[1] * q.shape[2]
+                      * r.shape[2]).reshape(*q.shape[:3], r.shape[2])
+    d_in = _merge_heads(ds @ k + seg @ r)
+    grad_q = x.T @ d_in
+    dx += d_in @ heads.W_q.T
+    d_in = _merge_heads((seg.swapaxes(-1, -2) @ (q + v[:, None, :])).sum(
+        axis=0, keepdims=True))
+    grad_r = pe.T @ d_in
+    dpe += d_in @ heads.W_r.T
+    grad_v_bias = (seg.sum(axis=2)[:, :, None, :] @ r).sum(axis=0)
+    del seg
+    col = ds.sum(axis=2)[:, :, None, :]
+    d_in = _merge_heads(ds.swapaxes(-1, -2) @ q
+                        + col.swapaxes(-1, -2) * u[:, None, :])
+    dx += d_in @ heads.W_k.T
+    return HeadParams(
+        W_q=grad_q, W_k=x.T @ d_in, W_r=grad_r, W_v=grad_v,
+        u=(col @ k).sum(axis=0).reshape(heads.u.shape),
+        v=grad_v_bias.reshape(heads.v.shape))
+
+
+def chunk_order(lengths: list[int]) -> list[list[int]]:
+    """Split batch positions into chunks: greedily, in stable ascending
+    length order, closing a chunk before its document count times its
+    longest length would exceed PAD_ROW_BUDGET. A document longer than half
+    the budget therefore always runs alone."""
+    chunks: list[list[int]] = []
+    for i in sorted(range(len(lengths)), key=lengths.__getitem__):
+        if chunks and (len(chunks[-1]) + 1) * lengths[i] <= PAD_ROW_BUDGET:
+            chunks[-1].append(i)
+        else:
+            chunks.append([i])
+    return chunks
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +373,14 @@ class DropoutStream:
         self._bitgen = np.random.Philox(key=seed & 0xFFFFFFFFFFFFFFFF)
         self._template = self._bitgen.state
         self._key = self._template["state"]["key"]
+        self._generator = np.random.Generator(self._bitgen)
 
     def at(self, epoch: int, step: int) -> "DropoutStream":
         return DropoutStream(self.seed, self.rate, epoch, step)
 
-    def mask(self, doc_index: int, slot: int, shape: tuple[int, ...]) -> np.ndarray:
+    def draw(self, doc_index: int, slot: int, out: np.ndarray) -> None:
+        """Fill the C-contiguous float64 array out with the uniform draws
+        behind the mask at (doc_index, slot) of that shape."""
         state = dict(self._template)
         state["state"] = {
             "counter": np.array([self.epoch, self.step, doc_index, slot],
@@ -302,8 +388,18 @@ class DropoutStream:
             "key": self._key,
         }
         self._bitgen.state = state
-        keep = np.random.Generator(self._bitgen).random(shape) >= self.rate
-        return keep.astype(np.float64) / (1.0 - self.rate)
+        self._generator.random(out=out)
+
+    @property
+    def scale(self) -> float:
+        """What a kept unit is multiplied by: 1 / (1 - rate)."""
+        return 1.0 / (1.0 - self.rate)
+
+    def mask(self, doc_index: int, slot: int, shape: tuple[int, ...]) -> np.ndarray:
+        """Inverted-dropout mask at (doc_index, slot): 0 or scale."""
+        draws = np.empty(shape)
+        self.draw(doc_index, slot, draws)
+        return (draws >= self.rate) * self.scale
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +417,9 @@ class FusionModel:
         self.registry = load_registry()
         self.position_table = sinusoid_table(config.max_relative_distance,
                                              config.d_model)
+        self._head_names = [[self.head_param_names(l, h)
+                             for h in range(config.n_heads)]
+                            for l in range(config.n_layers)]
         self._validate_shapes()
 
     @staticmethod
@@ -359,6 +458,16 @@ class FusionModel:
         return HeadParams(**{field: self.params[name] for field, name
                              in self.head_param_names(layer, head).items()})
 
+    def layer_heads(self, layer: int) -> HeadParams:
+        """All heads of a layer stacked as HeadParams lays them out."""
+        p = self.params
+        names = self._head_names[layer]
+        return HeadParams(
+            **{field: np.concatenate([p[n[field]] for n in names], axis=1)
+               for field in ("W_q", "W_k", "W_r", "W_v")},
+            **{field: np.array([p[n[field]] for n in names])
+               for field in ("u", "v")})
+
     @property
     def score_scale(self) -> float:
         return 1.0 / np.sqrt(self.config.d_head) if self.config.scale_scores else 1.0
@@ -378,16 +487,21 @@ class FusionModel:
         """Extract everything parameter-independent from a flat sequence."""
         if len(seq) == 0:
             raise ContractError("cannot run forward on an empty sequence")
-        routes: list[tuple] = []
-        for el in seq.elements:
+        sentence_rows, sentences = [], []
+        lookups = {"embed/entity": ([], []), "embed/relation": ([], [])}
+        for pos, el in enumerate(seq.elements):
             if el.kind is ElementKind.SENTENCE:
-                tokens = doc.sentences[el.payload - 1].tokens
-                routes.append(("sent", self.encoder.prepare(tokens)))
+                sentence_rows.append(pos)
+                sentences.append(self.encoder.prepare(
+                    doc.sentences[el.payload - 1].tokens))
             elif el.kind is ElementKind.ENTITY:
-                routes.append(("entity", stable_bucket(
-                    el.payload, self.config.n_entity_buckets)))
+                lookups["embed/entity"][0].append(pos)
+                lookups["embed/entity"][1].append(stable_bucket(
+                    el.payload, self.config.n_entity_buckets))
             else:
-                routes.append(("relation", self.registry.sense_index(el.payload)))
+                lookups["embed/relation"][0].append(pos)
+                lookups["embed/relation"][1].append(
+                    self.registry.sense_index(el.payload))
         pos_rows, pos_inv = unique_distance_rows(
             distance_indices(seq, self.config.max_relative_distance))
         return SequenceContext(
@@ -395,7 +509,11 @@ class FusionModel:
             mask=visible_matrix(seq),
             pos_rows=pos_rows,
             pos_inv=pos_inv,
-            routes=tuple(routes),
+            sentence_rows=np.array(sentence_rows, dtype=np.int64),
+            sentences=tuple(sentences),
+            lookups=tuple((name, np.array(rows, dtype=np.int64),
+                           np.array(ids, dtype=np.int64))
+                          for name, (rows, ids) in lookups.items()),
             label=int(doc.label) if doc.label is not None else None,
             doc_id=doc.id)
 
@@ -405,66 +523,118 @@ class FusionModel:
 
     # -- embedding ---------------------------------------------------------
 
-    def _embed(self, ctx: SequenceContext) -> np.ndarray:
-        embeddings = np.empty((len(ctx.seq), self.config.d_model),
-                              dtype=np.float64)
-        entity_table = self.params["embed/entity"]
-        relation_table = self.params["embed/relation"]
-        for pos, (kind, info) in enumerate(ctx.routes):
-            if kind == "sent":
-                embeddings[pos] = self.encoder.encode_prepared(info, self.params)
-            elif kind == "entity":
-                embeddings[pos] = entity_table[info]
-            else:
-                embeddings[pos] = relation_table[info]
-        return embeddings
+    def _embed(self, contexts: list[SequenceContext], n: int):
+        """Element embeddings (B * n, d_model) of a chunk padded to n rows,
+        zero on the padding, and the (row, source) index _embed_backward
+        reads: one encoder call and one gather per table for the chunk."""
+        offsets = range(0, len(contexts) * n, n)
+        x = np.zeros((len(contexts) * n, self.config.d_model))
+        sentence_rows = np.concatenate(
+            [ctx.sentence_rows + off for ctx, off in zip(contexts, offsets)])
+        sentences = [tokens for ctx in contexts for tokens in ctx.sentences]
+        x[sentence_rows] = self.encoder.encode_prepared(sentences, self.params)
+        lookups = []
+        for t, (name, _, _) in enumerate(contexts[0].lookups):
+            rows = np.concatenate([ctx.lookups[t][1] + off
+                                   for ctx, off in zip(contexts, offsets)])
+            ids = np.concatenate([ctx.lookups[t][2] for ctx in contexts])
+            x[rows] = self.params[name][ids]
+            lookups.append((name, rows, ids))
+        return x, (sentence_rows, sentences, lookups)
 
-    def _embed_backward(self, d_embeddings: np.ndarray, routes,
+    def _embed_backward(self, dx: np.ndarray, index,
                         grads: dict[str, np.ndarray]) -> None:
-        for pos, (kind, info) in enumerate(routes):
-            if kind == "sent":
-                self.encoder.accumulate_grad_prepared(info, d_embeddings[pos],
-                                                      grads)
-            elif kind == "entity":
-                grads["embed/entity"][info] += d_embeddings[pos]
-            else:
-                grads["embed/relation"][info] += d_embeddings[pos]
+        sentence_rows, sentences, lookups = index
+        self.encoder.accumulate_grad_prepared(sentences, dx[sentence_rows],
+                                              grads)
+        for name, rows, ids in lookups:
+            np.add.at(grads[name], ids, dx[rows])
 
     # -- forward -----------------------------------------------------------
 
-    def forward_context(self, ctx: SequenceContext, train_mode: bool = False,
+    def forward_context(self, contexts: SequenceContext | list[SequenceContext],
+                        train_mode: bool = False,
                         dropout: DropoutStream | None = None,
-                        doc_index: int = 0):
-        """Forward pass over a prepared context; returns (logits, pooled, cache)."""
+                        doc_index: int | list[int] | None = None):
+        """Forward pass over prepared contexts; returns (logits, pooled,
+        cache).
+
+        Given one SequenceContext, it runs as a chunk of one: logits is
+        (n_classes,), pooled (d_model,) and doc_index (default 0) its dropout
+        key. Given a list, the contexts run as one chunk padded to the
+        longest: logits is (B, n_classes), pooled (B, d_model), and
+        doc_index lists each one's dropout key, its position in the training
+        batch (default: its position in the list).
+        """
+        if isinstance(contexts, SequenceContext):
+            logits, pooled, cache = self._forward_chunk(
+                [contexts], train_mode, dropout, [doc_index or 0])
+            return logits[0], pooled[0], cache
+        if doc_index is None:
+            doc_index = list(range(len(contexts)))
+        return self._forward_chunk(contexts, train_mode, dropout, doc_index)
+
+    def _forward_chunk(self, contexts: list[SequenceContext], train_mode: bool,
+                       dropout: DropoutStream | None, doc_indices: list[int]):
+        """forward_context over a list: pack, embed, run the layers, pool."""
         cfg = self.config
         use = (dropout if train_mode and dropout is not None
                and cfg.dropout_rate > 0.0 else None)
-        feats, pe_lin, pe = position_embedding(
-            self.position_table, ctx.pos_rows, self.params["pos/W_p"],
-            cfg.position_activation)
-        cols = pair_columns(ctx.pos_inv, pe.shape[0])
+        lengths = [len(ctx.seq) for ctx in contexts]
+        n_docs, n = len(contexts), max(lengths)
+        # documents of a chunk share most distance tuples, so the position
+        # path runs on the chunk's distinct tuples (a single document's are
+        # distinct already)
+        if n_docs == 1:
+            pos_rows, chunk_rows = contexts[0].pos_rows, None
+        else:
+            pos_rows, chunk_rows = unique_distance_rows(
+                np.concatenate([ctx.pos_rows for ctx in contexts]))
+        # padded keys are masked for every query; a padded query sees only
+        # itself, so no row is fully masked and padding stays out of real rows
+        mask = np.full((n_docs, 1, n, n), MASKED)
+        mask[:, 0, np.arange(n), np.arange(n)] = 0.0
+        pos_inv = np.zeros((n_docs, n, n), dtype=np.int64)
+        pool = np.zeros((n_docs, n))
+        start = 0
+        for b, ctx in enumerate(contexts):
+            m = lengths[b]
+            mask[b, 0, :m, :m] = ctx.mask
+            pos_inv[b, :m, :m] = (ctx.pos_inv if chunk_rows is None
+                                  else chunk_rows[start + ctx.pos_inv])
+            start += ctx.pos_rows.shape[0]
+            if cfg.pooling == "mean_sentences":
+                pool[b, ctx.sentence_rows] = 1.0 / len(ctx.sentence_rows)
+            else:
+                pool[b, ctx.sentence_rows[0]] = 1.0
+        x, embed_index = self._embed(contexts, n)
 
-        x = self._embed(ctx)
+        feats, pe_lin, pe = position_embedding(
+            self.position_table, pos_rows, self.params["pos/W_p"],
+            cfg.position_activation)
+        cols = pair_columns(pos_inv, pe.shape[0], cfg.n_heads)
+
         layer_caches = []
         for l in range(cfg.n_layers):
-            x, layer_cache = self._forward_layer(x, pe, cols, ctx.mask, l,
-                                                 use, doc_index)
+            keep = None if use is None else (
+                self._dropout_keep(use, doc_indices, lengths, n, 2 * l),
+                self._dropout_keep(use, doc_indices, lengths, n, 2 * l + 1),
+                use.scale)
+            x, layer_cache = self._forward_layer(x, pe, cols, mask, l, keep)
             if not np.isfinite(x).all():
-                raise NumericalError(f"non-finite activations after layer {l}")
+                bad = np.unique(np.nonzero(~np.isfinite(x))[0] // n)
+                raise NumericalError(
+                    f"non-finite activations after layer {l} in document(s) "
+                    f"{', '.join(repr(contexts[b].doc_id) for b in bad)}")
             layer_caches.append(layer_cache)
 
-        if cfg.pooling == "mean_sentences":
-            sent_rows = ctx.seq.sentence_positions()
-            pooled = x[sent_rows].mean(axis=0)
-        else:
-            sent_rows = ctx.seq.sentence_positions()[:1]
-            pooled = x[sent_rows[0]]
+        pooled = (pool[:, None, :] @ x.reshape(n_docs, n, cfg.d_model))[:, 0, :]
         logits = pooled @ self.params["clf/W"] + self.params["clf/b"]
 
         cache = {
-            "ctx": ctx, "feats": feats, "pe_lin": pe_lin, "pe": pe,
-            "layers": layer_caches, "x_out": x,
-            "sent_rows": sent_rows, "pooled": pooled,
+            "embed": embed_index, "feats": feats,
+            "pe_lin": pe_lin, "pe": pe, "layers": layer_caches, "x_out": x,
+            "pool": pool, "pooled": pooled,
         }
         return logits, pooled, cache
 
@@ -476,41 +646,46 @@ class FusionModel:
             self.prepare(doc, variant), train_mode, dropout, doc_index)
         return logits, pooled
 
+    def _dropout_keep(self, dropout: DropoutStream, doc_indices: list[int],
+                      lengths: list[int], n: int, slot: int) -> np.ndarray:
+        """(B * n, d_model) boolean keep mask: where each document's own
+        (length, d_model) mask, keyed by its batch position, is nonzero, and
+        False on the padding. Kept units are multiplied by dropout.scale."""
+        draws = np.zeros((len(lengths), n, self.config.d_model))
+        for b, (doc_index, m) in enumerate(zip(doc_indices, lengths)):
+            dropout.draw(doc_index, slot, draws[b, :m])
+        return (draws >= dropout.rate).reshape(-1, self.config.d_model)
+
     def _forward_layer(self, x: np.ndarray, pe: np.ndarray, cols: np.ndarray,
-                       mask: np.ndarray, layer: int,
-                       dropout: DropoutStream | None, doc_index: int):
+                       mask: np.ndarray, layer: int, keep: tuple | None):
+        """One layer over a chunk; keep is None or the (attention, FFN)
+        boolean dropout masks and the scale of a kept unit."""
         cfg = self.config
         p = self.params
-        scale = self.score_scale
-        outs, head_caches = zip(*(
-            head_forward(x, pe, cols, mask, self.head_params(layer, h), scale)
-            for h in range(cfg.n_heads)))
-        concat = np.concatenate(outs, axis=1)
+        heads = self.layer_heads(layer)
+        concat, head_cache = head_forward(x, pe, cols, mask, heads,
+                                          self.score_scale)
 
         attn = concat @ p[f"layer{layer}/W_o"] + p[f"layer{layer}/b_o"]
-        if dropout is not None:
-            attn_keep = dropout.mask(doc_index, 2 * layer, attn.shape)
-            attn = attn * attn_keep
-        else:
-            attn_keep = None
+        if keep is not None:
+            attn *= keep[0]
+            attn *= keep[2]
         y, ln1_cache = layer_norm_forward(
             x + attn, p[f"layer{layer}/ln1/gamma"], p[f"layer{layer}/ln1/beta"])
 
-        z1 = y @ p[f"layer{layer}/ffn/W1"] + p[f"layer{layer}/ffn/b1"]
-        hidden = _rectify(z1, cfg.ffn_activation)
+        hidden = _rectify(y @ p[f"layer{layer}/ffn/W1"] + p[f"layer{layer}/ffn/b1"],
+                          cfg.ffn_activation)
         ffn = hidden @ p[f"layer{layer}/ffn/W2"] + p[f"layer{layer}/ffn/b2"]
-        if dropout is not None:
-            ffn_keep = dropout.mask(doc_index, 2 * layer + 1, ffn.shape)
-            ffn = ffn * ffn_keep
-        else:
-            ffn_keep = None
+        if keep is not None:
+            ffn *= keep[1]
+            ffn *= keep[2]
         out, ln2_cache = layer_norm_forward(
             y + ffn, p[f"layer{layer}/ln2/gamma"], p[f"layer{layer}/ln2/beta"])
 
         cache = {
-            "x_in": x, "heads": head_caches, "concat": concat,
-            "attn_keep": attn_keep, "ln1": ln1_cache, "y": y,
-            "z1": z1, "hidden": hidden, "ffn_keep": ffn_keep,
+            "x_in": x, "heads": head_cache, "head_params": heads,
+            "concat": concat,
+            "keep": keep, "ln1": ln1_cache, "hidden": hidden,
             "ln2": ln2_cache,
         }
         return out, cache
@@ -519,22 +694,17 @@ class FusionModel:
 
     def backward_from_logits(self, dlogits: np.ndarray, cache: dict,
                              grads: dict[str, np.ndarray]) -> None:
-        """Accumulate parameter gradients for one document's forward cache."""
+        """Accumulate parameter gradients for a chunk's forward cache, given
+        dlogits (B, n_classes), one row per document of the chunk."""
         cfg = self.config
         p = self.params
-        ctx: SequenceContext = cache["ctx"]
-        n = len(ctx.seq)
+        n_docs, n = cache["pool"].shape
 
-        grads["clf/W"] += np.outer(cache["pooled"], dlogits)
-        grads["clf/b"] += dlogits
-        dpooled = p["clf/W"] @ dlogits
-
-        dx = np.zeros((n, cfg.d_model), dtype=np.float64)
-        sent_rows = cache["sent_rows"]
-        if cfg.pooling == "mean_sentences":
-            dx[sent_rows] = dpooled / len(sent_rows)
-        else:
-            dx[sent_rows[0]] = dpooled
+        grads["clf/W"] += cache["pooled"].T @ dlogits
+        grads["clf/b"] += dlogits.sum(axis=0)
+        dpooled = dlogits @ p["clf/W"].T
+        dx = (cache["pool"][:, :, None] * dpooled[:, None, :]).reshape(
+            n_docs * n, cfg.d_model)
 
         dpe_lin = np.zeros_like(cache["pe"])
         for l in reversed(range(cfg.n_layers)):
@@ -543,102 +713,134 @@ class FusionModel:
 
         # position projection: pe_lin = feats @ W_p (optional relu after)
         if cfg.position_activation == "relu":
-            dpe_lin = dpe_lin * (cache["pe_lin"] > 0.0)
+            dpe_lin *= cache["pe_lin"] > 0.0
         grads["pos/W_p"] += cache["feats"].T @ dpe_lin
 
-        self._embed_backward(dx, ctx.routes, grads)
+        self._embed_backward(dx, cache["embed"], grads)
 
     def _backward_layer(self, dout: np.ndarray, cache: dict, pe: np.ndarray,
                         dpe: np.ndarray, layer: int,
                         grads: dict[str, np.ndarray]) -> np.ndarray:
         cfg = self.config
         p = self.params
-        scale = self.score_scale
 
-        dpre2, dg2, db2 = layer_norm_backward(dout, cache["ln2"])
+        # each gradient is accumulated in place into the array the LayerNorm
+        # backward returned; a dropout-free branch gradient aliases it and is
+        # consumed before the first in-place update
+        dy, dg2, db2 = layer_norm_backward(dout, cache["ln2"])
         grads[f"layer{layer}/ln2/gamma"] += dg2
         grads[f"layer{layer}/ln2/beta"] += db2
-        dy = dpre2.copy()
-        dffn = dpre2 if cache["ffn_keep"] is None else dpre2 * cache["ffn_keep"]
+        keep = cache["keep"]
+        dffn = dy if keep is None else dy * keep[1] * keep[2]
 
         grads[f"layer{layer}/ffn/W2"] += cache["hidden"].T @ dffn
         grads[f"layer{layer}/ffn/b2"] += dffn.sum(axis=0)
-        dhidden = dffn @ p[f"layer{layer}/ffn/W2"].T
-        dz1 = dhidden * _rectify_grad(cache["z1"], cfg.ffn_activation)
-        grads[f"layer{layer}/ffn/W1"] += cache["y"].T @ dz1
+        dz1 = ((dffn @ p[f"layer{layer}/ffn/W2"].T)
+               * _rectify_grad(cache["hidden"], cfg.ffn_activation))
+        del dffn
+        # the FFN input y is formed again from the LayerNorm cache, exactly
+        # as the forward pass formed it, rather than held
+        y = (p[f"layer{layer}/ln1/gamma"] * cache["ln1"][0]
+             + p[f"layer{layer}/ln1/beta"])
+        grads[f"layer{layer}/ffn/W1"] += y.T @ dz1
+        del y
         grads[f"layer{layer}/ffn/b1"] += dz1.sum(axis=0)
         dy += dz1 @ p[f"layer{layer}/ffn/W1"].T
+        del dz1
 
-        dpre1, dg1, db1 = layer_norm_backward(dy, cache["ln1"])
+        dx, dg1, db1 = layer_norm_backward(dy, cache["ln1"])
+        del dy
         grads[f"layer{layer}/ln1/gamma"] += dg1
         grads[f"layer{layer}/ln1/beta"] += db1
-        dx = dpre1.copy()
-        dattn = dpre1 if cache["attn_keep"] is None else dpre1 * cache["attn_keep"]
+        dattn = dx if keep is None else dx * keep[0] * keep[2]
 
         grads[f"layer{layer}/W_o"] += cache["concat"].T @ dattn
         grads[f"layer{layer}/b_o"] += dattn.sum(axis=0)
         dconcat = dattn @ p[f"layer{layer}/W_o"].T
+        del dattn
 
+        dheads = head_backward(dconcat, cache["heads"], cache["x_in"], pe,
+                               cache["head_params"], self.score_scale,
+                               dx, dpe)
+        d_head = cfg.d_head
         for h in range(cfg.n_heads):
-            dhead = head_backward(
-                dconcat[:, h * cfg.d_head:(h + 1) * cfg.d_head],
-                cache["heads"][h], cache["x_in"], pe, self.head_params(layer, h),
-                scale, dx, dpe)
-            for field, name in self.head_param_names(layer, h).items():
-                grads[name] += getattr(dhead, field)
-
+            names = self._head_names[layer][h]
+            for field in ("W_q", "W_k", "W_r", "W_v"):
+                grads[names[field]] += getattr(dheads, field)[
+                    :, h * d_head:(h + 1) * d_head]
+            grads[names["u"]] += dheads.u[h]
+            grads[names["v"]] += dheads.v[h]
         return dx
 
     # -- loss --------------------------------------------------------------
+
+    @staticmethod
+    def _labels(contexts: list[SequenceContext]) -> np.ndarray:
+        if not contexts:
+            raise ContractError("empty batch")
+        for ctx in contexts:
+            if ctx.label is None:
+                raise ContractError(f"document {ctx.doc_id!r} is unlabeled")
+        return np.array([ctx.label for ctx in contexts])
 
     def loss_and_grad_contexts(self, contexts: list[SequenceContext],
                                dropout: DropoutStream | None = None,
                                out_predictions: list[int] | None = None):
         """Mean cross-entropy over prepared contexts plus full gradients.
 
-        Contexts are processed in order and gradients reduced sequentially,
-        so the result is independent of any external parallelism.
+        Contexts run in the chunks of chunk_order, and losses and gradients
+        are reduced chunk by chunk in that fixed order, so the result is a
+        deterministic function of the batch and independent of any
+        external parallelism. Document b's dropout masks are keyed by b.
         """
-        if not contexts:
-            raise ContractError("empty batch")
-        for ctx in contexts:
-            if ctx.label is None:
-                raise ContractError(f"document {ctx.doc_id!r} is unlabeled")
+        labels = self._labels(contexts)
         grads = self.zero_grads()
         total = 0.0
+        predictions = np.empty(len(contexts), dtype=np.int64)
         train_mode = dropout is not None
-        for doc_index, ctx in enumerate(contexts):
+        for chunk in chunk_order([len(ctx.seq) for ctx in contexts]):
             logits, _, cache = self.forward_context(
-                ctx, train_mode=train_mode, dropout=dropout,
-                doc_index=doc_index)
+                [contexts[i] for i in chunk], train_mode=train_mode,
+                dropout=dropout, doc_index=chunk)
             probs = softmax(logits)
-            total += -np.log(max(probs[ctx.label], 1e-300))
-            if out_predictions is not None:
-                out_predictions.append(int(np.argmax(logits)))
-            dlogits = probs.copy()
-            dlogits[ctx.label] -= 1.0
+            rows = np.arange(len(chunk))
+            total += -np.log(np.maximum(probs[rows, labels[chunk]],
+                                        1e-300)).sum()
+            predictions[chunk] = logits.argmax(axis=1)
+            dlogits = probs
+            dlogits[rows, labels[chunk]] -= 1.0
             dlogits /= len(contexts)
             self.backward_from_logits(dlogits, cache, grads)
+            del cache  # one chunk's activations alive at a time
         loss = total / len(contexts)
         if not np.isfinite(loss):
             raise NumericalError("non-finite loss")
+        if out_predictions is not None:
+            out_predictions.extend(int(pred) for pred in predictions)
         return loss, grads
 
     def context_loss(self, contexts: list[SequenceContext]) -> float:
         """Eval-mode mean cross-entropy over prepared contexts (no gradients)."""
+        labels = self._labels(contexts)
         total = 0.0
-        for ctx in contexts:
-            logits, _, _ = self.forward_context(ctx)
+        for chunk in chunk_order([len(ctx.seq) for ctx in contexts]):
+            logits, _, _ = self.forward_context([contexts[i] for i in chunk])
             probs = softmax(logits)
-            total += -np.log(max(probs[ctx.label], 1e-300))
+            total += -np.log(np.maximum(
+                probs[np.arange(len(chunk)), labels[chunk]], 1e-300)).sum()
         return total / len(contexts)
 
     def predict(self, docs: list[Document],
                 variant: Variant = Variant.FULL) -> list[int]:
-        out = []
-        for doc in docs:
-            logits, _ = self.forward(doc, variant=variant)
-            out.append(int(np.argmax(logits)))
+        """Predicted class per document. Documents are prepared one chunk
+        at a time, so memory stays bounded by the chunk, not the corpus."""
+        seqs = [self.sequence_for(doc, variant) for doc in docs]
+        out = [0] * len(docs)
+        for chunk in chunk_order([len(seq) for seq in seqs]):
+            logits, _, _ = self.forward_context(
+                [self.prepare_sequence(docs[i], seqs[i]) for i in chunk])
+            for i, pred in zip(chunk, logits.argmax(axis=1)):
+                out[i] = int(pred)
         return out
 
     # -- checkpointing -------------------------------------------------------

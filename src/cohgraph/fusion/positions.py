@@ -61,19 +61,20 @@ def distance_indices(seq: FlatSequence, max_distance: int) -> np.ndarray:
 
 
 def unique_distance_rows(dist_idx: np.ndarray):
-    """The distinct rows of an (n, n, 4) distance_indices table.
+    """The distinct rows of a (..., 4) table of distance index tuples, such
+    as an (n, n, 4) distance_indices table or the stacked pos_rows of a
+    chunk of documents.
 
     Returns pos_rows (U, 4), the distinct (d1..d4) index tuples in ascending
-    order, and pos_inv (n, n) with pos_rows[pos_inv] == dist_idx. Each tuple
-    is packed into one int64 key so the dedup is a 1-D sort, much cheaper
-    than a row-wise unique. The key base is the range of indices present,
-    at most 2 * max_distance + 1 and at most twice the document's span plus
-    one, so the packed keys cannot overflow for any document that fits in
-    memory.
+    order, and pos_inv of shape dist_idx.shape[:-1] with pos_rows[pos_inv]
+    == dist_idx. Each tuple is packed into one int64 key so the dedup is a
+    1-D sort, much cheaper than a row-wise unique. The key base is the range
+    of indices present, at most 2 * max_distance + 1 and at most twice the
+    longest document's span plus one, so the packed keys cannot overflow for
+    any document that fits in memory.
     """
-    n = dist_idx.shape[0]
     low = dist_idx.min()
-    flat = dist_idx.reshape(n * n, 4) - low
+    flat = dist_idx.reshape(-1, 4) - low
     base = flat.max() + 1
     keys = ((flat[:, 0] * base + flat[:, 1]) * base
             + flat[:, 2]) * base + flat[:, 3]
@@ -81,14 +82,19 @@ def unique_distance_rows(dist_idx: np.ndarray):
     pos_rows = np.empty((uniq.shape[0], 4), dtype=np.int64)
     for c in (3, 2, 1, 0):
         uniq, pos_rows[:, c] = np.divmod(uniq, base)
-    return pos_rows + low, inv.reshape(n, n)
+    return pos_rows + low, inv.reshape(dist_idx.shape[:-1])
 
 
-def pair_columns(pos_inv: np.ndarray, n_rows: int) -> np.ndarray:
-    """(n, n) index of pair (i, j) into a flattened (n, n_rows) matrix of
-    per-query, per-tuple terms: i * n_rows + pos_inv[i, j]."""
-    n = pos_inv.shape[0]
-    return pos_inv + np.arange(0, n * n_rows, n_rows)[:, None]
+def pair_columns(pos_inv: np.ndarray, n_rows: int,
+                 n_heads: int) -> np.ndarray:
+    """Flat index of each pair's per-tuple term, for a chunk of B documents
+    padded to n elements: pos_inv (B, n, n) -> (B, n_heads, n, n) index into
+    a flattened (B, n_heads, n, n_rows) array, ((b * n_heads + h) * n + i)
+    * n_rows + pos_inv[b, i, j]."""
+    n_docs, n = pos_inv.shape[:2]
+    base = np.arange(0, n_docs * n_heads * n * n_rows, n_rows)
+    return (base.reshape(n_docs, n_heads, n, 1)
+            + pos_inv.reshape(n_docs, 1, n, n))
 
 
 def position_embedding(table: np.ndarray, pos_rows: np.ndarray,

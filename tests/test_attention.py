@@ -1,8 +1,6 @@
 """Position-aware attention scores against a term-by-term oracle, and the
 distance-tuple head kernel against the dense per-pair kernel."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -32,11 +30,11 @@ def _W_p(seed=0):
 
 def _pe(seq, W_p):
     """The model's (U, D) distance-tuple embeddings of a sequence and the
-    (n, n) pair columns head_scores gathers them by."""
+    (1, 1, n, n) pair columns a one-head kernel gathers them by."""
     pos_rows, pos_inv = unique_distance_rows(
         distance_indices(seq, MAX_DISTANCE))
     pe = position_embedding(sinusoid_table(MAX_DISTANCE, D), pos_rows, W_p)[2]
-    return pe, pair_columns(pos_inv, len(pos_rows))
+    return pe, pair_columns(pos_inv[None], len(pos_rows), 1)
 
 
 def _demo_sequence():
@@ -63,7 +61,7 @@ def test_all_zero_parameters_give_zero_scores():
     rng = np.random.default_rng(1)
     scores, *_ = head_scores(rng.normal(size=(len(seq), D)),
                              *_pe(seq, _W_p()), head, SCALE)
-    np.testing.assert_array_equal(scores, np.zeros((len(seq), len(seq))))
+    np.testing.assert_array_equal(scores[0, 0], np.zeros((len(seq), len(seq))))
 
 
 def test_identity_projections_reduce_to_content_attention():
@@ -74,7 +72,7 @@ def test_identity_projections_reduce_to_content_attention():
     rng = np.random.default_rng(2)
     emb = rng.normal(size=(len(seq), D))
     scores, *_ = head_scores(emb, *_pe(seq, _W_p()), head, SCALE)
-    np.testing.assert_allclose(scores, (emb @ emb.T) / np.sqrt(D),
+    np.testing.assert_allclose(scores[0, 0], (emb @ emb.T) / np.sqrt(D),
                                rtol=0, atol=1e-15)
 
 
@@ -90,7 +88,7 @@ def test_five_element_sequence_matches_term_oracle():
         emb = rng.normal(size=(5, D))
         got, *_ = head_scores(emb, *_pe(seq, W_p), head, SCALE)
         want = oracle_scores(seq, emb, head, pair_embedding, SCALE)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got[0, 0], want, rtol=0, atol=1e-12)
 
 
 def test_explicit_scale_override():
@@ -101,7 +99,8 @@ def test_explicit_scale_override():
     pe, cols = _pe(seq, _W_p(seed=7))
     unscaled, *_ = head_scores(emb, pe, cols, head, 1.0)
     scaled, *_ = head_scores(emb, pe, cols, head, SCALE)
-    np.testing.assert_allclose(scaled, unscaled / np.sqrt(D), atol=1e-15)
+    np.testing.assert_allclose(scaled[0, 0], unscaled[0, 0] / np.sqrt(D),
+                               atol=1e-15)
 
 
 @pytest.mark.parametrize("share_uv", [False, True])
@@ -123,7 +122,7 @@ def test_trained_path_probabilities_match_oracle(share_uv, scale_scores):
         ctx = model.prepare(doc)
         _, _, cache = model.forward_context(ctx)
         for layer, layer_cache in enumerate(cache["layers"]):
-            for h, (*_, probs) in enumerate(layer_cache["heads"]):
+            for h, probs in enumerate(layer_cache["heads"][-1][0]):
                 want = masked_softmax(
                     oracle_scores(ctx.seq, layer_cache["x_in"],
                                   model.head_params(layer, h),
@@ -143,10 +142,11 @@ def _assert_rel_close(got, want, rel=1e-12):
 @pytest.mark.parametrize("scale_scores", [True, False])
 def test_head_kernel_matches_dense_oracle(share_uv, scale_scores,
                                           position_activation):
-    """On every head of a forward pass, the distance-tuple kernel matches
-    the dense per-pair kernel: scores, probabilities, output, the six
-    parameter gradients, dx, and the per-pair position gradient summed onto
-    the tuple rows. A small max distance makes many pairs share a tuple."""
+    """On every layer of a forward pass, the distance-tuple kernel over the
+    stacked heads matches the dense per-pair kernel run head by head:
+    scores, probabilities, output, the six parameter gradients, dx, and the
+    per-pair position gradient summed onto the tuple rows. A small max
+    distance makes many pairs share a tuple."""
     model = FusionModel.build(tiny_model_config(
         n_layers=2, share_uv=share_uv, scale_scores=scale_scores,
         position_activation=position_activation, max_relative_distance=3))
@@ -154,6 +154,7 @@ def test_head_kernel_matches_dense_oracle(share_uv, scale_scores,
                            tokens_per_sentence=(3, 5), domain_tags=("synthA",))
     docs = [make_demo_document()] + synth_generate(3, seed=9, profile=profile)
     scale = model.score_scale
+    n_heads, d_head = model.config.n_heads, model.config.d_head
     rng = np.random.default_rng(21)
     for doc in docs:
         ctx = model.prepare(doc)
@@ -161,34 +162,40 @@ def test_head_kernel_matches_dense_oracle(share_uv, scale_scores,
         pe = cache["pe"]
         n = len(ctx.seq)
         assert pe.shape[0] < n * n
-        cols = pair_columns(ctx.pos_inv, pe.shape[0])
+        cols = pair_columns(ctx.pos_inv[None], pe.shape[0], n_heads)
         pe2d = pe[ctx.pos_inv].reshape(n * n, -1)
         for layer, layer_cache in enumerate(cache["layers"]):
             x = layer_cache["x_in"]
-            for h in range(model.config.n_heads):
+            heads = model.layer_heads(layer)
+            got_s, *_ = head_scores(x, pe, cols, heads, scale)
+            out, head_cache = head_forward(x, pe, cols, ctx.mask[None, None],
+                                           heads, scale)
+            dout = rng.normal(size=out.shape)
+            dx = np.zeros_like(x)
+            dpe = np.zeros_like(pe)
+            grads = head_backward(dout, head_cache, x, pe, heads, scale,
+                                  dx, dpe)
+            want_dx = np.zeros_like(x)
+            want_dpe = np.zeros_like(pe)
+            for h in range(n_heads):
+                block = slice(h * d_head, (h + 1) * d_head)
                 head = model.head_params(layer, h)
                 want_s, q, k, r = dense_head_scores(x, pe2d, head, scale)
-                got_s, *_ = head_scores(x, pe, cols, head, scale)
-                _assert_rel_close(got_s, want_s)
-
-                out, head_cache = head_forward(x, pe, cols, ctx.mask, head,
-                                               scale)
+                _assert_rel_close(got_s[0, h], want_s)
                 probs = masked_softmax(want_s, ctx.mask)
                 v_mat = x @ head.W_v
-                _assert_rel_close(head_cache[-1], probs)
-                _assert_rel_close(out, probs @ v_mat)
+                _assert_rel_close(head_cache[-1][0, h], probs)
+                _assert_rel_close(out[:, block], probs @ v_mat)
 
-                dout = rng.normal(size=out.shape)
-                dx = np.zeros_like(x)
-                dpe = np.zeros_like(pe)
-                grads = head_backward(dout, head_cache, x, pe, head, scale,
-                                      dx, dpe)
-                want_grads, want_dx, dpe2d = dense_head_backward(
-                    dout, q, k, v_mat, r, probs, x, pe2d, head, scale)
-                for field in dataclasses.fields(HeadParams):
-                    _assert_rel_close(getattr(grads, field.name),
-                                      getattr(want_grads, field.name))
-                _assert_rel_close(dx, want_dx)
-                want_dpe = np.zeros_like(pe)
+                want_grads, head_dx, dpe2d = dense_head_backward(
+                    dout[:, block], q, k, v_mat, r, probs, x, pe2d, head,
+                    scale)
+                for field in ("W_q", "W_k", "W_r", "W_v"):
+                    _assert_rel_close(getattr(grads, field)[:, block],
+                                      getattr(want_grads, field))
+                _assert_rel_close(grads.u[h], want_grads.u)
+                _assert_rel_close(grads.v[h], want_grads.v)
+                want_dx += head_dx
                 np.add.at(want_dpe, ctx.pos_inv.ravel(), dpe2d)
-                _assert_rel_close(dpe, want_dpe)
+            _assert_rel_close(dx, want_dx)
+            _assert_rel_close(dpe, want_dpe)

@@ -1,0 +1,44 @@
+"""The traced benchmark run wraps model and library callables by attribute
+name and calls forward_context on one context; a rename or a signature change
+there would otherwise surface only in the benchmark's own tests."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from cohgraph.fusion.model import FusionModel
+
+from conftest import make_demo_document, tiny_model_config
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses resolve their annotations through sys.modules
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+def test_every_traced_attribute_exists_on_its_owner(tracing):
+    for point in tracing.SPANS:
+        assert point.attribute in point.owner.__dict__, (
+            f"{point.name}: {point.owner!r} has no {point.attribute}")
+
+
+def test_forward_context_takes_a_single_context(tracing):
+    model = FusionModel.build(tiny_model_config())
+    ctx = model.prepare(make_demo_document())
+    logits, pooled, _ = model.forward_context(ctx)
+    assert logits.shape == (model.config.n_classes,)
+    assert pooled.shape == (model.config.d_model,)
+    peaks = tracing.forward_peak_mib(model, [ctx])
+    assert peaks["n_le_32"] > 0.0

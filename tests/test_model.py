@@ -1,5 +1,6 @@
 """Fusion model: encoder, layers, forward properties, gradients, checkpoints."""
 
+import hashlib
 import json
 import tracemalloc
 
@@ -9,10 +10,10 @@ import pytest
 from cohgraph.documents import (AnnotationSet, Document, Sentence)
 from cohgraph.flat import FlatSequence
 from cohgraph.fusion.config import ModelConfig
-from cohgraph.fusion.encoder import HashBucketSentenceEncoder
+from cohgraph.fusion.encoder import HashBucketSentenceEncoder, stable_bucket
 from cohgraph.fusion.model import (ContractError, DropoutStream, FusionModel,
-                                   NumericalError, expected_param_shapes,
-                                   layer_norm_forward)
+                                   NumericalError, _rectify, _rectify_grad,
+                                   expected_param_shapes, layer_norm_forward)
 from cohgraph.labels import CoherenceLabel
 from cohgraph.synth import SynthProfile, synth_generate
 from cohgraph.variants import Variant
@@ -28,7 +29,7 @@ def small_docs(n=3, seed=2, n_sentences=(3, 4)):
 
 
 def encode(enc, tokens, params):
-    return enc.encode_prepared(enc.prepare(tokens), params)
+    return enc.encode_prepared([enc.prepare(tokens)], params)[0]
 
 
 class TestSentenceEncoder:
@@ -71,6 +72,53 @@ class TestSentenceEncoder:
         assert encode(enc, ("x",), {}).shape == (8,)
 
 
+class TestStableBucket:
+    def test_memoized_buckets_equal_a_fresh_blake2b(self):
+        for text in ("John", "airport", "", "ünïcode", "John"):
+            for n_buckets in (7, 128, 1 << 20):
+                digest = hashlib.blake2b(text.encode("utf-8"),
+                                         digest_size=8).digest()
+                want = int.from_bytes(digest, "big") % n_buckets
+                assert stable_bucket(text, n_buckets) == want
+                assert stable_bucket(text, n_buckets) == want  # cached
+
+    def test_cache_is_bounded(self):
+        maxsize = stable_bucket.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 1 << 16
+        for i in range(maxsize + 10):
+            stable_bucket(f"token-{i}", 512)
+        assert stable_bucket.cache_info().currsize <= maxsize
+
+
+class TestRectifier:
+    Z = np.concatenate([np.linspace(-800.0, 800.0, 160_001),
+                        [-745.1, -708.5, -37.0, -1e-9, 0.0, 1e-9, 37.0, 709.9]])
+
+    def test_softplus_matches_logaddexp(self):
+        np.testing.assert_allclose(_rectify(self.Z, "softplus"),
+                                   np.logaddexp(0.0, self.Z),
+                                   rtol=1e-15, atol=0)
+
+    def test_softplus_derivative_from_output_matches_sigmoid(self):
+        """-expm1(-softplus(z)) against the exact logistic function, each
+        tail computed without cancellation."""
+        z = self.Z
+        sigmoid = np.empty_like(z)
+        neg = z < 0
+        e = np.exp(z[neg])
+        sigmoid[neg] = e / (1.0 + e)
+        sigmoid[~neg] = 1.0 / (1.0 + np.exp(-z[~neg]))
+        np.testing.assert_allclose(
+            _rectify_grad(_rectify(z, "softplus"), "softplus"), sigmoid,
+            rtol=1e-15, atol=1e-300)
+
+    def test_relu_and_its_derivative(self):
+        z = self.Z
+        np.testing.assert_array_equal(_rectify(z, "relu"), np.maximum(z, 0.0))
+        np.testing.assert_array_equal(_rectify_grad(_rectify(z, "relu"), "relu"),
+                                      z > 0.0)
+
+
 class TestLayerForward:
     def test_zero_branches_reduce_to_stacked_layer_norms(self):
         """With the attention projection and FFN second map zeroed, the layer
@@ -107,6 +155,7 @@ class TestLayerForward:
         with pytest.raises(NumericalError) as err:
             model.forward(doc)
         assert "layer 0" in str(err.value)
+        assert repr(doc.id) in str(err.value)
 
 
 class TestForward:
@@ -221,6 +270,16 @@ class TestLossAndGrad:
                              annotations=doc.annotations)
         with pytest.raises(ContractError):
             model.loss_and_grad_contexts([model.prepare(unlabeled)])
+
+    def test_context_loss_rejects_unlabeled_and_empty_batches(self):
+        model = FusionModel.build(tiny_model_config())
+        doc = small_docs(1)[0]
+        unlabeled = Document(id="no-label", sentences=doc.sentences,
+                             label=None, annotations=doc.annotations)
+        with pytest.raises(ContractError, match="no-label"):
+            model.context_loss([model.prepare(doc), model.prepare(unlabeled)])
+        with pytest.raises(ContractError, match="empty"):
+            model.context_loss([])
 
     def test_gradients_match_finite_differences(self):
         """Hand-written reverse mode vs central differences, norm-wise."""
