@@ -22,10 +22,14 @@ projects r on the U rows and gathers its (n, U) position scores per pair,
 and backward sums the pair gradients onto the U rows. Nothing of shape
 (n * n, d_model) is formed.
 
-Per-document structure (sequence, mask, distinct distance tuples and each
-pair's tuple, token buckets) is independent of the parameters, so it is
-prepared once into a SequenceContext and reused across forward passes;
-training loops prepare each document a single time.
+Per-document structure (sequence, visibility, distinct distance tuples and
+each pair's tuple, token buckets) is independent of the parameters, so it
+is prepared once into a read-only SequenceContext. FusionModel.prepare is
+the one way in: it keeps each context for as long as its document is
+alive, keyed by the document's identity, the variant, the ModelConfig and
+the encoder's class, so every fit, fold and forward call in a process with
+that config shares it, and predict reuses it. predict keeps nothing it
+prepares itself: a document no fit has seen is prepared with its chunk.
 
 Documents run through the layers in chunks: chunk_order walks a batch in
 stable ascending length order and closes a chunk before B documents padded
@@ -39,19 +43,29 @@ sees only itself, so padding never changes a real row and receives exactly
 zero gradient. forward_context runs one context as a chunk of one on the
 same path.
 
-Memory is bounded per chunk, not per batch: one chunk's cache is alive at a
-time, and it holds about B * n_max rows of layer activations and the
-(B, H, n_max, n_max) probabilities per layer, with B * n_max <=
+Activations are bounded per chunk, not per batch: one chunk's cache is
+alive at a time, and it holds about B * n_max rows of layer activations and
+the (B, H, n_max, n_max) probabilities per layer, with B * n_max <=
 PAD_ROW_BUDGET; the (B, H, n_max, U) position scores exist only while a
-layer runs. A document longer than half
-the budget runs alone, so every document of more than 48 elements keeps
-the shapes and memory it has on its own.
+layer runs. A document longer than half the budget runs alone, so every
+document of more than 48 elements keeps the shapes and memory it has on its
+own.
+
+Kept contexts are bounded per live document instead: while a document of
+n elements with U distinct distance tuples is alive, each (variant,
+config, encoder class) a fit or forward prepared it under holds n * n
+bytes of visibility (bool), n * n * itemsize bytes of pos_inv (the
+smallest unsigned dtype holding U - 1: 1 byte up to U = 256, 2 up to
+65,536) and O(n + U) for the sequence, token buckets and tuple rows, under
+128 bytes per element and tuple (about 72 measured on 140-150-element
+documents). Dropping the document drops its contexts.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -105,10 +119,17 @@ class HeadParams:
 
 @dataclass(frozen=True)
 class SequenceContext:
-    """Parameter-independent structure of one document's flat sequence."""
+    """Parameter-independent structure of one document's flat sequence.
+
+    A context FusionModel.prepare keeps is shared by every model with the
+    same config and every call on the same document, so context arrays are
+    read-only, and a context holds no reference to its document. The
+    (n, n) fields are stored compactly: visibility as bool, pos_inv and
+    pos_rows in the smallest unsigned dtype that holds them; upcast to intp
+    before any arithmetic on them."""
 
     seq: FlatSequence
-    mask: np.ndarray          # (n, n) additive visibility mask
+    visible: np.ndarray       # (n, n) bool: query i may attend to key j
     pos_rows: np.ndarray      # (U, 4) sinusoid-table rows of each distinct
                               # clipped distance tuple
     pos_inv: np.ndarray       # (n, n) pair (i, j) -> its row of pos_rows
@@ -118,6 +139,29 @@ class SequenceContext:
                               # for the entity and relation elements
     label: int | None
     doc_id: str
+
+    @property
+    def mask(self) -> np.ndarray:
+        """(n, n) additive visibility mask over {0, MASKED}."""
+        return np.where(self.visible, 0.0, MASKED)
+
+
+# FusionModel.prepare's kept contexts:
+# id(document) -> {(variant, ModelConfig, encoder class): context}.
+# A weakref.finalize on the document drops its entry when it is collected;
+# the identity is the key because hashing a Document walks its content.
+_CONTEXTS: dict[int, dict[tuple, SequenceContext]] = {}
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _compact(a: np.ndarray) -> np.ndarray:
+    """a (non-negative integers) in the smallest unsigned dtype holding it,
+    read-only."""
+    return _read_only(a.astype(np.min_scalar_type(a.max())))
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +464,8 @@ class FusionModel:
         self._head_names = [[self.head_param_names(l, h)
                              for h in range(config.n_heads)]
                             for l in range(config.n_layers)]
+        # prepare's key besides the document and the variant
+        self._setup = (config, type(encoder))
         self._validate_shapes()
 
     @staticmethod
@@ -484,7 +530,8 @@ class FusionModel:
 
     def prepare_sequence(self, doc: Document,
                          seq: FlatSequence) -> SequenceContext:
-        """Extract everything parameter-independent from a flat sequence."""
+        """Extract everything parameter-independent from a flat sequence
+        (any sequence of doc, such as a permuted one; never memoized)."""
         if len(seq) == 0:
             raise ContractError("cannot run forward on an empty sequence")
         sentence_rows, sentences = [], []
@@ -504,22 +551,45 @@ class FusionModel:
                     self.registry.sense_index(el.payload))
         pos_rows, pos_inv = unique_distance_rows(
             distance_indices(seq, self.config.max_relative_distance))
+        for tokens in sentences:
+            if isinstance(tokens, np.ndarray):
+                _read_only(tokens)
         return SequenceContext(
             seq=seq,
-            mask=visible_matrix(seq),
-            pos_rows=pos_rows,
-            pos_inv=pos_inv,
-            sentence_rows=np.array(sentence_rows, dtype=np.int64),
+            visible=_read_only(visible_matrix(seq) == 0.0),
+            pos_rows=_compact(pos_rows),
+            pos_inv=_compact(pos_inv),
+            sentence_rows=_read_only(np.array(sentence_rows, dtype=np.int64)),
             sentences=tuple(sentences),
-            lookups=tuple((name, np.array(rows, dtype=np.int64),
-                           np.array(ids, dtype=np.int64))
+            lookups=tuple((name, _read_only(np.array(rows, dtype=np.int64)),
+                           _read_only(np.array(ids, dtype=np.int64)))
                           for name, (rows, ids) in lookups.items()),
             label=int(doc.label) if doc.label is not None else None,
             doc_id=doc.id)
 
-    def prepare(self, doc: Document,
-                variant: Variant = Variant.FULL) -> SequenceContext:
-        return self.prepare_sequence(doc, self.sequence_for(doc, variant))
+    def _kept(self, doc: Document, variant: Variant) -> SequenceContext | None:
+        entry = _CONTEXTS.get(id(doc))
+        return None if entry is None else entry.get((variant, self._setup))
+
+    def prepare(self, doc: Document, variant: Variant = Variant.FULL,
+                seq: FlatSequence | None = None) -> SequenceContext:
+        """doc's context under variant. A kept context is returned as is.
+        Otherwise, without seq, one is prepared and kept: the same object
+        for every model with this config and encoder class, until the
+        document is collected. With seq (doc's sequence_for(variant), built
+        by the caller) it is prepared from seq and not kept."""
+        ctx = self._kept(doc, variant)
+        if ctx is not None:
+            return ctx
+        if seq is not None:
+            return self.prepare_sequence(doc, seq)
+        entry = _CONTEXTS.get(id(doc))
+        if entry is None:
+            entry = _CONTEXTS[id(doc)] = {}
+            weakref.finalize(doc, _CONTEXTS.pop, id(doc), None)
+        ctx = entry[(variant, self._setup)] = self.prepare_sequence(
+            doc, self.sequence_for(doc, variant))
+        return ctx
 
     # -- embedding ---------------------------------------------------------
 
@@ -599,9 +669,11 @@ class FusionModel:
         start = 0
         for b, ctx in enumerate(contexts):
             m = lengths[b]
-            mask[b, 0, :m, :m] = ctx.mask
-            pos_inv[b, :m, :m] = (ctx.pos_inv if chunk_rows is None
-                                  else chunk_rows[start + ctx.pos_inv])
+            np.copyto(mask[b, 0, :m, :m], 0.0, where=ctx.visible)
+            # a uint8/uint16 pos_inv plus an int would stay in its dtype
+            pos_inv[b, :m, :m] = (ctx.pos_inv if chunk_rows is None else
+                                  chunk_rows[ctx.pos_inv.astype(np.intp)
+                                             + start])
             start += ctx.pos_rows.shape[0]
             if cfg.pooling == "mean_sentences":
                 pool[b, ctx.sentence_rows] = 1.0 / len(ctx.sentence_rows)
@@ -832,13 +904,18 @@ class FusionModel:
 
     def predict(self, docs: list[Document],
                 variant: Variant = Variant.FULL) -> list[int]:
-        """Predicted class per document. Documents are prepared one chunk
-        at a time, so memory stays bounded by the chunk, not the corpus."""
-        seqs = [self.sequence_for(doc, variant) for doc in docs]
+        """Predicted class per document, run in the chunks of chunk_order.
+        A document with a kept context (one a fit or forward prepared) uses
+        it; any other is linearized here and prepared just before its chunk
+        runs, without being kept, so predicting a corpus of fresh documents
+        holds one chunk of contexts and activations at a time."""
+        kept = [self._kept(doc, variant) for doc in docs]
+        seqs = [self.sequence_for(doc, variant) if ctx is None else ctx.seq
+                for doc, ctx in zip(docs, kept)]
         out = [0] * len(docs)
         for chunk in chunk_order([len(seq) for seq in seqs]):
             logits, _, _ = self.forward_context(
-                [self.prepare_sequence(docs[i], seqs[i]) for i in chunk])
+                [self.prepare(docs[i], variant, seqs[i]) for i in chunk])
             for i, pred in zip(chunk, logits.argmax(axis=1)):
                 out[i] = int(pred)
         return out

@@ -39,10 +39,14 @@ def sinusoid(distance: int, d_model: int) -> np.ndarray:
 
 
 def sinusoid_table(max_distance: int, d_model: int) -> np.ndarray:
-    """Rows for every clipped distance: row r encodes distance r - max_distance."""
+    """Rows for every clipped distance: row r is sinusoid(r - max_distance,
+    d_model), formed for all rows at once."""
     table = np.empty((2 * max_distance + 1, d_model), dtype=np.float64)
-    for r, dist in enumerate(range(-max_distance, max_distance + 1)):
-        table[r] = sinusoid(dist, d_model)
+    distances = np.arange(-max_distance, max_distance + 1, dtype=np.float64)
+    k = np.arange(0, d_model, 2)
+    angles = distances[:, None] / np.power(10000.0, k / d_model)
+    table[:, 0::2] = np.sin(angles)
+    table[:, 1::2] = np.cos(angles)[:, :d_model // 2]
     return table
 
 
@@ -71,8 +75,10 @@ def unique_distance_rows(dist_idx: np.ndarray):
     1-D sort, much cheaper than a row-wise unique. The key base is the range
     of indices present, at most 2 * max_distance + 1 and at most twice the
     longest document's span plus one, so the packed keys cannot overflow for
-    any document that fits in memory.
+    any document that fits in memory. Indices of any integer dtype are
+    upcast to intp first, so the packing cannot wrap in a small one.
     """
+    dist_idx = dist_idx.astype(np.intp, copy=False)
     low = dist_idx.min()
     flat = dist_idx.reshape(-1, 4) - low
     base = flat.max() + 1

@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from cohgraph.fusion.config import TrainConfig
 from cohgraph.fusion.model import FusionModel
+from cohgraph.fusion.train import train
 
 from conftest import make_demo_document, tiny_model_config
 
@@ -42,3 +44,28 @@ def test_forward_context_takes_a_single_context(tracing):
     assert pooled.shape == (model.config.d_model,)
     peaks = tracing.forward_peak_mib(model, [ctx])
     assert peaks["n_le_32"] > 0.0
+
+
+@pytest.mark.parametrize("call", ["train", "predict", "forward"])
+def test_entry_points_prepare_through_the_class_attribute(call, monkeypatch):
+    """The bench's model.prepare span wraps FusionModel.prepare; train,
+    predict and forward must all look it up there, or the span stops
+    counting their preparation."""
+    calls = []
+    prepare = FusionModel.prepare
+
+    def counted(self, doc, *args):
+        calls.append(doc.id)
+        return prepare(self, doc, *args)
+
+    monkeypatch.setattr(FusionModel, "prepare", counted)
+    docs = [make_demo_document()]
+    if call == "train":
+        train(docs, tiny_model_config(), TrainConfig(epochs=1))
+    else:
+        model = FusionModel.build(tiny_model_config())
+        if call == "predict":
+            model.predict(docs)
+        else:
+            model.forward(docs[0])
+    assert calls == [docs[0].id]

@@ -41,10 +41,14 @@ def test_reference_vector():
 
 
 def test_table_rows_match_direct_eval():
-    table = sinusoid_table(5, 6)
-    assert table.shape == (11, 6)
-    for row, dist in enumerate(range(-5, 6)):
-        np.testing.assert_array_equal(table[row], sinusoid(dist, 6))
+    """The table is formed in one broadcast; every row, odd widths
+    included, is exactly the per-distance sinusoid."""
+    for max_distance, d_model in [(5, 6), (128, 32), (128, 256), (3, 5),
+                                  (40, 7)]:
+        table = sinusoid_table(max_distance, d_model)
+        assert table.shape == (2 * max_distance + 1, d_model)
+        for row, dist in enumerate(range(-max_distance, max_distance + 1)):
+            np.testing.assert_array_equal(table[row], sinusoid(dist, d_model))
 
 
 def _sentence(k):
