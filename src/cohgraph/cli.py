@@ -291,6 +291,8 @@ def cmd_eval(checkpoint_path: str, corpus_path: str, report_path: str,
         preds = model.predict(labeled, variant=_variant(variant))
     except NumericalError as exc:
         _fail(EXIT_NUMERICAL_ERROR, str(exc))
+    except (ContractError, MemoryError) as exc:
+        _fail(EXIT_INPUT_ERROR, str(exc))
     report = per_label_report(preds, [d.label for d in labeled])
     _write_json(Path(report_path), {
         "model_config": model.config.to_dict(),

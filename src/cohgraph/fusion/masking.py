@@ -45,9 +45,10 @@ def visible_matrix(seq: FlatSequence) -> np.ndarray:
 
 def softmax(z: np.ndarray) -> np.ndarray:
     """Exp-normalize along the last axis, shifted by the maximum for range."""
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:

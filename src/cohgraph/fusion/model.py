@@ -9,56 +9,73 @@ uniformly. The attention score between elements i and j is
 
 with q, k from the element embeddings, r_ij from the pairwise relative
 position embedding, and u, v trainable biases; scores are scaled by
-1/sqrt(d_head) (switchable) and passed through a visibility-masked softmax.
-All heads of a layer run as one batch axis of the kernel head_forward /
-head_backward, and head_scores is the only place the score is formed. Each
-layer then applies the standard value mixing, output projection, post-norm
-residuals, and a rectified feed-forward block.
+1/sqrt(d_head) (switchable) and softmaxed over the keys that
+masking.visible_matrix lets i see. All heads of a layer run as one batch
+axis of the kernel head_forward / head_backward, and head_scores is the only
+place the score is formed. Each layer then applies the standard value
+mixing, output projection, post-norm residuals, and a rectified feed-forward
+block.
 
-r_ij depends on the pair only through its clipped distance tuple, and a
-document of n elements has U of those (about 2n to 3n), so the position
-path runs on U rows: the embeddings are projected once per tuple, each head
-projects r on the U rows and gathers its (n, U) position scores per pair,
-and backward sums the pair gradients onto the U rows. Nothing of shape
-(n * n, d_model) is formed.
+The kernel follows the mask's two kinds of row (the global-local pattern,
+with the sentences as the global tokens). A document is laid out in slot
+order, its S sentences then its E edge (entity and relation) elements, each
+kind in sequence order, so each kind is one slice of a layer's rows in any
+element order. A sentence row sees every sentence and the edges incident on
+it: the sentence rows are one masked (S, n) block against all keys. An edge
+row sees exactly three keys, itself and the sentences at its start and end,
+and its softmax runs over those three: their content terms are read from
+one (E, n) product of the edge queries with the keys (cheaper than
+gathering key vectors at these sizes), their position terms from the few
+distance tuples only edge rows use.
 
-Per-document structure (sequence, visibility, distinct distance tuples and
-each pair's tuple, token buckets) is independent of the parameters, so it
-is prepared once into a read-only SequenceContext. FusionModel.prepare is
-the one way in: it keeps each context for as long as its document is
-alive, keyed by the document's identity, the variant, the ModelConfig and
-the encoder's class, so every fit, fold and forward call in a process with
-that config shares it, and predict reuses it. predict keeps nothing it
-prepares itself: a document no fit has seen is prepared with its chunk.
+r_ij depends on the pair only through its clipped distance tuple, and only
+the U distinct tuples of pairs some row sees are kept (about n / 2 on long
+documents). The position path runs on those rows: the embeddings are
+projected once per tuple, each head projects r on them, sentence and edge
+rows read their terms from one (S, U) and one (E, n_edge_tuples) product,
+and backward sums the pair gradients onto the tuple rows. Nothing of shape
+(n * n, d_model) is formed, and nothing n * n is gathered or softmaxed.
+
+Per-document structure (sequence, the sentence rows' visibility, each edge
+row's keys, the distinct distance tuples and each visible pair's tuple,
+token buckets) is independent of the parameters, so it is prepared once
+into a read-only SequenceContext. FusionModel.prepare is the one way in: it
+keeps each context for as long as its document is alive, keyed by the
+document's identity, the variant, the ModelConfig and the encoder's class,
+so every fit, fold and forward call in a process with that config shares
+it, and predict reuses it. predict keeps nothing it prepares itself: a
+document no fit has seen is prepared with its chunk.
 
 Documents run through the layers in chunks: chunk_order walks a batch in
 stable ascending length order and closes a chunk before B documents padded
-to the longest one, n_max, would exceed PAD_ROW_BUDGET rows. A chunk is one
-call per projection, score, softmax, FFN and LayerNorm of each layer, with
-documents and heads as batch axes, and its position path runs on the
-distinct distance tuples of all its documents, which for documents of
-similar length are about those of the longest one. Each document keeps its
-own mask: padded keys are masked for every query, and a padded query row
-sees only itself, so padding never changes a real row and receives exactly
-zero gradient. forward_context runs one context as a chunk of one on the
-same path.
+to the longest one, n_max, would exceed PAD_ROW_BUDGET rows. A chunk pads
+each document's sentences and edges separately, to its most sentences S and
+most edges E (S + E is n_max or a little more), and is one call per
+projection, block, softmax, FFN and LayerNorm of each layer, with documents
+and heads as batch axes; its position path runs on its documents' tuples
+stacked, every edge row's tuple first, so a document's tuple numbers only
+move by an offset. A padded sentence slot sees only itself, a padded edge
+slot has only itself as keys, and no real row sees a padded one, so padding
+never changes a real row and receives exactly zero gradient. forward_context
+runs one context as a chunk of one, unpadded, on the same path.
 
 Activations are bounded per chunk, not per batch: one chunk's cache is
-alive at a time, and it holds about B * n_max rows of layer activations and
-the (B, H, n_max, n_max) probabilities per layer, with B * n_max <=
-PAD_ROW_BUDGET; the (B, H, n_max, U) position scores exist only while a
-layer runs. A document longer than half the budget runs alone, so every
-document of more than 48 elements keeps the shapes and memory it has on its
-own.
+alive at a time, and it holds about B * (S + E) rows of layer activations
+and, per layer, the probabilities of the sentence rows (B, H, S, S + E) and
+edge rows (B, H, E, 3); the (B, H, S, U) position scores and (B, H, E,
+S + E) edge blocks exist only while a layer runs. A document longer than
+half the budget runs alone, so every document of more than 48 elements
+keeps the shapes and memory it has on its own.
 
-Kept contexts are bounded per live document instead: while a document of
-n elements with U distinct distance tuples is alive, each (variant,
-config, encoder class) a fit or forward prepared it under holds n * n
-bytes of visibility (bool), n * n * itemsize bytes of pos_inv (the
-smallest unsigned dtype holding U - 1: 1 byte up to U = 256, 2 up to
-65,536) and O(n + U) for the sequence, token buckets and tuple rows, under
-128 bytes per element and tuple (about 72 measured on 140-150-element
-documents). Dropping the document drops its contexts.
+Kept contexts are bounded per live document instead: while a document of n
+elements, S of them sentences, with U distinct tuples is alive, each
+(variant, config, encoder class) a fit or forward prepared it under holds
+S * n bytes of sentence-row visibility (bool), S * n * itemsize bytes of
+their tuple index (the smallest unsigned dtype holding U - 1: 1 byte up to
+U = 256, 2 up to 65,536) and O(n + U) for the sequence, edge keys and
+tuples, token buckets and tuple rows, under 192 bytes per element and tuple
+(about 140 measured on 140-150-element documents). Dropping the document
+drops its contexts.
 """
 
 from __future__ import annotations
@@ -78,9 +95,9 @@ from ..relations import load_registry
 from ..variants import Variant
 from .config import ModelConfig
 from .encoder import HashBucketSentenceEncoder, SentenceEncoder, stable_bucket
-from .masking import MASKED, masked_softmax, softmax, visible_matrix
-from .positions import (distance_indices, pair_columns, position_embedding,
-                        sinusoid_table, unique_distance_rows)
+from .masking import MASKED, softmax, visible_matrix
+from .positions import (distance_indices, position_embedding, sinusoid_table,
+                        unique_distance_rows)
 
 LN_EPS = 1e-5
 
@@ -121,29 +138,61 @@ class HeadParams:
 class SequenceContext:
     """Parameter-independent structure of one document's flat sequence.
 
+    The model lays a document out in slot order: its S sentences, then its
+    E edge (entity and relation) elements, each kind in sequence order, so
+    a sequence in any element order, such as a permuted one, is laid out
+    the same way. A sentence row sees every sentence and the edges
+    incident on it, so its visibility is an (S, n) block over the slots; an
+    edge row sees exactly three keys: itself and the sentences at its start
+    and end. Only the pairs some row sees keep a distance tuple, and
+    pos_rows holds just the tuples they use.
+
     A context FusionModel.prepare keeps is shared by every model with the
     same config and every call on the same document, so context arrays are
-    read-only, and a context holds no reference to its document. The
-    (n, n) fields are stored compactly: visibility as bool, pos_inv and
-    pos_rows in the smallest unsigned dtype that holds them; upcast to intp
-    before any arithmetic on them."""
+    read-only, and a context holds no reference to its document. Index
+    arrays are stored in the smallest unsigned dtype that holds them;
+    upcast to intp before any arithmetic on them."""
 
     seq: FlatSequence
-    visible: np.ndarray       # (n, n) bool: query i may attend to key j
-    pos_rows: np.ndarray      # (U, 4) sinusoid-table rows of each distinct
-                              # clipped distance tuple
-    pos_inv: np.ndarray       # (n, n) pair (i, j) -> its row of pos_rows
-    sentence_rows: np.ndarray  # (S,) element positions of the sentences
-    sentences: tuple          # encoder-prepared tokens of each of them
-    lookups: tuple            # (table name, element positions, table rows)
-                              # for the entity and relation elements
+    visible: np.ndarray         # (S, n) bool: sentence s may attend to slot t
+    sentence_pos: np.ndarray    # (S, n) row of pos_rows of each visible
+                                # sentence-row pair, 0 where masked
+    edge_keys: np.ndarray       # (E, 3) slots each edge row sees: itself,
+                                # the sentences at its start and its end
+    edge_pos: np.ndarray        # (E, 3) row of pos_rows of each edge row's
+                                # pairs with itself, its start and its end
+    pos_rows: np.ndarray        # (U, 4) sinusoid-table rows of each distinct
+                                # clipped distance tuple of a visible pair:
+                                # the edge rows' tuples first
+    n_edge_tuples: int          # how many of them the edge rows use
+    sentences: tuple            # encoder-prepared tokens of each sentence
+    lookups: tuple              # (table name, edge slots, table rows) for
+                                # the entity and relation elements
     label: int | None
     doc_id: str
 
-    @property
-    def mask(self) -> np.ndarray:
-        """(n, n) additive visibility mask over {0, MASKED}."""
-        return np.where(self.visible, 0.0, MASKED)
+
+@dataclass(frozen=True)
+class Visibility:
+    """The attention structure of a chunk of B documents, each laid out in
+    n = S + E rows: S sentence slots, then E edge slots, where S and E are
+    the chunk's largest counts and a document with fewer pads each kind at
+    its end.
+
+    A sentence row scores every row of its document under an additive
+    mask. An edge row scores three keys: itself, and the sentences at its
+    start and end. A padded sentence slot sees only itself and a padded
+    edge slot only itself, so no softmax row is empty and no real row
+    attends to a padded one."""
+
+    mask: np.ndarray        # (B, 1, S, n) additive mask of the sentence rows
+    cols: np.ndarray        # (B, H, S, n) flat index of each sentence-row
+                            # pair's position term in a (B, H, S, U) array
+    edge_cols: np.ndarray   # (B, H, E, 3) flat index of each edge row's keys
+                            # (itself, start, end) in a (B, H, E, n) array
+    tuple_cols: np.ndarray  # (B, H, E, 3) flat index of their distance
+                            # tuples in a (B, H, E, n_edge_tuples) array
+    n_edge_tuples: int      # the edge rows' tuples are the chunk's first
 
 
 # FusionModel.prepare's kept contexts:
@@ -161,7 +210,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 def _compact(a: np.ndarray) -> np.ndarray:
     """a (non-negative integers) in the smallest unsigned dtype holding it,
     read-only."""
-    return _read_only(a.astype(np.min_scalar_type(a.max())))
+    return _read_only(a.astype(np.min_scalar_type(a.max(initial=0))))
 
 
 # ---------------------------------------------------------------------------
@@ -292,42 +341,77 @@ def _merge_heads(a: np.ndarray) -> np.ndarray:
     return a.transpose(0, 2, 1, 3).reshape(b * n_rows, h * d_head)
 
 
-def head_scores(x: np.ndarray, pe: np.ndarray, cols: np.ndarray,
+def head_scores(x: np.ndarray, pe: np.ndarray, vis: Visibility,
                 heads: HeadParams, scale: float):
     """Scaled four-term scores q_i.k_j + q_i.r_ij + u.k_j + v.r_ij of every
-    head, before the mask, for a chunk of B documents padded to n rows:
-    layer input x (B * n, d_model), the position embeddings pe (U, d_model)
-    of the chunk's distinct distance tuples and cols = pair_columns(pos_inv,
-    U, H), the (B, H, n, n) flat index of each pair's term in a
-    (B, H, n, U) array.
+    head on the keys each row sees, before the mask, for a chunk laid out
+    as vis describes: layer input x (B * n, d_model) and the position
+    embeddings pe (U, d_model) of the chunk's distance tuples.
 
-    r is projected on the tuple rows only, and the two position terms,
-    (q_i + v).r_c, are formed as one (B, H, n, U) product and gathered per
-    pair. Returns (scores (B, H, n, n), q, k, r) with q, k (B, H, n, d_head)
-    and r (1, H, U, d_head).
+    Each score is (q_i + u).k_j + (q_i + v).r_ij, and both terms are batched
+    products read per pair: sentence rows' from their products with all n
+    keys and the U tuples, edge rows' from their products with all n keys
+    and the first n_edge_tuples tuples. Returns (sentence scores
+    (B, H, S, n), edge scores (B, H, E, 3) on (itself, start, end),
+    (q, k, r)) with q, k (B * n, H * d_head) and r (U, H * d_head).
     """
     u, v = np.atleast_2d(heads.u), np.atleast_2d(heads.v)
+    n_sent, n = vis.mask.shape[2:]
     n_heads = u.shape[0]
-    n = cols.shape[-1]
-    q = _split_heads(x @ heads.W_q, n, n_heads)
-    k = _split_heads(x @ heads.W_k, n, n_heads)
-    r = _split_heads(pe @ heads.W_r, pe.shape[0], n_heads)
-    s = q @ k.swapaxes(-1, -2)
-    s += ((q + v[:, None, :]) @ r.swapaxes(-1, -2)).ravel()[cols]
-    s += (k @ u[:, :, None]).swapaxes(-1, -2)
+    q = x @ heads.W_q
+    k = x @ heads.W_k
+    r = pe @ heads.W_r
+    q4 = _split_heads(q, n, n_heads)
+    qu = q4 + u[:, None, :]
+    qv = q4 + v[:, None, :]
+    k4 = _split_heads(k, n, n_heads)
+    r4 = _split_heads(r, r.shape[0], n_heads).swapaxes(-1, -2)
+    s = qu[:, :, :n_sent] @ k4.swapaxes(-1, -2)
+    s += (qv[:, :, :n_sent] @ r4).ravel()[vis.cols]
     s *= scale
-    return s, q, k, r
+    se = (qv[:, :, n_sent:] @ r4[..., :vis.n_edge_tuples]).ravel()[
+        vis.tuple_cols]
+    se += (qu[:, :, n_sent:] @ k4.swapaxes(-1, -2)).ravel()[vis.edge_cols]
+    se *= scale
+    return s, se, (q, k, r)
 
 
-def head_forward(x: np.ndarray, pe: np.ndarray, cols: np.ndarray,
-                 mask: np.ndarray, heads: HeadParams, scale: float):
+def _edge_block(w: np.ndarray, vis: Visibility, n: int) -> np.ndarray:
+    """(B, H, E, n) array holding each edge row's w (B, H, E, 3) at its
+    three keys, zero elsewhere."""
+    out = np.zeros(w.shape[:3] + (n,))
+    out.ravel()[vis.edge_cols] = w
+    return out
+
+
+def head_forward(x: np.ndarray, pe: np.ndarray, vis: Visibility,
+                 heads: HeadParams, scale: float):
     """Every head's attention output, concatenated to (B * n, H * d_head),
-    and the cache head_backward reads: q, k, values, r, cols and the
-    masked attention probabilities (B, H, n, n). mask is (B, 1, n, n)."""
-    s, q, k, r = head_scores(x, pe, cols, heads, scale)
-    probs = masked_softmax(s, mask)
-    v_mat = _split_heads(x @ heads.W_v, cols.shape[-1], q.shape[1])
-    return _merge_heads(probs @ v_mat), (q, k, v_mat, r, cols, probs)
+    and the cache head_backward reads: vis, the projections and the
+    attention probabilities of the sentence rows (B, H, S, n) and edge rows
+    (B, H, E, 3)."""
+    s, se, (q, k, r) = head_scores(x, pe, vis, heads, scale)
+    n_heads, n_sent, n = s.shape[1:]
+    # every sentence row sees itself, so no row of the mask is empty
+    probs = softmax(s + vis.mask)
+    probs_e = softmax(se)
+    v_mat = x @ heads.W_v
+    v4 = _split_heads(v_mat, n, n_heads)
+    out = np.empty((len(s), n, n_heads, v4.shape[-1]))
+    out[:, :n_sent] = (probs @ v4).swapaxes(1, 2)
+    out[:, n_sent:] = (_edge_block(probs_e, vis, n) @ v4).swapaxes(1, 2)
+    return (out.reshape(len(x), -1),
+            (vis, q, k, v_mat, r, probs, probs_e))
+
+
+def _softmax_backward(dprobs: np.ndarray, probs: np.ndarray,
+                      scale: float) -> np.ndarray:
+    """Score gradient of a scaled softmax, in place on dprobs:
+    scale * probs * (dprobs - rowsum(dprobs * probs))."""
+    dprobs -= (dprobs * probs).sum(axis=-1, keepdims=True)
+    dprobs *= probs
+    dprobs *= scale
+    return dprobs
 
 
 def head_backward(dout: np.ndarray, cache: tuple, x: np.ndarray,
@@ -340,44 +424,121 @@ def head_backward(dout: np.ndarray, cache: tuple, x: np.ndarray,
     into dx and dpe in place and returns the parameter gradients, summed
     over the chunk, laid out as heads is.
     """
-    q, k, v_mat, r, cols, probs = cache
+    vis, q, k, v_mat, r, probs, probs_e = cache
     u, v = np.atleast_2d(heads.u), np.atleast_2d(heads.v)
-    # each input gradient is folded into dx or dpe as soon as it is formed,
-    # so few (B, H, n, .) arrays are alive at once
-    dout = _split_heads(dout, q.shape[2], q.shape[1])
-    d_in = _merge_heads(probs.swapaxes(-1, -2) @ dout)
-    grad_v = x.T @ d_in
-    dx += d_in @ heads.W_v.T
-    # softmax backward in place on the probability gradient:
-    # ds = probs * (dprobs - rowsum(dprobs * probs))
-    ds = dout @ v_mat.swapaxes(-1, -2)
-    ds -= (ds * probs).sum(axis=-1, keepdims=True)
-    ds *= probs
-    ds *= scale
+    n_docs, n_heads, n_sent, n = probs.shape
+    n_tuples, n_et = r.shape[0], vis.n_edge_tuples
+    q4 = _split_heads(q, n, n_heads)
+    qu = q4 + u[:, None, :]
+    qv = q4 + v[:, None, :]
+    k4 = _split_heads(k, n, n_heads)
+    v4 = _split_heads(v_mat, n, n_heads)
+    r4 = _split_heads(r, n_tuples, n_heads)
+    dout = _split_heads(dout, n, n_heads)
+    dq = np.empty_like(dout)
 
-    # pairs of one query that share a distance tuple share r_c, so their
-    # score gradients are summed onto (B, H, n, U); bincount adds in a
-    # fixed order
-    seg = np.bincount(cols.ravel(), weights=ds.ravel(),
-                      minlength=q.shape[0] * q.shape[1] * q.shape[2]
-                      * r.shape[2]).reshape(*q.shape[:3], r.shape[2])
-    d_in = _merge_heads(ds @ k + seg @ r)
-    grad_q = x.T @ d_in
-    dx += d_in @ heads.W_q.T
-    d_in = _merge_heads((seg.swapaxes(-1, -2) @ (q + v[:, None, :])).sum(
-        axis=0, keepdims=True))
-    grad_r = pe.T @ d_in
-    dpe += d_in @ heads.W_r.T
-    grad_v_bias = (seg.sum(axis=2)[:, :, None, :] @ r).sum(axis=0)
-    del seg
-    col = ds.sum(axis=2)[:, :, None, :]
-    d_in = _merge_heads(ds.swapaxes(-1, -2) @ q
-                        + col.swapaxes(-1, -2) * u[:, None, :])
-    dx += d_in @ heads.W_k.T
+    # sentence rows. The query gradient splits into the content term's,
+    # whose row sum is u's gradient, and the position term's, whose row sum
+    # is v's; pairs of one query that share a distance tuple share r_c, so
+    # their score gradients are summed onto (B, H, S, U)
+    dout_s = dout[:, :, :n_sent]
+    dv = probs.swapaxes(-1, -2) @ dout_s
+    ds = _softmax_backward(dout_s @ v4.swapaxes(-1, -2), probs, scale)
+    seg = np.bincount(vis.cols.ravel(), weights=ds.ravel(),
+                      minlength=ds.size // n * n_tuples).reshape(
+                          ds.shape[:3] + (n_tuples,))
+    content = ds @ k4
+    position = seg @ r4
+    dq[:, :, :n_sent] = content + position
+    grad_u = content.sum(axis=(0, 2))
+    grad_v_bias = position.sum(axis=(0, 2))
+    dr = (seg.swapaxes(-1, -2) @ qv[:, :, :n_sent]).sum(axis=0)
+    dk = ds.swapaxes(-1, -2) @ qu[:, :, :n_sent]
+    del seg, ds
+
+    # edge rows: the same on their three keys, spread over an (E, n)
+    # block, and on the edge tuples
+    dout_e = dout[:, :, n_sent:]
+    dv += _edge_block(probs_e, vis, n).swapaxes(-1, -2) @ dout_e
+    dse = _softmax_backward(
+        (dout_e @ v4.swapaxes(-1, -2)).ravel()[vis.edge_cols], probs_e, scale)
+    block = _edge_block(dse, vis, n)
+    seg = np.bincount(vis.tuple_cols.ravel(), weights=dse.ravel(),
+                      minlength=dse.size // 3 * n_et).reshape(
+                          dse.shape[:3] + (n_et,))
+    content = block @ k4
+    position = seg @ r4[:, :, :n_et]
+    dq[:, :, n_sent:] = content + position
+    grad_u += content.sum(axis=(0, 2))
+    grad_v_bias += position.sum(axis=(0, 2))
+    dr[:, :n_et] += (seg.swapaxes(-1, -2) @ qv[:, :, n_sent:]).sum(axis=0)
+    dk += block.swapaxes(-1, -2) @ qu[:, :, n_sent:]
+
+    dq, dk, dv = _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
+    dr = _merge_heads(dr[None])
+    dx += dq @ heads.W_q.T
+    dx += dk @ heads.W_k.T
+    dx += dv @ heads.W_v.T
+    dpe += dr @ heads.W_r.T
     return HeadParams(
-        W_q=grad_q, W_k=x.T @ d_in, W_r=grad_r, W_v=grad_v,
-        u=(col @ k).sum(axis=0).reshape(heads.u.shape),
+        W_q=x.T @ dq, W_k=x.T @ dk, W_r=pe.T @ dr, W_v=x.T @ dv,
+        u=grad_u.reshape(heads.u.shape),
         v=grad_v_bias.reshape(heads.v.shape))
+
+
+def chunk_visibility(contexts: list[SequenceContext], n_heads: int):
+    """The Visibility of contexts run as one chunk, and the chunk's
+    distance tuples pos_rows (U, 4) it indexes.
+
+    Each document's sentences and edges are padded to the chunk's most
+    sentences S and most edges E. The chunk's tuples are stacked as each
+    context lays them out: the edge rows' tuples of every document, then the
+    sentence rows' of every document. A single context is a chunk with
+    nothing to pad, on its own tuples."""
+    n_docs = len(contexts)
+    n_sent = max(len(ctx.sentences) for ctx in contexts)
+    n_edge = max(len(ctx.edge_pos) for ctx in contexts)
+    n = n_sent + n_edge
+    n_et = sum(ctx.n_edge_tuples for ctx in contexts)
+    pos_rows = np.concatenate(
+        [ctx.pos_rows[:ctx.n_edge_tuples] for ctx in contexts]
+        + [ctx.pos_rows[ctx.n_edge_tuples:] for ctx in contexts])
+
+    # a padded sentence slot sees only itself; an edge slot's first key is
+    # itself, and a padded one's are all itself
+    visible = np.zeros((n_docs, n_sent, n), dtype=bool)
+    visible[:, np.arange(n_sent), np.arange(n_sent)] = True
+    edge_keys = np.empty((n_docs, n_edge, 3), dtype=np.intp)
+    edge_keys[:] = np.arange(n_sent, n)[:, None]
+    pos = np.zeros(visible.shape, dtype=np.intp)
+    edge_pos = np.zeros(edge_keys.shape, dtype=np.intp)
+    # each document's tuple numbers move past the tuples stacked before
+    # its own. A masked pair's position term is masked out, so its tuple
+    # may be any in range; padding takes the same
+    e0, s0 = 0, n_et
+    for b, ctx in enumerate(contexts):
+        s, e, m = len(ctx.sentences), len(ctx.edge_pos), ctx.n_edge_tuples
+        visible[b, :s, :s] = ctx.visible[:, :s]
+        visible[b, :s, n_sent:n_sent + e] = ctx.visible[:, s:]
+        pos[b, :s, :s] = ctx.sentence_pos[:, :s]
+        pos[b, :s, n_sent:n_sent + e] = ctx.sentence_pos[:, s:]
+        pos[b] += s0 - m
+        edge_keys[b, :e, 1:] = ctx.edge_keys[:, 1:]
+        edge_pos[b, :e] = ctx.edge_pos
+        edge_pos[b, :e] += e0
+        e0, s0 = e0 + m, s0 + len(ctx.pos_rows) - m
+
+    # the flat (document, head, row) index of each query row of a block
+    sentence_rows = np.arange(n_docs * n_heads * n_sent).reshape(
+        n_docs, n_heads, n_sent, 1)
+    edge_rows = np.arange(n_docs * n_heads * n_edge).reshape(
+        n_docs, n_heads, n_edge, 1)
+    return Visibility(
+        mask=np.where(visible, 0.0, MASKED)[:, None],
+        cols=sentence_rows * len(pos_rows) + pos[:, None],
+        edge_cols=edge_rows * n + edge_keys[:, None],
+        tuple_cols=edge_rows * n_et + edge_pos[:, None],
+        n_edge_tuples=n_et), pos_rows
 
 
 def chunk_order(lengths: list[int]) -> list[list[int]]:
@@ -411,12 +572,13 @@ class DropoutStream:
         self.rate = rate
         self.epoch = epoch
         self.step = step
-        # one Philox instance, re-aimed per mask by resetting its counter;
-        # the stream for a (key, counter) pair is identical to constructing
-        # a fresh generator, just without the per-mask setup cost
+        # one Philox instance, re-aimed per mask by restoring one state
+        # whose counter is written in place; the stream for a (key, counter)
+        # pair is identical to constructing a fresh generator, just without
+        # the per-mask setup cost
         self._bitgen = np.random.Philox(key=seed & 0xFFFFFFFFFFFFFFFF)
-        self._template = self._bitgen.state
-        self._key = self._template["state"]["key"]
+        self._state = self._bitgen.state
+        self._counter = self._state["state"]["counter"]
         self._generator = np.random.Generator(self._bitgen)
 
     def at(self, epoch: int, step: int) -> "DropoutStream":
@@ -425,13 +587,8 @@ class DropoutStream:
     def draw(self, doc_index: int, slot: int, out: np.ndarray) -> None:
         """Fill the C-contiguous float64 array out with the uniform draws
         behind the mask at (doc_index, slot) of that shape."""
-        state = dict(self._template)
-        state["state"] = {
-            "counter": np.array([self.epoch, self.step, doc_index, slot],
-                                dtype=np.uint64),
-            "key": self._key,
-        }
-        self._bitgen.state = state
+        self._counter[:] = (self.epoch, self.step, doc_index, slot)
+        self._bitgen.state = self._state
         self._generator.random(out=out)
 
     @property
@@ -531,39 +688,75 @@ class FusionModel:
     def prepare_sequence(self, doc: Document,
                          seq: FlatSequence) -> SequenceContext:
         """Extract everything parameter-independent from a flat sequence
-        (any sequence of doc, such as a permuted one; never memoized)."""
+        (any sequence of doc, such as a permuted one; never memoized).
+        Raises ContractError naming the document unless every edge element
+        links two distinct sentences that the sequence holds once each."""
         if len(seq) == 0:
-            raise ContractError("cannot run forward on an empty sequence")
-        sentence_rows, sentences = [], []
+            raise ContractError(f"document {doc.id!r}: cannot run forward on "
+                                f"an empty sequence")
+        sentence_rows, edge_rows, sentences = [], [], []
         lookups = {"embed/entity": ([], []), "embed/relation": ([], [])}
         for pos, el in enumerate(seq.elements):
             if el.kind is ElementKind.SENTENCE:
                 sentence_rows.append(pos)
                 sentences.append(self.encoder.prepare(
                     doc.sentences[el.payload - 1].tokens))
-            elif el.kind is ElementKind.ENTITY:
-                lookups["embed/entity"][0].append(pos)
-                lookups["embed/entity"][1].append(stable_bucket(
-                    el.payload, self.config.n_entity_buckets))
+                continue
+            if el.kind is ElementKind.ENTITY:
+                name = "embed/entity"
+                row = stable_bucket(el.payload, self.config.n_entity_buckets)
             else:
-                lookups["embed/relation"][0].append(pos)
-                lookups["embed/relation"][1].append(
-                    self.registry.sense_index(el.payload))
-        pos_rows, pos_inv = unique_distance_rows(
-            distance_indices(seq, self.config.max_relative_distance))
+                name = "embed/relation"
+                row = self.registry.sense_index(el.payload)
+            lookups[name][0].append(len(edge_rows))
+            lookups[name][1].append(row)
+            edge_rows.append(pos)
+        slot = {seq.elements[pos].start: s
+                for s, pos in enumerate(sentence_rows)}
+        if len(slot) < len(sentence_rows):
+            raise ContractError(f"document {doc.id!r}: two sentence elements "
+                                f"share a sentence index")
+        edge_keys = []
+        for pos in edge_rows:
+            el = seq.elements[pos]
+            if el.start == el.end or el.start not in slot or el.end not in slot:
+                raise ContractError(
+                    f"document {doc.id!r}: edge element {pos} at "
+                    f"({el.start}, {el.end}) does not link two sentences of "
+                    f"its sequence")
+            edge_keys.append((len(sentence_rows) + len(edge_keys),
+                              slot[el.start], slot[el.end]))
+
+        n_sent = len(sentence_rows)
+        order = np.array(sentence_rows + edge_rows, dtype=np.intp)
+        edge_keys = np.array(edge_keys, dtype=np.intp).reshape(-1, 3)
+        rows = order[:n_sent, None]
+        visible = (visible_matrix(seq) == 0.0)[rows, order]
+        # the distance tuples of the pairs each row sees: each edge row with
+        # its three keys, then the visible sentence-row pairs. No tuple is in
+        # both: a sentence row's tuple is never that of an edge row
+        dist = distance_indices(seq, self.config.max_relative_distance)
+        edge_tuples, edge_pos = unique_distance_rows(
+            dist[order[n_sent:, None], order[edge_keys]])
+        sentence_tuples, visible_pos = unique_distance_rows(
+            dist[rows, order][visible])
+        sentence_pos = np.zeros(visible.shape, dtype=np.intp)
+        sentence_pos[visible] = visible_pos + len(edge_tuples)
         for tokens in sentences:
             if isinstance(tokens, np.ndarray):
                 _read_only(tokens)
         return SequenceContext(
             seq=seq,
-            visible=_read_only(visible_matrix(seq) == 0.0),
-            pos_rows=_compact(pos_rows),
-            pos_inv=_compact(pos_inv),
-            sentence_rows=_read_only(np.array(sentence_rows, dtype=np.int64)),
+            visible=_read_only(visible),
+            sentence_pos=_compact(sentence_pos),
+            edge_keys=_compact(edge_keys),
+            edge_pos=_compact(edge_pos),
+            pos_rows=_compact(np.concatenate([edge_tuples, sentence_tuples])),
+            n_edge_tuples=len(edge_tuples),
             sentences=tuple(sentences),
-            lookups=tuple((name, _read_only(np.array(rows, dtype=np.int64)),
+            lookups=tuple((name, _read_only(np.array(slots, dtype=np.int64)),
                            _read_only(np.array(ids, dtype=np.int64)))
-                          for name, (rows, ids) in lookups.items()),
+                          for name, (slots, ids) in lookups.items()),
             label=int(doc.label) if doc.label is not None else None,
             doc_id=doc.id)
 
@@ -593,19 +786,21 @@ class FusionModel:
 
     # -- embedding ---------------------------------------------------------
 
-    def _embed(self, contexts: list[SequenceContext], n: int):
-        """Element embeddings (B * n, d_model) of a chunk padded to n rows,
-        zero on the padding, and the (row, source) index _embed_backward
-        reads: one encoder call and one gather per table for the chunk."""
+    def _embed(self, contexts: list[SequenceContext], n_sent: int, n: int):
+        """Element embeddings (B * n, d_model) of a chunk laid out in n rows
+        per document, sentences from row 0 and edges from row n_sent, zero
+        on the padding, and the (row, source) index _embed_backward reads:
+        one encoder call and one gather per table for the chunk."""
         offsets = range(0, len(contexts) * n, n)
         x = np.zeros((len(contexts) * n, self.config.d_model))
         sentence_rows = np.concatenate(
-            [ctx.sentence_rows + off for ctx, off in zip(contexts, offsets)])
+            [np.arange(off, off + len(ctx.sentences))
+             for ctx, off in zip(contexts, offsets)])
         sentences = [tokens for ctx in contexts for tokens in ctx.sentences]
         x[sentence_rows] = self.encoder.encode_prepared(sentences, self.params)
         lookups = []
         for t, (name, _, _) in enumerate(contexts[0].lookups):
-            rows = np.concatenate([ctx.lookups[t][1] + off
+            rows = np.concatenate([ctx.lookups[t][1] + (off + n_sent)
                                    for ctx, off in zip(contexts, offsets)])
             ids = np.concatenate([ctx.lookups[t][2] for ctx in contexts])
             x[rows] = self.params[name][ids]
@@ -650,49 +845,28 @@ class FusionModel:
         cfg = self.config
         use = (dropout if train_mode and dropout is not None
                and cfg.dropout_rate > 0.0 else None)
-        lengths = [len(ctx.seq) for ctx in contexts]
-        n_docs, n = len(contexts), max(lengths)
-        # documents of a chunk share most distance tuples, so the position
-        # path runs on the chunk's distinct tuples (a single document's are
-        # distinct already)
-        if n_docs == 1:
-            pos_rows, chunk_rows = contexts[0].pos_rows, None
-        else:
-            pos_rows, chunk_rows = unique_distance_rows(
-                np.concatenate([ctx.pos_rows for ctx in contexts]))
-        # padded keys are masked for every query; a padded query sees only
-        # itself, so no row is fully masked and padding stays out of real rows
-        mask = np.full((n_docs, 1, n, n), MASKED)
-        mask[:, 0, np.arange(n), np.arange(n)] = 0.0
-        pos_inv = np.zeros((n_docs, n, n), dtype=np.int64)
+        vis, pos_rows = chunk_visibility(contexts, cfg.n_heads)
+        n_docs, _, n_sent, n = vis.mask.shape
         pool = np.zeros((n_docs, n))
-        start = 0
         for b, ctx in enumerate(contexts):
-            m = lengths[b]
-            np.copyto(mask[b, 0, :m, :m], 0.0, where=ctx.visible)
-            # a uint8/uint16 pos_inv plus an int would stay in its dtype
-            pos_inv[b, :m, :m] = (ctx.pos_inv if chunk_rows is None else
-                                  chunk_rows[ctx.pos_inv.astype(np.intp)
-                                             + start])
-            start += ctx.pos_rows.shape[0]
             if cfg.pooling == "mean_sentences":
-                pool[b, ctx.sentence_rows] = 1.0 / len(ctx.sentence_rows)
+                pool[b, :len(ctx.sentences)] = 1.0 / len(ctx.sentences)
             else:
-                pool[b, ctx.sentence_rows[0]] = 1.0
-        x, embed_index = self._embed(contexts, n)
+                pool[b, 0] = 1.0
+        x, embed_index = self._embed(contexts, n_sent, n)
 
         feats, pe_lin, pe = position_embedding(
             self.position_table, pos_rows, self.params["pos/W_p"],
             cfg.position_activation)
-        cols = pair_columns(pos_inv, pe.shape[0], cfg.n_heads)
 
         layer_caches = []
         for l in range(cfg.n_layers):
             keep = None if use is None else (
-                self._dropout_keep(use, doc_indices, lengths, n, 2 * l),
-                self._dropout_keep(use, doc_indices, lengths, n, 2 * l + 1),
-                use.scale)
-            x, layer_cache = self._forward_layer(x, pe, cols, mask, l, keep)
+                self._dropout_keep(use, doc_indices, contexts, n_sent, n,
+                                   2 * l),
+                self._dropout_keep(use, doc_indices, contexts, n_sent, n,
+                                   2 * l + 1))
+            x, layer_cache = self._forward_layer(x, pe, vis, l, keep)
             if not np.isfinite(x).all():
                 bad = np.unique(np.nonzero(~np.isfinite(x))[0] // n)
                 raise NumericalError(
@@ -719,29 +893,33 @@ class FusionModel:
         return logits, pooled
 
     def _dropout_keep(self, dropout: DropoutStream, doc_indices: list[int],
-                      lengths: list[int], n: int, slot: int) -> np.ndarray:
-        """(B * n, d_model) boolean keep mask: where each document's own
-        (length, d_model) mask, keyed by its batch position, is nonzero, and
-        False on the padding. Kept units are multiplied by dropout.scale."""
-        draws = np.zeros((len(lengths), n, self.config.d_model))
-        for b, (doc_index, m) in enumerate(zip(doc_indices, lengths)):
+                      contexts: list[SequenceContext], n_sent: int, n: int,
+                      slot: int) -> np.ndarray:
+        """(B * n, d_model) inverted-dropout mask, 0 or dropout.scale: each
+        document's own (length, d_model) mask, keyed by its batch position,
+        with row t on the document's slot t, and 0 on the padding."""
+        draws = np.zeros((len(contexts), n, self.config.d_model))
+        for b, (doc_index, ctx) in enumerate(zip(doc_indices, contexts)):
+            s, m = len(ctx.sentences), len(ctx.seq)
             dropout.draw(doc_index, slot, draws[b, :m])
-        return (draws >= dropout.rate).reshape(-1, self.config.d_model)
+            if s < n_sent:  # move the edge rows to the chunk's edge slots
+                draws[b, n_sent:n_sent + m - s] = draws[b, s:m]
+                draws[b, s:n_sent] = 0.0
+        return np.where(draws >= dropout.rate, dropout.scale, 0.0).reshape(
+            -1, self.config.d_model)
 
-    def _forward_layer(self, x: np.ndarray, pe: np.ndarray, cols: np.ndarray,
-                       mask: np.ndarray, layer: int, keep: tuple | None):
+    def _forward_layer(self, x: np.ndarray, pe: np.ndarray, vis: Visibility,
+                       layer: int, keep: tuple | None):
         """One layer over a chunk; keep is None or the (attention, FFN)
-        boolean dropout masks and the scale of a kept unit."""
+        dropout masks."""
         cfg = self.config
         p = self.params
         heads = self.layer_heads(layer)
-        concat, head_cache = head_forward(x, pe, cols, mask, heads,
-                                          self.score_scale)
+        concat, head_cache = head_forward(x, pe, vis, heads, self.score_scale)
 
         attn = concat @ p[f"layer{layer}/W_o"] + p[f"layer{layer}/b_o"]
         if keep is not None:
             attn *= keep[0]
-            attn *= keep[2]
         y, ln1_cache = layer_norm_forward(
             x + attn, p[f"layer{layer}/ln1/gamma"], p[f"layer{layer}/ln1/beta"])
 
@@ -750,7 +928,6 @@ class FusionModel:
         ffn = hidden @ p[f"layer{layer}/ffn/W2"] + p[f"layer{layer}/ffn/b2"]
         if keep is not None:
             ffn *= keep[1]
-            ffn *= keep[2]
         out, ln2_cache = layer_norm_forward(
             y + ffn, p[f"layer{layer}/ln2/gamma"], p[f"layer{layer}/ln2/beta"])
 
@@ -803,7 +980,7 @@ class FusionModel:
         grads[f"layer{layer}/ln2/gamma"] += dg2
         grads[f"layer{layer}/ln2/beta"] += db2
         keep = cache["keep"]
-        dffn = dy if keep is None else dy * keep[1] * keep[2]
+        dffn = dy if keep is None else dy * keep[1]
 
         grads[f"layer{layer}/ffn/W2"] += cache["hidden"].T @ dffn
         grads[f"layer{layer}/ffn/b2"] += dffn.sum(axis=0)
@@ -824,7 +1001,7 @@ class FusionModel:
         del dy
         grads[f"layer{layer}/ln1/gamma"] += dg1
         grads[f"layer{layer}/ln1/beta"] += db1
-        dattn = dx if keep is None else dx * keep[0] * keep[2]
+        dattn = dx if keep is None else dx * keep[0]
 
         grads[f"layer{layer}/W_o"] += cache["concat"].T @ dattn
         grads[f"layer{layer}/b_o"] += dattn.sum(axis=0)
@@ -914,8 +1091,13 @@ class FusionModel:
                 for doc, ctx in zip(docs, kept)]
         out = [0] * len(docs)
         for chunk in chunk_order([len(seq) for seq in seqs]):
-            logits, _, _ = self.forward_context(
-                [self.prepare(docs[i], variant, seqs[i]) for i in chunk])
+            try:
+                logits, _, _ = self.forward_context(
+                    [self.prepare(docs[i], variant, seqs[i]) for i in chunk])
+            except MemoryError as exc:
+                raise MemoryError(
+                    "out of memory predicting document(s) "
+                    + ", ".join(repr(docs[i].id) for i in chunk)) from exc
             for i, pred in zip(chunk, logits.argmax(axis=1)):
                 out[i] = int(pred)
         return out

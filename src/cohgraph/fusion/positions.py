@@ -9,12 +9,13 @@ signed distances are
 each clipped to +-max_distance. Their sinusoid encodings are concatenated
 into a 4*d_model feature and projected by a trainable matrix to d_model.
 
-After clipping, a document of n elements has only U distinct distance
-tuples (about 2n to 3n, against n * n pairs), so the features and their
-projection are formed once per tuple: pos_rows (U, 4) lists the distinct
-tuples and pos_inv (n, n) maps each pair to its row. Per forward pass the
-position path holds (U, 4 * d_model) features and (U, d_model) embeddings,
-and nothing of shape (n * n, d_model).
+After clipping, a document of n elements has only a few distinct distance
+tuples (about 2n to 3n over all n * n pairs, and about n / 2 over the pairs
+its attention rows see), so the features and their projection are formed
+once per tuple: pos_rows (U, 4) lists the distinct tuples, and each pair
+is mapped to its row. Per forward pass the position path holds
+(U, 4 * d_model) features and (U, d_model) embeddings, and nothing of
+shape (n * n, d_model).
 """
 
 from __future__ import annotations
@@ -66,8 +67,7 @@ def distance_indices(seq: FlatSequence, max_distance: int) -> np.ndarray:
 
 def unique_distance_rows(dist_idx: np.ndarray):
     """The distinct rows of a (..., 4) table of distance index tuples, such
-    as an (n, n, 4) distance_indices table or the stacked pos_rows of a
-    chunk of documents.
+    as the tuples of a document's visible pairs.
 
     Returns pos_rows (U, 4), the distinct (d1..d4) index tuples in ascending
     order, and pos_inv of shape dist_idx.shape[:-1] with pos_rows[pos_inv]
@@ -78,6 +78,9 @@ def unique_distance_rows(dist_idx: np.ndarray):
     any document that fits in memory. Indices of any integer dtype are
     upcast to intp first, so the packing cannot wrap in a small one.
     """
+    if dist_idx.size == 0:
+        return (np.empty((0, 4), dtype=np.int64),
+                np.empty(dist_idx.shape[:-1], dtype=np.intp))
     dist_idx = dist_idx.astype(np.intp, copy=False)
     low = dist_idx.min()
     flat = dist_idx.reshape(-1, 4) - low
@@ -89,18 +92,6 @@ def unique_distance_rows(dist_idx: np.ndarray):
     for c in (3, 2, 1, 0):
         uniq, pos_rows[:, c] = np.divmod(uniq, base)
     return pos_rows + low, inv.reshape(dist_idx.shape[:-1])
-
-
-def pair_columns(pos_inv: np.ndarray, n_rows: int,
-                 n_heads: int) -> np.ndarray:
-    """Flat index of each pair's per-tuple term, for a chunk of B documents
-    padded to n elements: pos_inv (B, n, n) -> (B, n_heads, n, n) index into
-    a flattened (B, n_heads, n, n_rows) array, ((b * n_heads + h) * n + i)
-    * n_rows + pos_inv[b, i, j]."""
-    n_docs, n = pos_inv.shape[:2]
-    base = np.arange(0, n_docs * n_heads * n * n_rows, n_rows)
-    return (base.reshape(n_docs, n_heads, n, 1)
-            + pos_inv.reshape(n_docs, 1, n, n))
 
 
 def position_embedding(table: np.ndarray, pos_rows: np.ndarray,

@@ -112,6 +112,12 @@ class FusionClassifier:
         return self
 
     def predict(self, docs: list[Document]) -> list[CoherenceLabel]:
+        """Predicted labels. Each document's context is prepared through
+        the model's kept contexts, so a later fit on the same documents,
+        such as the next cross-validation fold, does not prepare it again."""
         assert self.model is not None, "fit before predict"
+        variant = self.train_config.variant
+        for doc in docs:
+            self.model.prepare(doc, variant)
         return [CoherenceLabel(i) for i in
-                self.model.predict(docs, variant=self.train_config.variant)]
+                self.model.predict(docs, variant=variant)]

@@ -5,14 +5,15 @@ definitions, one element pair at a time, and share no code with the model
 beyond the scalar `sinusoid` formula (which has its own reference-value
 test). The dense head kernel is the attention head over all n * n pairs,
 with an (n * n, d) position embedding per pair, that the model's
-distance-tuple kernel replaced.
+global-local kernel replaced; dense_layout spreads that kernel's per-pair
+values over the (n, n) grid the dense kernel uses.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from cohgraph.flat import FlatElement
+from cohgraph.flat import ElementKind, FlatElement
 from cohgraph.fusion.model import HeadParams
 from cohgraph.fusion.positions import sinusoid
 
@@ -100,3 +101,25 @@ def dense_head_backward(dout, q, k, v_mat, r, probs, x, pe2d, head, scale):
         u=k.T @ col, v=np.tensordot(ds, r, axes=([0, 1], [0, 1])))
     dx = dq @ head.W_q.T + dk @ head.W_k.T + dv_mat @ head.W_v.T
     return grads, dx, dr2d @ head.W_r.T
+
+
+def slot_order(seq):
+    """Sequence position of each slot of the model's layout: the sentence
+    elements, then the others, each in sequence order."""
+    kinds = [el.kind is ElementKind.SENTENCE for el in seq.elements]
+    return np.array([i for i, k in enumerate(kinds) if k]
+                    + [i for i, k in enumerate(kinds) if not k], dtype=np.intp)
+
+
+def dense_layout(ctx, sentence_block, edge_block, fill):
+    """One head's per-pair values from the global-local kernel as an (n, n)
+    array in sequence order: sentence_block (S, n) over the context's slots
+    and edge_block (E, 3) over each edge row's keys (itself, the sentences
+    at its start and end); fill on the pairs no row sees."""
+    order = slot_order(ctx.seq)
+    n, n_sent = len(order), len(ctx.sentences)
+    out = np.full((n, n), fill)
+    out[order[:n_sent, None], order] = np.where(ctx.visible, sentence_block,
+                                                fill)
+    out[order[n_sent:, None], order[ctx.edge_keys]] = edge_block
+    return out

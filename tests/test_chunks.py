@@ -10,6 +10,7 @@ from cohgraph.fusion import model as fusion_model
 from cohgraph.fusion.masking import softmax
 from cohgraph.fusion.model import DropoutStream, FusionModel, chunk_order
 from cohgraph.synth import SynthProfile, synth_generate
+from cohgraph.variants import Variant
 
 from conftest import make_demo_document, tiny_model_config
 
@@ -105,19 +106,27 @@ def test_chunks_match_one_document_at_a_time(overrides, budget, monkeypatch):
 
 
 def test_padding_is_inert_and_receives_zero_gradient():
-    """Real queries give padded keys exactly zero attention, a padded query
-    attends only to itself, and no gradient reaches a padded row."""
+    """Each document of a chunk has its S_b sentences in the chunk's first
+    S slots and its E_b edges in the E after them. Real queries give padded
+    keys exactly zero attention, a padded sentence slot attends only to
+    itself, and no gradient reaches a padded row."""
     model = FusionModel.build(tiny_model_config(n_layers=2))
     contexts = [model.prepare(doc) for doc in mixed_docs(3)]
-    lengths = [len(ctx.seq) for ctx in contexts]
-    n = max(lengths)
-    assert min(lengths) < n
+    n_sent = [len(ctx.sentences) for ctx in contexts]
+    n_edge = [len(ctx.edge_pos) for ctx in contexts]
+    s_max = max(n_sent)
+    n = s_max + max(n_edge)
+    assert min(n_sent) < s_max and min(n_edge) < max(n_edge)
     logits, _, cache = model.forward_context(contexts)
+    real = np.zeros((len(contexts), n), dtype=bool)
+    for b, (s, e) in enumerate(zip(n_sent, n_edge)):
+        real[b, :s] = real[b, s_max:s_max + e] = True
     for layer_cache in cache["layers"]:
-        probs = layer_cache["heads"][-1]
-        for b, m in enumerate(lengths):
-            assert (probs[b, :, :m, m:] == 0.0).all()
-            assert (probs[b, :, m:, m:] == np.eye(n - m)).all()
+        probs = layer_cache["heads"][-2]
+        assert probs.shape[2:] == (s_max, n)
+        for b, s in enumerate(n_sent):
+            assert (probs[b, :, :s][:, :, ~real[b]] == 0.0).all()
+            assert (probs[b, :, s:, :] == np.eye(s_max, n)[s:]).all()
 
     seen = {}
     embed_backward = model._embed_backward
@@ -130,9 +139,32 @@ def test_padding_is_inert_and_receives_zero_gradient():
     dlogits = np.random.default_rng(0).normal(size=logits.shape)
     model.backward_from_logits(dlogits, cache, model.zero_grads())
     dx = seen["dx"].reshape(len(contexts), n, -1)
-    for b, m in enumerate(lengths):
-        assert dx[b, :m].any()
-        assert (dx[b, m:] == 0.0).all()
+    assert dx[real].any(axis=-1).all()
+    assert (dx[~real] == 0.0).all()
+
+
+@pytest.mark.parametrize("variants", [
+    (Variant.FULL, Variant.TEXT_ONLY, Variant.TEXT_REL),
+    (Variant.TEXT_ONLY, Variant.FULL, Variant.TEXT_ONLY),
+])
+def test_edge_free_documents_share_a_chunk_with_edged_ones(variants):
+    """A chunk may hold documents without edges, before or after ones with
+    edges: its logits and gradients equal the per-document runs within
+    1e-10 relative."""
+    model = FusionModel.build(tiny_model_config(n_layers=2))
+    contexts = [model.prepare(doc, variant)
+                for doc, variant in zip(mixed_docs(3), variants)]
+    assert [len(ctx.edge_pos) == 0 for ctx in contexts] == [
+        variant is Variant.TEXT_ONLY for variant in variants]
+    _, want_grads, want_logits = one_at_a_time(model, contexts, None)
+    logits, _, cache = model.forward_context(contexts)
+    _assert_rel_close(logits, want_logits, 1e-10)
+    dlogits = softmax(logits)
+    dlogits[np.arange(len(contexts)), [ctx.label for ctx in contexts]] -= 1.0
+    grads = model.zero_grads()
+    model.backward_from_logits(dlogits / len(contexts), cache, grads)
+    for name in model.params:
+        _assert_rel_close(grads[name], want_grads[name], 1e-10)
 
 
 def test_gradients_match_finite_differences_across_chunks(monkeypatch):

@@ -13,6 +13,7 @@ from click.testing import CliRunner
 import cohgraph
 from cohgraph.cli import main
 from cohgraph.corpus import document_to_record, dumps_canonical, write_corpus
+from cohgraph.fusion.model import ContractError, FusionModel
 from cohgraph.synth import SynthProfile, synth_generate
 
 from conftest import make_demo_document
@@ -195,6 +196,26 @@ class TestTrainEval:
         assert "Traceback" not in proc.stdout + proc.stderr
         assert str(ckpt) in proc.stderr
 
+
+    @pytest.mark.parametrize("error", [ContractError, MemoryError])
+    def test_eval_predict_error_exits_1_without_traceback(
+            self, runner, small_corpus, tmp_path, monkeypatch, error):
+        """A contract violation or an exhausted memory inside predict ends
+        in exit 1 and a message naming the document."""
+        ckpt = tmp_path / "p.ckpt"
+        assert runner.invoke(main, ["train", str(small_corpus), str(ckpt),
+                                    *TRAIN_FLAGS]).exit_code == 0
+
+        def predict(self, docs, variant):
+            raise error(f"document {docs[0].id!r}: cannot be predicted")
+
+        monkeypatch.setattr(FusionModel, "predict", predict)
+        result = runner.invoke(main, ["eval", str(ckpt), str(small_corpus),
+                                      "--report", str(tmp_path / "r.json")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert "error: document 'synth-" in result.output
 
     def test_config_file_values_survive_absent_flags(self, runner,
                                                      small_corpus, tmp_path):

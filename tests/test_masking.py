@@ -1,14 +1,19 @@
-"""Visibility mask and masked softmax against brute-force predicates."""
+"""Visibility mask and masked softmax against brute-force predicates, and
+the model's global-local row structure against the mask."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohgraph.flat import ElementKind, FlatElement, FlatSequence, linearize
 from cohgraph.fusion.masking import (MASKED, FullyMaskedRowError,
                                      masked_softmax, visible_matrix)
+from cohgraph.fusion.model import ContractError, FusionModel
 from cohgraph.graph import build_graph
 
-from conftest import make_demo_document
+from conftest import make_demo_document, tiny_model_config
+from oracles import slot_order
 from test_graph import random_document
 
 
@@ -125,3 +130,49 @@ class TestMaskedSoftmax:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             masked_softmax(np.zeros((2, 2)), np.zeros((3, 3)))
+
+
+_KEY_MODEL = FusionModel.build(tiny_model_config())
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), permute=st.booleans())
+def test_global_local_key_sets_equal_the_visible_matrix(seed, permute):
+    """The keys prepare_sequence gives each row are exactly the ones
+    visible_matrix allows, in any element order: each sentence row's
+    visible slots, and each edge row's {itself, sentence(start),
+    sentence(end)}."""
+    seq = random_flat_sequence(np.random.default_rng(seed))
+    # random_flat_sequence draws its document first from the same stream
+    doc = random_document(np.random.default_rng(seed), "mask")
+    if permute:
+        shuffle = np.random.default_rng(seed + 1).permutation(len(seq))
+        seq = FlatSequence(tuple(seq.elements[i] for i in shuffle),
+                           seq.n_sentences)
+    ctx = _KEY_MODEL.prepare_sequence(doc, seq)
+    visible = visible_matrix(seq) == 0.0
+    order = slot_order(seq)
+    n_sent = len(ctx.sentences)
+    assert n_sent == sum(el.kind is ElementKind.SENTENCE
+                         for el in seq.elements)
+    np.testing.assert_array_equal(ctx.visible,
+                                  visible[order[:n_sent, None], order])
+    for e, row in enumerate(order[n_sent:]):
+        el = seq.elements[row]
+        keys = order[ctx.edge_keys[e].astype(np.intp)]
+        assert keys[0] == row
+        assert [seq.elements[i].start for i in keys[1:]] == [el.start, el.end]
+        assert set(keys) == set(np.flatnonzero(visible[row]))
+
+
+@pytest.mark.parametrize("start, end", [(2, 9), (0, 1), (3, 3)])
+def test_edge_without_two_sentences_is_a_contract_error(start, end):
+    """An edge that names a sentence the sequence lacks, or links a
+    sentence to itself, is refused with the document's id."""
+    doc = make_demo_document()
+    seq = linearize(build_graph(doc))
+    bad = FlatSequence(
+        seq.elements + (FlatElement(ElementKind.ENTITY, "ghost", start, end),),
+        seq.n_sentences)
+    with pytest.raises(ContractError, match="demo-0001"):
+        _KEY_MODEL.prepare_sequence(doc, bad)

@@ -212,8 +212,9 @@ class TestForward:
 
     def test_long_document_forward_stays_under_memory_bound(self):
         """A ~300-element document at the default config: the position path
-        holds (U, 4 * d_model) features and each head (n, n) scores, nothing
-        of shape (n * n, d_model) (which alone would be 176 MiB here)."""
+        holds (U, 4 * d_model) features and each head (S, n) and (E, n)
+        score blocks, nothing of shape (n * n, d_model) (which alone would
+        be 176 MiB here)."""
         profile = SynthProfile(name="long", n_sentences=(76, 76),
                                explicit_prob=1.0, medium_entity_prob=1.0)
         doc = synth_generate(3, seed=4, profile=profile)[2]
@@ -227,6 +228,20 @@ class TestForward:
         finally:
             tracemalloc.stop()
         assert peak < 128 * 2 ** 20
+
+    def test_predict_out_of_memory_names_the_chunk_documents(self,
+                                                           monkeypatch):
+        model = FusionModel.build(tiny_model_config())
+        docs = small_docs(2)
+
+        def forward_context(self, contexts, *args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(FusionModel, "forward_context", forward_context)
+        with pytest.raises(MemoryError) as err:
+            model.predict(docs)
+        for doc in docs:
+            assert repr(doc.id) in str(err.value)
 
     def test_repeated_eval_calls_are_bit_identical(self):
         model = FusionModel.build(tiny_model_config())
@@ -321,6 +336,26 @@ class TestDropoutStream:
         assert not np.array_equal(a, stream.mask(2, 0, (5, 6)))
         assert not np.array_equal(a, stream.mask(1, 1, (5, 6)))
         assert not np.array_equal(a, stream.at(3, 4).mask(1, 0, (5, 6)))
+
+    @pytest.mark.parametrize("seed, coords, shape", [
+        (0, (0, 0, 0, 0), (19, 32)),
+        (3, (2, 4, 1, 3), (5, 6)),
+        (12345, (7, 0, 31, 1), (140, 16)),
+        (2 ** 40 + 5, (1, 9, 2, 0), (1, 1)),
+    ])
+    def test_draws_are_a_fresh_philox_stream_per_coordinate(self, seed,
+                                                            coords, shape):
+        """draw is the stream of a Philox generator keyed by the seed and
+        countered by (epoch, step, doc_index, slot), whatever was drawn
+        before."""
+        epoch, step, doc_index, slot = coords
+        stream = DropoutStream(seed, 0.5, epoch, step)
+        stream.draw(doc_index + 1, slot, np.empty((3, 4)))
+        got = np.empty(shape)
+        stream.draw(doc_index, slot, got)
+        want = np.random.Generator(np.random.Philox(
+            key=seed, counter=[epoch, step, doc_index, slot])).random(shape)
+        np.testing.assert_array_equal(got, want)
 
     def test_inverted_scaling(self):
         stream = DropoutStream(seed=0, rate=0.25)

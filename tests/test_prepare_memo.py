@@ -17,26 +17,32 @@ from cohgraph.fusion.config import TrainConfig
 from cohgraph.fusion.encoder import HashBucketSentenceEncoder
 from cohgraph.fusion.model import DropoutStream, FusionModel
 from cohgraph.fusion.train import FusionClassifier
-from cohgraph.harness import kfold, run_cv
+from cohgraph.harness import run_cv
 from cohgraph.synth import SynthProfile, synth_generate
 from cohgraph.variants import Variant
 
 from conftest import make_demo_document, tiny_model_config
+from oracles import slot_order
 
 # The O(n + U) part of a context's bound in the fusion.model docstring.
-BYTES_PER_ELEMENT_AND_TUPLE = 128
+BYTES_PER_ELEMENT_AND_TUPLE = 192
 
 
 class OtherEncoder(HashBucketSentenceEncoder):
     """Same buckets, another class: prepare must not share contexts with it."""
 
 
+def context_arrays(ctx):
+    """Every array a context holds."""
+    return [ctx.visible, ctx.sentence_pos, ctx.edge_keys,
+            ctx.edge_pos, ctx.pos_rows, *ctx.sentences,
+            *(a for _, slots, ids in ctx.lookups for a in (slots, ids))]
+
+
 def assert_same_structure(got, want):
     assert got.seq == want.seq
-    for a, b in [(got.visible, want.visible), (got.pos_rows, want.pos_rows),
-                 (got.pos_inv, want.pos_inv),
-                 (got.sentence_rows, want.sentence_rows),
-                 *zip(got.sentences, want.sentences)]:
+    assert got.n_edge_tuples == want.n_edge_tuples
+    for a, b in zip(context_arrays(got), context_arrays(want)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     for (name, rows, ids), (want_name, want_rows, want_ids) in zip(
             got.lookups, want.lookups):
@@ -150,34 +156,39 @@ def test_no_context_references_its_document():
 
 def test_shared_context_arrays_are_read_only():
     ctx = FusionModel.build(tiny_model_config()).prepare(make_demo_document())
-    arrays = [ctx.visible, ctx.pos_inv, ctx.pos_rows, ctx.sentence_rows,
-              *ctx.sentences]
-    arrays += [a for _, rows, ids in ctx.lookups for a in (rows, ids)]
-    for arr in arrays:
+    for arr in context_arrays(ctx):
         with pytest.raises(ValueError):
             arr[0] = arr[0]
     with pytest.raises(ValueError):
         ctx.visible[0, 0] = False
-    # mask is formed on demand, as the additive float array
-    assert ctx.mask.dtype == np.float64
-    assert set(np.unique(ctx.mask)) <= {0.0, fusion_model.MASKED}
-    assert np.array_equal(ctx.mask == 0.0, ctx.visible)
 
 
 def test_compact_dtypes_hold_their_range():
+    """Each index array is in the smallest unsigned dtype holding it, and
+    the tuples it names are the pairs' distance tuples."""
     profile = SynthProfile(name="long", n_sentences=(30, 30),
                            explicit_prob=1.0, medium_entity_prob=1.0)
     model = FusionModel.build(tiny_model_config())
     for doc in [make_demo_document()] + synth_generate(3, seed=4,
                                                        profile=profile):
         ctx = model.prepare(doc)
-        fresh = fusion_model.unique_distance_rows(fusion_model.distance_indices(
-            ctx.seq, model.config.max_relative_distance))
+        dist = fusion_model.distance_indices(
+            ctx.seq, model.config.max_relative_distance)
+        order = slot_order(ctx.seq)
+        n_sent = len(ctx.sentences)
         assert ctx.visible.dtype == np.bool_
-        assert ctx.pos_inv.dtype == np.min_scalar_type(len(ctx.pos_rows) - 1)
+        for arr in (ctx.sentence_pos, ctx.edge_keys,
+                    ctx.edge_pos, ctx.pos_rows):
+            assert arr.dtype == np.min_scalar_type(arr.max(initial=0))
         assert ctx.pos_rows.dtype == np.uint8
-        assert np.array_equal(ctx.pos_rows, fresh[0])
-        assert np.array_equal(ctx.pos_inv, fresh[1])
+        sentence_tuples = ctx.pos_rows[ctx.sentence_pos]
+        assert np.array_equal(sentence_tuples[ctx.visible],
+                              dist[order[:n_sent, None], order][ctx.visible])
+        assert np.array_equal(ctx.pos_rows[ctx.edge_pos],
+                              dist[order[n_sent:, None], order[ctx.edge_keys]])
+        # the edge rows' tuples come first, and no sentence row uses one
+        assert (ctx.edge_pos < ctx.n_edge_tuples).all()
+        assert (ctx.sentence_pos[ctx.visible] >= ctx.n_edge_tuples).all()
 
 
 @pytest.mark.parametrize("overrides", [
@@ -227,9 +238,10 @@ def test_predict_keeps_nothing_it_prepares(monkeypatch):
 
 def test_run_cv_prepares_each_document_once_per_variant_in_training(
         monkeypatch):
-    """Every fit prepares a document at most once per variant over the whole
-    run; only the first fold's held-out documents, predicted before any fit
-    has seen them, are prepared once more, by predict."""
+    """Over a whole run, each document is prepared exactly once per
+    variant: the first fold's held-out documents are prepared through the
+    kept contexts when they are predicted, and every later fit reuses
+    them."""
     docs = synth_generate(12, seed=6, profile=SynthProfile(
         name="cv", n_sentences=(3, 5), tokens_per_sentence=(3, 4)))
     calls = counted_prepare_sequence(monkeypatch)
@@ -239,15 +251,13 @@ def test_run_cv_prepares_each_document_once_per_variant_in_training(
                                    variant=variant)
         run_cv(docs, 3, lambda: FusionClassifier(tiny_model_config(),
                                                  train_config), seed=0)
-    first_held_out = kfold(docs, 3, 0, True).fold_ids(0)
-    assert sorted(calls) == sorted(
-        len(variants) * ([doc.id for doc in docs] + first_held_out))
+    assert sorted(calls) == sorted(len(variants) * [doc.id for doc in docs])
 
 
 def test_retained_memory_is_within_the_stated_bound():
     """20 prepared documents of 140-150 elements hold less than 1.5 times
-    n*n bytes of visibility plus n*n*itemsize of pos_inv plus 128 bytes per
-    element and distinct tuple each."""
+    S * n bytes of sentence-row visibility plus S * n * itemsize of their
+    tuple index plus 192 bytes per element and distinct tuple each."""
     profile = SynthProfile(name="long", n_sentences=(36, 38),
                            explicit_prob=1.0, medium_entity_prob=1.0)
     model = FusionModel.build(tiny_model_config())
@@ -266,9 +276,11 @@ def test_retained_memory_is_within_the_stated_bound():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    bound = sum(ctx.visible.size * (1 + ctx.pos_inv.itemsize)
+    bound = sum(ctx.visible.size * (1 + ctx.sentence_pos.itemsize)
                 + BYTES_PER_ELEMENT_AND_TUPLE * (len(ctx.seq)
                                                  + len(ctx.pos_rows))
                 for ctx in contexts)
-    assert all(ctx.pos_inv.itemsize == 2 for ctx in contexts)
+    # under a third of the elements are sentences, so the kept visibility
+    # is under a third of the n * n the dense mask took
+    assert all(3 * ctx.visible.size < len(ctx.seq) ** 2 for ctx in contexts)
     assert held < 1.5 * bound
