@@ -9,6 +9,7 @@ identical inputs and seeds.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -37,6 +38,19 @@ _INPUT_ERRORS = (CorpusFormatError, GraphStructureError, ContractError,
 def _fail(code: int, message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+@contextlib.contextmanager
+def _exit_on_failure():
+    """End a failed computation with its exit code and message, never a
+    traceback: 2 for a numerical failure, 1 for bad input, a violated
+    contract or exhausted memory."""
+    try:
+        yield
+    except (TrainingDivergedError, NumericalError) as exc:
+        _fail(EXIT_NUMERICAL_ERROR, str(exc))
+    except _INPUT_ERRORS + (MemoryError,) as exc:
+        _fail(EXIT_INPUT_ERROR, str(exc))
 
 
 def _read_corpus(path: str) -> list[Document]:
@@ -241,12 +255,8 @@ def cmd_train(corpus_path: str, checkpoint_path: str, metrics_log: str | None,
     docs = _read_corpus(corpus_path)
     if not docs:
         _fail(EXIT_INPUT_ERROR, f"{corpus_path}: empty corpus")
-    try:
+    with _exit_on_failure():
         model, metrics = train_model(docs, model_config, train_config)
-    except TrainingDivergedError as exc:
-        _fail(EXIT_NUMERICAL_ERROR, str(exc))
-    except (ContractError, NumericalError) as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
     model.save(checkpoint_path)
     log_path = Path(metrics_log or f"{checkpoint_path}.metrics.jsonl")
     provenance = _provenance(model_config, train_config)
@@ -287,12 +297,8 @@ def cmd_eval(checkpoint_path: str, corpus_path: str, report_path: str,
     labeled = [d for d in docs if d.label is not None]
     if not labeled:
         _fail(EXIT_INPUT_ERROR, f"{corpus_path}: no labeled documents")
-    try:
+    with _exit_on_failure():
         preds = model.predict(labeled, variant=_variant(variant))
-    except NumericalError as exc:
-        _fail(EXIT_NUMERICAL_ERROR, str(exc))
-    except (ContractError, MemoryError) as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
     report = per_label_report(preds, [d.label for d in labeled])
     _write_json(Path(report_path), {
         "model_config": model.config.to_dict(),
@@ -322,13 +328,9 @@ def cmd_cv(corpus_path: str, report_path: str, k: int, plain_folds: bool,
         d_model, n_heads, n_layers, dropout)
     docs = _read_corpus(corpus_path)
     factory = lambda: FusionClassifier(model_config, train_config)
-    try:
+    with _exit_on_failure():
         result = run_cv(docs, k, factory, train_config.seed,
                         stratified=not plain_folds)
-    except TrainingDivergedError as exc:
-        _fail(EXIT_NUMERICAL_ERROR, str(exc))
-    except _INPUT_ERRORS as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
     payload = _provenance(model_config, train_config)
     payload.update({"k": k, "stratified": not plain_folds,
                     "result": result.to_dict()})
@@ -356,15 +358,11 @@ def cmd_xdomain(corpus_path: str, report_path: str, train_tag: str,
     baseline_config = TrainConfig.from_dict(
         {**train_config.to_dict(), "variant": Variant.TEXT_ONLY.value})
     docs = _read_corpus(corpus_path)
-    try:
+    with _exit_on_failure():
         reports = cross_domain(
             docs, train_tag, list(test_tags),
             lambda: FusionClassifier(model_config, train_config),
             lambda: FusionClassifier(model_config, baseline_config))
-    except TrainingDivergedError as exc:
-        _fail(EXIT_NUMERICAL_ERROR, str(exc))
-    except _INPUT_ERRORS as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
     payload = _provenance(model_config, train_config)
     payload.update({"train_tag": train_tag,
                     "transfers": [r.to_dict() for r in reports]})

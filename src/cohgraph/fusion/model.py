@@ -28,6 +28,13 @@ one (E, n) product of the edge queries with the keys (cheaper than
 gathering key vectors at these sizes), their position terms from the few
 distance tuples only edge rows use.
 
+The classifier pools only sentence outputs, so the last layer runs only the
+S sentence rows as queries: its keys, values and position path still cover
+all n rows, and its query projection, sentence block, output projection,
+LayerNorms, FFN and dropout masks run on the S rows. Its edge rows are
+never formed; edge embeddings still get its gradient through its keys and
+values.
+
 r_ij depends on the pair only through its clipped distance tuple, and only
 the U distinct tuples of pairs some row sees are kept (about n / 2 on long
 documents). The position path runs on those rows: the embeddings are
@@ -60,12 +67,14 @@ never changes a real row and receives exactly zero gradient. forward_context
 runs one context as a chunk of one, unpadded, on the same path.
 
 Activations are bounded per chunk, not per batch: one chunk's cache is
-alive at a time, and it holds about B * (S + E) rows of layer activations
-and, per layer, the probabilities of the sentence rows (B, H, S, S + E) and
-edge rows (B, H, E, 3); the (B, H, S, U) position scores and (B, H, E,
-S + E) edge blocks exist only while a layer runs. A document longer than
-half the budget runs alone, so every document of more than 48 elements
-keeps the shapes and memory it has on its own.
+alive at a time, and it holds about B * (S + E) rows of activations per
+layer but the last, which holds B * S rows of its caches (its input is the
+previous layer's B * (S + E) rows), and, per layer, the probabilities of
+the sentence rows (B, H, S, S + E) and, but the last, of the edge rows
+(B, H, E, 3); the (B, H, S, U) position scores and (B, H, E, S + E) edge
+blocks exist only while a layer runs. A document longer than half the
+budget runs alone, so every document of more than 48 elements keeps the
+shapes and memory it has on its own.
 
 Kept contexts are bounded per live document instead: while a document of n
 elements, S of them sentences, with U distinct tuples is alive, each
@@ -83,7 +92,7 @@ from __future__ import annotations
 import json
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -177,7 +186,9 @@ class Visibility:
     """The attention structure of a chunk of B documents, each laid out in
     n = S + E rows: S sentence slots, then E edge slots, where S and E are
     the chunk's largest counts and a document with fewer pads each kind at
-    its end.
+    its end. Every slot is a key; the query rows are the S sentence slots
+    and the E edge slots, or, after sentence_queries, the sentence slots
+    alone.
 
     A sentence row scores every row of its document under an additive
     mask. An edge row scores three keys: itself, and the sentences at its
@@ -188,11 +199,25 @@ class Visibility:
     mask: np.ndarray        # (B, 1, S, n) additive mask of the sentence rows
     cols: np.ndarray        # (B, H, S, n) flat index of each sentence-row
                             # pair's position term in a (B, H, S, U) array
-    edge_cols: np.ndarray   # (B, H, E, 3) flat index of each edge row's keys
-                            # (itself, start, end) in a (B, H, E, n) array
+    edge_cols: np.ndarray   # (B, H, E, 3) flat index of each edge query
+                            # row's keys (itself, start, end) in a
+                            # (B, H, E, n) array; E is 0 after
+                            # sentence_queries
     tuple_cols: np.ndarray  # (B, H, E, 3) flat index of their distance
                             # tuples in a (B, H, E, n_edge_tuples) array
     n_edge_tuples: int      # the edge rows' tuples are the chunk's first
+
+    @property
+    def n_queries(self) -> int:
+        """Query rows per document: the S sentence slots, then the edge
+        slots if they query too. A layer's output has these rows."""
+        return self.mask.shape[2] + self.edge_cols.shape[2]
+
+    def sentence_queries(self) -> "Visibility":
+        """The same chunk with the S sentence slots as its only query rows:
+        the edge slots stay keys and values."""
+        return replace(self, edge_cols=self.edge_cols[:, :, :0],
+                       tuple_cols=self.tuple_cols[:, :, :0])
 
 
 # FusionModel.prepare's kept contexts:
@@ -341,27 +366,38 @@ def _merge_heads(a: np.ndarray) -> np.ndarray:
     return a.transpose(0, 2, 1, 3).reshape(b * n_rows, h * d_head)
 
 
+def _query_rows(a: np.ndarray, n: int, rows: int) -> np.ndarray:
+    """The first rows of each document's n rows of a (B * n, d), as
+    (B * rows, d): a itself when rows is n."""
+    if rows == n:
+        return a
+    return a.reshape(-1, n, a.shape[-1])[:, :rows].reshape(-1, a.shape[-1])
+
+
 def head_scores(x: np.ndarray, pe: np.ndarray, vis: Visibility,
                 heads: HeadParams, scale: float):
     """Scaled four-term scores q_i.k_j + q_i.r_ij + u.k_j + v.r_ij of every
-    head on the keys each row sees, before the mask, for a chunk laid out
-    as vis describes: layer input x (B * n, d_model) and the position
+    head on the keys each query row sees, before the mask, for a chunk laid
+    out as vis describes: layer input x (B * n, d_model) and the position
     embeddings pe (U, d_model) of the chunk's distance tuples.
 
     Each score is (q_i + u).k_j + (q_i + v).r_ij, and both terms are batched
     products read per pair: sentence rows' from their products with all n
     keys and the U tuples, edge rows' from their products with all n keys
     and the first n_edge_tuples tuples. Returns (sentence scores
-    (B, H, S, n), edge scores (B, H, E, 3) on (itself, start, end),
-    (q, k, r)) with q, k (B * n, H * d_head) and r (U, H * d_head).
+    (B, H, S, n), edge scores (B, H, E_q, 3) on (itself, start, end),
+    (q, k, r)) with q (B * vis.n_queries, H * d_head) on the query rows,
+    k (B * n, H * d_head) and r (U, H * d_head); E_q is E, or 0 when vis
+    has only sentence queries.
     """
     u, v = np.atleast_2d(heads.u), np.atleast_2d(heads.v)
     n_sent, n = vis.mask.shape[2:]
+    rows = vis.n_queries
     n_heads = u.shape[0]
-    q = x @ heads.W_q
+    q = _query_rows(x, n, rows) @ heads.W_q
     k = x @ heads.W_k
     r = pe @ heads.W_r
-    q4 = _split_heads(q, n, n_heads)
+    q4 = _split_heads(q, rows, n_heads)
     qu = q4 + u[:, None, :]
     qv = q4 + v[:, None, :]
     k4 = _split_heads(k, n, n_heads)
@@ -369,6 +405,8 @@ def head_scores(x: np.ndarray, pe: np.ndarray, vis: Visibility,
     s = qu[:, :, :n_sent] @ k4.swapaxes(-1, -2)
     s += (qv[:, :, :n_sent] @ r4).ravel()[vis.cols]
     s *= scale
+    if rows == n_sent:  # no edge queries
+        return s, np.empty(vis.edge_cols.shape), (q, k, r)
     se = (qv[:, :, n_sent:] @ r4[..., :vis.n_edge_tuples]).ravel()[
         vis.tuple_cols]
     se += (qu[:, :, n_sent:] @ k4.swapaxes(-1, -2)).ravel()[vis.edge_cols]
@@ -386,21 +424,24 @@ def _edge_block(w: np.ndarray, vis: Visibility, n: int) -> np.ndarray:
 
 def head_forward(x: np.ndarray, pe: np.ndarray, vis: Visibility,
                  heads: HeadParams, scale: float):
-    """Every head's attention output, concatenated to (B * n, H * d_head),
-    and the cache head_backward reads: vis, the projections and the
-    attention probabilities of the sentence rows (B, H, S, n) and edge rows
-    (B, H, E, 3)."""
+    """Every head's attention output on the query rows, concatenated to
+    (B * vis.n_queries, H * d_head), and the cache head_backward reads:
+    vis, the projections and the attention probabilities of the sentence
+    rows (B, H, S, n) and edge query rows (B, H, E_q, 3)."""
     s, se, (q, k, r) = head_scores(x, pe, vis, heads, scale)
     n_heads, n_sent, n = s.shape[1:]
+    rows = vis.n_queries
     # every sentence row sees itself, so no row of the mask is empty
     probs = softmax(s + vis.mask)
-    probs_e = softmax(se)
     v_mat = x @ heads.W_v
     v4 = _split_heads(v_mat, n, n_heads)
-    out = np.empty((len(s), n, n_heads, v4.shape[-1]))
+    out = np.empty((len(s), rows, n_heads, v4.shape[-1]))
     out[:, :n_sent] = (probs @ v4).swapaxes(1, 2)
-    out[:, n_sent:] = (_edge_block(probs_e, vis, n) @ v4).swapaxes(1, 2)
-    return (out.reshape(len(x), -1),
+    probs_e = se
+    if rows > n_sent:
+        probs_e = softmax(se)
+        out[:, n_sent:] = (_edge_block(probs_e, vis, n) @ v4).swapaxes(1, 2)
+    return (out.reshape(len(s) * rows, -1),
             (vis, q, k, v_mat, r, probs, probs_e))
 
 
@@ -417,24 +458,27 @@ def _softmax_backward(dprobs: np.ndarray, probs: np.ndarray,
 def head_backward(dout: np.ndarray, cache: tuple, x: np.ndarray,
                   pe: np.ndarray, heads: HeadParams, scale: float,
                   dx: np.ndarray, dpe: np.ndarray) -> HeadParams:
-    """Reverse of head_forward for the output gradient dout (B * n,
-    H * d_head).
+    """Reverse of head_forward for the output gradient dout
+    (B * n_queries, H * d_head).
 
-    Adds the gradients of x and of the (U, d_model) tuple embeddings pe
-    into dx and dpe in place and returns the parameter gradients, summed
-    over the chunk, laid out as heads is.
+    Adds the gradients of x (B * n, d_model) and of the (U, d_model) tuple
+    embeddings pe into dx and dpe in place: the query gradient into each
+    document's query rows, the key and value gradients into all its rows.
+    Returns the parameter gradients, summed over the chunk, laid out as
+    heads is.
     """
     vis, q, k, v_mat, r, probs, probs_e = cache
     u, v = np.atleast_2d(heads.u), np.atleast_2d(heads.v)
     n_docs, n_heads, n_sent, n = probs.shape
+    rows = vis.n_queries
     n_tuples, n_et = r.shape[0], vis.n_edge_tuples
-    q4 = _split_heads(q, n, n_heads)
+    q4 = _split_heads(q, rows, n_heads)
     qu = q4 + u[:, None, :]
     qv = q4 + v[:, None, :]
     k4 = _split_heads(k, n, n_heads)
     v4 = _split_heads(v_mat, n, n_heads)
     r4 = _split_heads(r, n_tuples, n_heads)
-    dout = _split_heads(dout, n, n_heads)
+    dout = _split_heads(dout, rows, n_heads)
     dq = np.empty_like(dout)
 
     # sentence rows. The query gradient splits into the content term's,
@@ -456,32 +500,39 @@ def head_backward(dout: np.ndarray, cache: tuple, x: np.ndarray,
     dk = ds.swapaxes(-1, -2) @ qu[:, :, :n_sent]
     del seg, ds
 
-    # edge rows: the same on their three keys, spread over an (E, n)
+    # edge query rows: the same on their three keys, spread over an (E, n)
     # block, and on the edge tuples
-    dout_e = dout[:, :, n_sent:]
-    dv += _edge_block(probs_e, vis, n).swapaxes(-1, -2) @ dout_e
-    dse = _softmax_backward(
-        (dout_e @ v4.swapaxes(-1, -2)).ravel()[vis.edge_cols], probs_e, scale)
-    block = _edge_block(dse, vis, n)
-    seg = np.bincount(vis.tuple_cols.ravel(), weights=dse.ravel(),
-                      minlength=dse.size // 3 * n_et).reshape(
-                          dse.shape[:3] + (n_et,))
-    content = block @ k4
-    position = seg @ r4[:, :, :n_et]
-    dq[:, :, n_sent:] = content + position
-    grad_u += content.sum(axis=(0, 2))
-    grad_v_bias += position.sum(axis=(0, 2))
-    dr[:, :n_et] += (seg.swapaxes(-1, -2) @ qv[:, :, n_sent:]).sum(axis=0)
-    dk += block.swapaxes(-1, -2) @ qu[:, :, n_sent:]
+    if rows > n_sent:
+        dout_e = dout[:, :, n_sent:]
+        dv += _edge_block(probs_e, vis, n).swapaxes(-1, -2) @ dout_e
+        dse = _softmax_backward(
+            (dout_e @ v4.swapaxes(-1, -2)).ravel()[vis.edge_cols], probs_e,
+            scale)
+        block = _edge_block(dse, vis, n)
+        seg = np.bincount(vis.tuple_cols.ravel(), weights=dse.ravel(),
+                          minlength=dse.size // 3 * n_et).reshape(
+                              dse.shape[:3] + (n_et,))
+        content = block @ k4
+        position = seg @ r4[:, :, :n_et]
+        dq[:, :, n_sent:] = content + position
+        grad_u += content.sum(axis=(0, 2))
+        grad_v_bias += position.sum(axis=(0, 2))
+        dr[:, :n_et] += (seg.swapaxes(-1, -2) @ qv[:, :, n_sent:]).sum(axis=0)
+        dk += block.swapaxes(-1, -2) @ qu[:, :, n_sent:]
 
     dq, dk, dv = _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
     dr = _merge_heads(dr[None])
-    dx += dq @ heads.W_q.T
+    dxq = dq @ heads.W_q.T
+    if rows == n:
+        dx += dxq
+    else:
+        dx.reshape(n_docs, n, -1)[:, :rows] += dxq.reshape(n_docs, rows, -1)
     dx += dk @ heads.W_k.T
     dx += dv @ heads.W_v.T
     dpe += dr @ heads.W_r.T
     return HeadParams(
-        W_q=x.T @ dq, W_k=x.T @ dk, W_r=pe.T @ dr, W_v=x.T @ dv,
+        W_q=_query_rows(x, n, rows).T @ dq, W_k=x.T @ dk, W_r=pe.T @ dr,
+        W_v=x.T @ dv,
         u=grad_u.reshape(heads.u.shape),
         v=grad_v_bias.reshape(heads.v.shape))
 
@@ -847,7 +898,7 @@ class FusionModel:
                and cfg.dropout_rate > 0.0 else None)
         vis, pos_rows = chunk_visibility(contexts, cfg.n_heads)
         n_docs, _, n_sent, n = vis.mask.shape
-        pool = np.zeros((n_docs, n))
+        pool = np.zeros((n_docs, n_sent))
         for b, ctx in enumerate(contexts):
             if cfg.pooling == "mean_sentences":
                 pool[b, :len(ctx.sentences)] = 1.0 / len(ctx.sentences)
@@ -859,22 +910,27 @@ class FusionModel:
             self.position_table, pos_rows, self.params["pos/W_p"],
             cfg.position_activation)
 
+        # the classifier pools only sentence rows, so the last layer runs
+        # only those as queries
         layer_caches = []
         for l in range(cfg.n_layers):
+            if l == cfg.n_layers - 1:
+                vis = vis.sentence_queries()
             keep = None if use is None else (
-                self._dropout_keep(use, doc_indices, contexts, n_sent, n,
-                                   2 * l),
-                self._dropout_keep(use, doc_indices, contexts, n_sent, n,
+                self._dropout_keep(use, doc_indices, contexts, vis, 2 * l),
+                self._dropout_keep(use, doc_indices, contexts, vis,
                                    2 * l + 1))
             x, layer_cache = self._forward_layer(x, pe, vis, l, keep)
             if not np.isfinite(x).all():
-                bad = np.unique(np.nonzero(~np.isfinite(x))[0] // n)
+                bad = np.unique(np.nonzero(~np.isfinite(x))[0]
+                                // vis.n_queries)
                 raise NumericalError(
                     f"non-finite activations after layer {l} in document(s) "
                     f"{', '.join(repr(contexts[b].doc_id) for b in bad)}")
             layer_caches.append(layer_cache)
 
-        pooled = (pool[:, None, :] @ x.reshape(n_docs, n, cfg.d_model))[:, 0, :]
+        pooled = (pool[:, None, :] @ x.reshape(n_docs, n_sent,
+                                               cfg.d_model))[:, 0, :]
         logits = pooled @ self.params["clf/W"] + self.params["clf/b"]
 
         cache = {
@@ -893,16 +949,20 @@ class FusionModel:
         return logits, pooled
 
     def _dropout_keep(self, dropout: DropoutStream, doc_indices: list[int],
-                      contexts: list[SequenceContext], n_sent: int, n: int,
+                      contexts: list[SequenceContext], vis: Visibility,
                       slot: int) -> np.ndarray:
-        """(B * n, d_model) inverted-dropout mask, 0 or dropout.scale: each
-        document's own (length, d_model) mask, keyed by its batch position,
-        with row t on the document's slot t, and 0 on the padding."""
-        draws = np.zeros((len(contexts), n, self.config.d_model))
+        """(B * vis.n_queries, d_model) inverted-dropout mask, 0 or
+        dropout.scale: each document's own (length, d_model) mask, keyed by
+        its batch position, with row t on the document's slot t, and 0 on
+        the padding. With sentence queries only, a document draws just its
+        S sentence rows, the first S * d_model draws of its mask."""
+        n_sent, rows = vis.mask.shape[2], vis.n_queries
+        draws = np.zeros((len(contexts), rows, self.config.d_model))
         for b, (doc_index, ctx) in enumerate(zip(doc_indices, contexts)):
-            s, m = len(ctx.sentences), len(ctx.seq)
+            s = len(ctx.sentences)
+            m = s if rows == n_sent else len(ctx.seq)
             dropout.draw(doc_index, slot, draws[b, :m])
-            if s < n_sent:  # move the edge rows to the chunk's edge slots
+            if s < n_sent < rows:  # move the edge rows to the edge slots
                 draws[b, n_sent:n_sent + m - s] = draws[b, s:m]
                 draws[b, s:n_sent] = 0.0
         return np.where(draws >= dropout.rate, dropout.scale, 0.0).reshape(
@@ -910,8 +970,9 @@ class FusionModel:
 
     def _forward_layer(self, x: np.ndarray, pe: np.ndarray, vis: Visibility,
                        layer: int, keep: tuple | None):
-        """One layer over a chunk; keep is None or the (attention, FFN)
-        dropout masks."""
+        """One layer over a chunk: x (B * n, d_model) in, its
+        vis.n_queries query rows per document out; keep is None or the
+        (attention, FFN) dropout masks."""
         cfg = self.config
         p = self.params
         heads = self.layer_heads(layer)
@@ -921,7 +982,8 @@ class FusionModel:
         if keep is not None:
             attn *= keep[0]
         y, ln1_cache = layer_norm_forward(
-            x + attn, p[f"layer{layer}/ln1/gamma"], p[f"layer{layer}/ln1/beta"])
+            _query_rows(x, vis.mask.shape[3], vis.n_queries) + attn,
+            p[f"layer{layer}/ln1/gamma"], p[f"layer{layer}/ln1/beta"])
 
         hidden = _rectify(y @ p[f"layer{layer}/ffn/W1"] + p[f"layer{layer}/ffn/b1"],
                           cfg.ffn_activation)
@@ -947,13 +1009,13 @@ class FusionModel:
         dlogits (B, n_classes), one row per document of the chunk."""
         cfg = self.config
         p = self.params
-        n_docs, n = cache["pool"].shape
+        n_docs, rows = cache["pool"].shape
 
         grads["clf/W"] += cache["pooled"].T @ dlogits
         grads["clf/b"] += dlogits.sum(axis=0)
         dpooled = dlogits @ p["clf/W"].T
         dx = (cache["pool"][:, :, None] * dpooled[:, None, :]).reshape(
-            n_docs * n, cfg.d_model)
+            n_docs * rows, cfg.d_model)
 
         dpe_lin = np.zeros_like(cache["pe"])
         for l in reversed(range(cfg.n_layers)):
@@ -1007,6 +1069,14 @@ class FusionModel:
         grads[f"layer{layer}/b_o"] += dattn.sum(axis=0)
         dconcat = dattn @ p[f"layer{layer}/W_o"].T
         del dattn
+        # the residual carries the gradient of the query rows only; the
+        # keys and values reach every row
+        vis = cache["heads"][0]
+        n_docs, n, rows = vis.mask.shape[0], vis.mask.shape[3], vis.n_queries
+        if rows < n:
+            dres, dx = dx, np.zeros_like(cache["x_in"])
+            dx.reshape(n_docs, n, -1)[:, :rows] = dres.reshape(
+                n_docs, rows, -1)
 
         dheads = head_backward(dconcat, cache["heads"], cache["x_in"], pe,
                                cache["head_params"], self.score_scale,

@@ -21,9 +21,18 @@ class AdamW:
         self.t = 0
         self.m = {name: np.zeros_like(arr) for name, arr in params.items()}
         self.v = {name: np.zeros_like(arr) for name, arr in params.items()}
+        self._size = max((arr.size for arr in params.values()), default=0)
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
+        """One update of every parameter, in place. Each update evaluates
+        m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g^2,
+        p *= 1 - lr * weight_decay and
+        p -= lr * (m / bc1) / (sqrt(v / bc2) + eps) operation by operation
+        in that order, into two scratch arrays the size of the largest
+        parameter, shared by every parameter's update and freed after the
+        step, instead of a temporary per operation."""
         self.t += 1
+        scratch = (np.empty(self._size), np.empty(self._size))
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
         for name in sorted(self.params):
@@ -31,10 +40,20 @@ class AdamW:
             g = grads[name]
             m = self.m[name]
             v = self.v[name]
+            a, b = (buf[:p.size].reshape(p.shape) for buf in scratch)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(1.0 - self.beta1, g, out=a)
+            m += a
             v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
+            np.square(g, out=a)
+            np.multiply(1.0 - self.beta2, a, out=a)
+            v += a
             # decoupled decay on the pre-step value, then the Adam update
             p *= 1.0 - self.lr * self.weight_decay
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            np.divide(m, bc1, out=a)
+            np.multiply(self.lr, a, out=a)
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            p -= a

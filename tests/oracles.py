@@ -6,7 +6,10 @@ beyond the scalar `sinusoid` formula (which has its own reference-value
 test). The dense head kernel is the attention head over all n * n pairs,
 with an (n * n, d) position embedding per pair, that the model's
 global-local kernel replaced; dense_layout spreads that kernel's per-pair
-values over the (n, n) grid the dense kernel uses.
+values over the (n, n) grid the dense kernel uses. all_rows_forward is the
+model's forward with the last layer run on every row, as it was before that
+layer ran its sentence rows only. adamw_step is AdamW.step as it was
+written with a temporary per operation.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from cohgraph.flat import ElementKind, FlatElement
-from cohgraph.fusion.model import HeadParams
-from cohgraph.fusion.positions import sinusoid
+from cohgraph.fusion.model import HeadParams, chunk_visibility
+from cohgraph.fusion.positions import position_embedding, sinusoid
 
 
 def named_distances(a: FlatElement, b: FlatElement,
@@ -123,3 +126,58 @@ def dense_layout(ctx, sentence_block, edge_block, fill):
                                                 fill)
     out[order[n_sent:, None], order[ctx.edge_keys]] = edge_block
     return out
+
+
+def all_rows_forward(model, contexts, dropout=None, doc_indices=None):
+    """(logits, pooled, cache) of model on contexts run as one chunk, with
+    every layer, the last too, run on all n rows of each document and the
+    sentence rows pooled out of them by (B, n) weights. The cache is laid
+    out as forward_context's, so backward_from_logits reads it. dropout, if
+    given, is the training stream; document b's masks are keyed by
+    doc_indices[b] (default b)."""
+    cfg = model.config
+    vis, pos_rows = chunk_visibility(contexts, cfg.n_heads)
+    n_docs, _, n_sent, n = vis.mask.shape
+    if doc_indices is None:
+        doc_indices = list(range(n_docs))
+    pool = np.zeros((n_docs, n))
+    for b, ctx in enumerate(contexts):
+        if cfg.pooling == "mean_sentences":
+            pool[b, :len(ctx.sentences)] = 1.0 / len(ctx.sentences)
+        else:
+            pool[b, 0] = 1.0
+    x, embed_index = model._embed(contexts, n_sent, n)
+    feats, pe_lin, pe = position_embedding(
+        model.position_table, pos_rows, model.params["pos/W_p"],
+        cfg.position_activation)
+    layers = []
+    for layer in range(cfg.n_layers):
+        keep = None if dropout is None else tuple(
+            model._dropout_keep(dropout, doc_indices, contexts, vis, slot)
+            for slot in (2 * layer, 2 * layer + 1))
+        x, layer_cache = model._forward_layer(x, pe, vis, layer, keep)
+        layers.append(layer_cache)
+    pooled = (pool[:, None, :] @ x.reshape(n_docs, n, -1))[:, 0, :]
+    logits = pooled @ model.params["clf/W"] + model.params["clf/b"]
+    return logits, pooled, {
+        "embed": embed_index, "feats": feats, "pe_lin": pe_lin, "pe": pe,
+        "layers": layers, "x_out": x, "pool": pool, "pooled": pooled}
+
+
+def adamw_step(opt, grads):
+    """One AdamW.step on opt's parameters and moments, each operation into
+    a fresh temporary."""
+    opt.t += 1
+    bc1 = 1.0 - opt.beta1 ** opt.t
+    bc2 = 1.0 - opt.beta2 ** opt.t
+    for name in sorted(opt.params):
+        p = opt.params[name]
+        g = grads[name]
+        m = opt.m[name]
+        v = opt.v[name]
+        m *= opt.beta1
+        m += (1.0 - opt.beta1) * g
+        v *= opt.beta2
+        v += (1.0 - opt.beta2) * np.square(g)
+        p *= 1.0 - opt.lr * opt.weight_decay
+        p -= opt.lr * (m / bc1) / (np.sqrt(v / bc2) + opt.eps)

@@ -124,7 +124,9 @@ def test_explicit_scale_override():
 @pytest.mark.parametrize("scale_scores", [True, False])
 def test_trained_path_probabilities_match_oracle(share_uv, scale_scores):
     """Every head's cached attention in forward_context equals the masked
-    softmax of the term oracle's scores on that layer's input."""
+    softmax of the term oracle's scores on that layer's input, on every
+    query row: all rows on the first layer, the sentence rows on the last,
+    which runs no edge queries."""
     model = FusionModel.build(tiny_model_config(
         n_layers=2, share_uv=share_uv, scale_scores=scale_scores))
     profile = SynthProfile(name="oracle", n_sentences=(3, 5),
@@ -138,17 +140,24 @@ def test_trained_path_probabilities_match_oracle(share_uv, scale_scores):
     for doc in docs:
         ctx = model.prepare(doc)
         mask = visible_matrix(ctx.seq)
+        order = slot_order(ctx.seq)
         _, _, cache = model.forward_context(ctx)
         for layer, layer_cache in enumerate(cache["layers"]):
-            x = layer_cache["x_in"][np.argsort(slot_order(ctx.seq))]
+            x = layer_cache["x_in"][np.argsort(order)]
             probs, probs_e = layer_cache["heads"][-2:]
+            rows = order
+            if layer == cfg.n_layers - 1:
+                assert probs_e.shape == (1, cfg.n_heads, 0, 3)
+                probs_e = np.zeros((1, cfg.n_heads, len(ctx.edge_keys), 3))
+                rows = order[:len(ctx.sentences)]
             for h in range(cfg.n_heads):
                 want = masked_softmax(
                     oracle_scores(ctx.seq, x, model.head_params(layer, h),
                                   pair_embedding, scale),
                     mask)
                 got = dense_layout(ctx, probs[0, h], probs_e[0, h], 0.0)
-                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(got[rows], want[rows], rtol=0,
+                                           atol=1e-12)
 
 
 def _assert_rel_close(got, want, rel=1e-12):
@@ -162,8 +171,9 @@ def _assert_rel_close(got, want, rel=1e-12):
 @pytest.mark.parametrize("scale_scores", [True, False])
 def test_head_kernel_matches_dense_oracle(share_uv, scale_scores,
                                           position_activation):
-    """On every layer of a forward pass, the global-local kernel over the
-    stacked heads matches the dense per-pair kernel run head by head:
+    """On every layer's input in a forward pass, the global-local kernel
+    over the stacked heads, every row a query, matches the dense per-pair
+    kernel run head by head:
     scores and probabilities on the pairs each row sees, output, the six
     parameter gradients, dx, and the per-pair position gradient summed onto
     the tuple rows. The dense kernel embeds every pair's distances afresh.
@@ -198,10 +208,10 @@ def test_head_kernel_matches_dense_oracle(share_uv, scale_scores,
         _assert_rel_close(pe[pair_tuple[visible]],
                           pe2d.reshape(n, n, -1)[visible])
         to_seq = np.argsort(slot_order(ctx.seq))
+        vis = chunk_visibility([ctx], n_heads)[0]
         for layer, layer_cache in enumerate(cache["layers"]):
             x = layer_cache["x_in"]
             heads = model.layer_heads(layer)
-            vis = layer_cache["heads"][0]
             got_s, got_se, _ = head_scores(x, pe, vis, heads, scale)
             out, head_cache = head_forward(x, pe, vis, heads, scale)
             dout = rng.normal(size=out.shape)
@@ -241,3 +251,49 @@ def test_head_kernel_matches_dense_oracle(share_uv, scale_scores,
                 np.add.at(want_dpe, pair_tuple[visible], dpe2d[visible])
             _assert_rel_close(dx, want_dx)
             _assert_rel_close(dpe, want_dpe)
+
+
+@pytest.mark.parametrize("share_uv", [False, True])
+def test_sentence_queries_match_the_sentence_rows_of_all_rows(share_uv):
+    """With the sentence rows as a chunk's only queries, as in the last
+    layer, the kernel's output is the all-rows output's sentence rows, and
+    its gradients are the all-rows kernel's under an output gradient that
+    is zero on the edge rows; the key and value gradients still reach the
+    edge rows of dx."""
+    model = FusionModel.build(tiny_model_config(share_uv=share_uv))
+    cfg = model.config
+    profile = SynthProfile(name="oracle", n_sentences=(4, 7),
+                           tokens_per_sentence=(3, 5), domain_tags=("synthA",))
+    docs = [make_demo_document()] + synth_generate(2, seed=9, profile=profile)
+    vis, pos_rows = chunk_visibility([model.prepare(doc) for doc in docs],
+                                     cfg.n_heads)
+    pe = position_embedding(model.position_table, pos_rows,
+                            model.params["pos/W_p"])[2]
+    n_docs, _, n_sent, n = vis.mask.shape
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(n_docs * n, cfg.d_model))
+    heads = model.layer_heads(0)
+    scale = model.score_scale
+    queries = vis.sentence_queries()
+    assert (vis.n_queries, queries.n_queries) == (n, n_sent)
+
+    out, cache = head_forward(x, pe, vis, heads, scale)
+    out_s, cache_s = head_forward(x, pe, queries, heads, scale)
+    sentence_rows = lambda a: a.reshape(n_docs, n, -1)[:, :n_sent].reshape(
+        n_docs * n_sent, -1)
+    assert out_s.shape == (n_docs * n_sent, out.shape[1])
+    _assert_rel_close(out_s, sentence_rows(out))
+
+    dout_s = rng.normal(size=out_s.shape)
+    dout = np.zeros_like(out)
+    dout.reshape(n_docs, n, -1)[:, :n_sent] = dout_s.reshape(n_docs, n_sent,
+                                                             -1)
+    dx, dpe = np.zeros_like(x), np.zeros_like(pe)
+    grads = head_backward(dout, cache, x, pe, heads, scale, dx, dpe)
+    dx_s, dpe_s = np.zeros_like(x), np.zeros_like(pe)
+    grads_s = head_backward(dout_s, cache_s, x, pe, heads, scale, dx_s, dpe_s)
+    for field in ("W_q", "W_k", "W_r", "W_v", "u", "v"):
+        _assert_rel_close(getattr(grads_s, field), getattr(grads, field))
+    _assert_rel_close(dx_s, dx)
+    _assert_rel_close(dpe_s, dpe)
+    assert dx_s.reshape(n_docs, n, -1)[:, n_sent:].any()

@@ -13,7 +13,8 @@ from click.testing import CliRunner
 import cohgraph
 from cohgraph.cli import main
 from cohgraph.corpus import document_to_record, dumps_canonical, write_corpus
-from cohgraph.fusion.model import ContractError, FusionModel
+from cohgraph.fusion.model import (ContractError, FusionModel,
+                                   NumericalError)
 from cohgraph.synth import SynthProfile, synth_generate
 
 from conftest import make_demo_document
@@ -277,6 +278,52 @@ class TestCvAndXdomain:
                                       *TRAIN_FLAGS])
         assert result.exit_code == 1
         assert "nope" in result.output
+
+
+def _raising(error, doc_id):
+    """A stand-in for a model method whose first argument lists documents
+    or contexts: it raises error naming the first of them."""
+    def method(self, items, *args, **kwargs):
+        raise error(f"document {doc_id(items[0])!r}: cannot be computed")
+    return method
+
+
+# (command, its arguments after the corpus, the failing FusionModel method,
+# how that method's first argument names a document)
+FAILING_CALLS = [
+    ("train", lambda tmp: [str(tmp / "t.ckpt")], "loss_and_grad_contexts",
+     lambda ctx: ctx.doc_id),
+    ("cv", lambda tmp: ["--k", "3", "--report", str(tmp / "r.json")],
+     "loss_and_grad_contexts", lambda ctx: ctx.doc_id),
+    ("cv", lambda tmp: ["--k", "3", "--report", str(tmp / "r.json")],
+     "predict", lambda doc: doc.id),
+    ("xdomain", lambda tmp: ["--train-tag", "synthA", "--test-tag", "synthB",
+                             "--report", str(tmp / "r.json")],
+     "loss_and_grad_contexts", lambda ctx: ctx.doc_id),
+    ("xdomain", lambda tmp: ["--train-tag", "synthA", "--test-tag", "synthB",
+                             "--report", str(tmp / "r.json")],
+     "predict", lambda doc: doc.id),
+]
+
+
+@pytest.mark.parametrize("error, code", [(ContractError, 1), (MemoryError, 1),
+                                         (NumericalError, 2)])
+@pytest.mark.parametrize("command, args, method, doc_id", FAILING_CALLS,
+                         ids=[f"{c[0]}-{c[2]}" for c in FAILING_CALLS])
+def test_training_commands_exit_with_the_error_code_without_traceback(
+        runner, small_corpus, tmp_path, monkeypatch, command, args, method,
+        doc_id, error, code):
+    """A contract violation or exhausted memory ends in exit 1, a
+    numerical failure in a training step or in a prediction in exit 2,
+    each with a message naming the document."""
+    monkeypatch.setattr(FusionModel, method, _raising(error, doc_id))
+    result = runner.invoke(main, [command, str(small_corpus), *args(tmp_path),
+                                  *TRAIN_FLAGS])
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert "error: " in result.output
+    assert "document 'synth-" in result.output
 
 
 class TestHelp:

@@ -122,25 +122,33 @@ class TestRectifier:
 class TestLayerForward:
     def test_zero_branches_reduce_to_stacked_layer_norms(self):
         """With the attention projection and FFN second map zeroed, the layer
-        is layer-norm of layer-norm of the input (the residual path)."""
+        is layer-norm of layer-norm of the input (the residual path), on
+        every row it computes: the sentence rows, as it is the last."""
         model = FusionModel.build(tiny_model_config())
         model.params["layer0/W_o"][:] = 0.0
         model.params["layer0/b_o"][:] = 0.0
         model.params["layer0/ffn/W2"][:] = 0.0
         model.params["layer0/ffn/b2"][:] = 0.0
-        _, _, cache = model.forward_context(model.prepare(small_docs(1)[0]))
+        ctx = model.prepare(small_docs(1)[0])
+        _, _, cache = model.forward_context(ctx)
         emb, out = cache["layers"][0]["x_in"], cache["x_out"]
         ones = np.ones(model.config.d_model)
         zeros = np.zeros(model.config.d_model)
         expected, _ = layer_norm_forward(emb, ones, zeros)
         expected, _ = layer_norm_forward(expected, ones, zeros)
-        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(out, expected[:len(ctx.sentences)])
 
     def test_shape_contract(self):
-        model = FusionModel.build(tiny_model_config())
+        """Every layer reads all n rows; every layer but the last writes
+        them, and the last writes the S sentence rows."""
+        model = FusionModel.build(tiny_model_config(n_layers=2))
+        d = model.config.d_model
         for doc in small_docs(3):
-            _, _, cache = model.forward_context(model.prepare(doc))
-            assert cache["x_out"].shape == cache["layers"][0]["x_in"].shape
+            ctx = model.prepare(doc)
+            _, _, cache = model.forward_context(ctx)
+            for layer_cache in cache["layers"]:
+                assert layer_cache["x_in"].shape == (len(ctx.seq), d)
+            assert cache["x_out"].shape == (len(ctx.sentences), d)
 
     def test_eval_mode_is_bit_deterministic(self):
         model = FusionModel.build(tiny_model_config())

@@ -11,6 +11,7 @@ from cohgraph.synth import SynthProfile, synth_generate
 from cohgraph.variants import Variant
 
 from conftest import tiny_model_config
+from oracles import adamw_step
 
 
 def train_corpus(n=24, seed=4):
@@ -130,3 +131,28 @@ class TestAdamW:
             w *= 1 - lr * wd
             w -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
             np.testing.assert_allclose(params["w"], w, atol=1e-15)
+
+    def test_in_place_step_is_bit_identical_to_temporaries(self):
+        """Over several steps on parameters of different shapes, the
+        scratch-array step equals the step with a temporary per operation
+        to the last bit: parameters and both moments."""
+        rng = np.random.default_rng(3)
+        shapes = {"a": (5, 4), "b": (7,), "c": (3, 2, 2), "d": (1,)}
+        start = {name: rng.normal(size=shape)
+                 for name, shape in shapes.items()}
+        params = {name: arr.copy() for name, arr in start.items()}
+        want = {name: arr.copy() for name, arr in start.items()}
+        opt = AdamW(params, lr=0.03, weight_decay=0.05, betas=(0.8, 0.99),
+                    eps=1e-6)
+        oracle = AdamW(want, lr=0.03, weight_decay=0.05, betas=(0.8, 0.99),
+                       eps=1e-6)
+        for _ in range(6):
+            grads = {name: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3)
+                     for name, shape in shapes.items()}
+            opt.step(grads)
+            adamw_step(oracle, grads)
+            for name in shapes:
+                np.testing.assert_array_equal(params[name], want[name])
+                np.testing.assert_array_equal(opt.m[name], oracle.m[name])
+                np.testing.assert_array_equal(opt.v[name], oracle.v[name])
+        assert opt.t == oracle.t == 6
