@@ -278,17 +278,24 @@ def cmd_train(corpus_path: str, checkpoint_path: str, metrics_log: str | None,
 @click.argument("corpus_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--report", "report_path", type=click.Path(dir_okay=False),
               required=True, help="Output report JSON path.")
-@click.option("--variant", default=Variant.FULL.value, show_default=True,
-              type=click.Choice([v.value for v in FUSION_VARIANTS]))
+@click.option("--variant", default=None,
+              type=click.Choice([v.value for v in FUSION_VARIANTS]),
+              help="[default: the checkpoint's training variant, or Full]")
 @click.option("--expect-d-model", default=None, type=int,
               help="Fail unless the checkpoint was built with this d_model.")
 def cmd_eval(checkpoint_path: str, corpus_path: str, report_path: str,
-             variant: str, expect_d_model: int | None) -> None:
+             variant: str | None, expect_d_model: int | None) -> None:
     """Evaluate a checkpoint on a labeled corpus and write an EvalReport."""
     try:
         model = FusionModel.load(checkpoint_path)
     except _INPUT_ERRORS as exc:
         _fail(EXIT_INPUT_ERROR, str(exc))
+    if variant is None:
+        variant = (model.variant or Variant.FULL).value
+    elif model.variant not in (None, Variant(variant)):
+        _fail(EXIT_INPUT_ERROR,
+              f"{checkpoint_path}: checkpoint was trained on variant "
+              f"{model.variant.value}, not {variant}")
     if expect_d_model is not None and model.config.d_model != expect_d_model:
         _fail(EXIT_INPUT_ERROR,
               f"checkpoint config mismatch: d_model is "

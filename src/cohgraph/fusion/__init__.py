@@ -2,7 +2,7 @@
 
 from .config import ModelConfig, TrainConfig
 from .encoder import HashBucketSentenceEncoder
-from .masking import masked_softmax, visible_matrix
+from .masking import visible_matrix
 from .model import DropoutStream, FusionModel, HeadParams
 from .positions import sinusoid
 from .train import EpochMetrics, FusionClassifier, train
@@ -10,5 +10,5 @@ from .train import EpochMetrics, FusionClassifier, train
 __all__ = [
     "DropoutStream", "EpochMetrics", "FusionClassifier", "FusionModel",
     "HashBucketSentenceEncoder", "HeadParams", "ModelConfig", "TrainConfig",
-    "masked_softmax", "sinusoid", "train", "visible_matrix",
+    "sinusoid", "train", "visible_matrix",
 ]

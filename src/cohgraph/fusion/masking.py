@@ -16,11 +16,6 @@ from ..flat import ElementKind, FlatSequence
 MASKED = -1e9
 
 
-class FullyMaskedRowError(AssertionError):
-    """A softmax row with no visible entry; impossible for masks built here
-    (the diagonal is always visible) and asserted against for foreign masks."""
-
-
 def visible_matrix(seq: FlatSequence) -> np.ndarray:
     """(n, n) additive mask over {0, MASKED}; symmetric, all-visible diagonal."""
     n = len(seq)
@@ -50,18 +45,3 @@ def softmax(z: np.ndarray) -> np.ndarray:
     e /= e.sum(axis=-1, keepdims=True)
     return e
 
-
-def masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of scores + mask, along the last axis.
-
-    mask has the shape of scores or broadcasts to it (one mask for every
-    head of a document). Rows sum to 1 over visible entries; masked entries
-    underflow to exactly zero. Raises FullyMaskedRowError if any row has no
-    visible entry.
-    """
-    if (mask.ndim != scores.ndim
-            or np.broadcast_shapes(scores.shape, mask.shape) != scores.shape):
-        raise ValueError(f"shape mismatch: scores {scores.shape} vs mask {mask.shape}")
-    if not (mask == 0.0).any(axis=-1).all():
-        raise FullyMaskedRowError("softmax row with every entry masked")
-    return softmax(scores + mask)

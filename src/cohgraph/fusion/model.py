@@ -3,7 +3,10 @@ reverse-mode gradients.
 
 Everything is float64 numpy. Parameters live in a flat name -> array dict so
 the optimizer, checkpointing, and finite-difference checks can enumerate them
-uniformly. The attention score between elements i and j is
+uniformly; a layer stores its heads stacked, laid out as HeadParams says.
+Checkpoints (format 2) record the variant the model was trained under; load
+stacks the per-head tensors of format 1 files, which record none. The
+attention score between elements i and j is
 
     A_ij = q_i k_j^T + q_i r_ij^T + u k_j^T + v r_ij^T
 
@@ -131,9 +134,10 @@ class ContractError(ValueError):
 
 @dataclass(frozen=True)
 class HeadParams:
-    """The parameters of H attention heads: W_q, W_k, W_r, W_v (d_model,
-    H * d_head) with head h in columns h * d_head to (h + 1) * d_head, and
-    u, v (H, d_head). A single head may give u, v as (d_head,)."""
+    """The parameters of H attention heads, as layer l stores them in
+    layer{l}/<field>: W_q, W_k, W_r, W_v (d_model, H * d_head) with head h
+    in columns h * d_head to (h + 1) * d_head, and u, v (H, d_head), or
+    (d_head,) when the heads share them."""
 
     W_q: np.ndarray
     W_k: np.ndarray
@@ -141,6 +145,9 @@ class HeadParams:
     W_v: np.ndarray
     u: np.ndarray
     v: np.ndarray
+
+
+_HEAD_FIELDS = ("W_q", "W_k", "W_r", "W_v", "u", "v")
 
 
 @dataclass(frozen=True)
@@ -251,16 +258,11 @@ def expected_param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     shapes["embed/entity"] = (config.n_entity_buckets, d)
     shapes["embed/relation"] = (N_RELATION_ROWS, d)
     shapes["pos/W_p"] = (4 * d, d)
+    uv = (d_h,) if config.share_uv else (config.n_heads, d_h)
     for l in range(config.n_layers):
-        for h in range(config.n_heads):
-            for w in ("W_q", "W_k", "W_r", "W_v"):
-                shapes[f"layer{l}/head{h}/{w}"] = (d, d_h)
-            if not config.share_uv:
-                shapes[f"layer{l}/head{h}/u"] = (d_h,)
-                shapes[f"layer{l}/head{h}/v"] = (d_h,)
-        if config.share_uv:
-            shapes[f"layer{l}/u"] = (d_h,)
-            shapes[f"layer{l}/v"] = (d_h,)
+        for w in ("W_q", "W_k", "W_r", "W_v"):
+            shapes[f"layer{l}/{w}"] = (d, config.n_heads * d_h)
+        shapes[f"layer{l}/u"] = shapes[f"layer{l}/v"] = uv
         shapes[f"layer{l}/W_o"] = (d, d)
         shapes[f"layer{l}/b_o"] = (d,)
         shapes[f"layer{l}/ln1/gamma"] = (d,)
@@ -276,6 +278,25 @@ def expected_param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def _v1_layout(config: ModelConfig):
+    """Format 1 kept each head's block of a layer's head tensors (its
+    columns of W_q, W_k, W_r, W_v and, unless shared, its row of u, v) as a
+    tensor of its own, layer{l}/head{h}/<field>. Returns the shapes a
+    format 1 file holds and, per stacked name, its heads' names in head
+    order."""
+    d, d_h = config.d_model, config.d_head
+    shapes = expected_param_shapes(config)
+    heads: dict[str, list[str]] = {}
+    for l in range(config.n_layers):
+        for field in _HEAD_FIELDS[:4] if config.share_uv else _HEAD_FIELDS:
+            names = [f"layer{l}/head{h}/{field}" for h in range(config.n_heads)]
+            heads[f"layer{l}/{field}"] = names
+            del shapes[f"layer{l}/{field}"]
+            shapes.update(dict.fromkeys(
+                names, (d, d_h) if field.startswith("W") else (d_h,)))
+    return shapes, heads
+
+
 def _init_params(config: ModelConfig,
                  encoder: SentenceEncoder) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(np.random.PCG64(config.seed))
@@ -285,14 +306,18 @@ def _init_params(config: ModelConfig,
     params["embed/entity"] = rng.normal(0.0, 0.5, (config.n_entity_buckets, d))
     params["embed/relation"] = rng.normal(0.0, 0.5, (N_RELATION_ROWS, d))
     params["pos/W_p"] = rng.normal(0.0, 1.0 / np.sqrt(4 * d), (4 * d, d))
+    shapes = expected_param_shapes(config)
     for l in range(config.n_layers):
+        for field in _HEAD_FIELDS:
+            params[f"layer{l}/{field}"] = np.empty(shapes[f"layer{l}/{field}"])
+        # head by head, each head's block into its columns (u, v: its row)
         for h in range(config.n_heads):
             for w in ("W_q", "W_k", "W_r", "W_v"):
-                params[f"layer{l}/head{h}/{w}"] = rng.normal(
+                params[f"layer{l}/{w}"][:, h * d_h:(h + 1) * d_h] = rng.normal(
                     0.0, 1.0 / np.sqrt(d), (d, d_h))
             if not config.share_uv:
-                params[f"layer{l}/head{h}/u"] = rng.normal(0.0, 0.1, (d_h,))
-                params[f"layer{l}/head{h}/v"] = rng.normal(0.0, 0.1, (d_h,))
+                params[f"layer{l}/u"][h] = rng.normal(0.0, 0.1, (d_h,))
+                params[f"layer{l}/v"][h] = rng.normal(0.0, 0.1, (d_h,))
         if config.share_uv:
             params[f"layer{l}/u"] = rng.normal(0.0, 0.1, (d_h,))
             params[f"layer{l}/v"] = rng.normal(0.0, 0.1, (d_h,))
@@ -393,7 +418,7 @@ def head_scores(x: np.ndarray, pe: np.ndarray, vis: Visibility,
     u, v = np.atleast_2d(heads.u), np.atleast_2d(heads.v)
     n_sent, n = vis.mask.shape[2:]
     rows = vis.n_queries
-    n_heads = u.shape[0]
+    n_heads = heads.W_q.shape[1] // u.shape[1]
     q = _query_rows(x, n, rows) @ heads.W_q
     k = x @ heads.W_k
     r = pe @ heads.W_r
@@ -465,7 +490,7 @@ def head_backward(dout: np.ndarray, cache: tuple, x: np.ndarray,
     embeddings pe into dx and dpe in place: the query gradient into each
     document's query rows, the key and value gradients into all its rows.
     Returns the parameter gradients, summed over the chunk, laid out as
-    heads is.
+    heads is: shared u, v get the sum of every head's gradient.
     """
     vis, q, k, v_mat, r, probs, probs_e = cache
     u, v = np.atleast_2d(heads.u), np.atleast_2d(heads.v)
@@ -533,8 +558,8 @@ def head_backward(dout: np.ndarray, cache: tuple, x: np.ndarray,
     return HeadParams(
         W_q=_query_rows(x, n, rows).T @ dq, W_k=x.T @ dk, W_r=pe.T @ dr,
         W_v=x.T @ dv,
-        u=grad_u.reshape(heads.u.shape),
-        v=grad_v_bias.reshape(heads.v.shape))
+        u=grad_u if heads.u.ndim == 2 else grad_u.sum(axis=0),
+        v=grad_v_bias if heads.v.ndim == 2 else grad_v_bias.sum(axis=0))
 
 
 def chunk_visibility(contexts: list[SequenceContext], n_heads: int):
@@ -659,19 +684,20 @@ class DropoutStream:
 
 
 class FusionModel:
-    """Config + parameters + encoder, with forward/backward over documents."""
+    """Config + parameters + encoder, with forward/backward over documents.
+    variant, which save records, is the variant the model was trained
+    under: None if loaded from a format 1 checkpoint, which records none."""
 
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray],
-                 encoder: SentenceEncoder):
+                 encoder: SentenceEncoder,
+                 variant: Variant | None = Variant.FULL):
         self.config = config
         self.params = params
         self.encoder = encoder
+        self.variant = variant
         self.registry = load_registry()
         self.position_table = sinusoid_table(config.max_relative_distance,
                                              config.d_model)
-        self._head_names = [[self.head_param_names(l, h)
-                             for h in range(config.n_heads)]
-                            for l in range(config.n_layers)]
         # prepare's key besides the document and the variant
         self._setup = (config, type(encoder))
         self._validate_shapes()
@@ -682,9 +708,10 @@ class FusionModel:
                                          trainable=config.encoder_trainable)
 
     @classmethod
-    def build(cls, config: ModelConfig) -> "FusionModel":
+    def build(cls, config: ModelConfig,
+              variant: Variant = Variant.FULL) -> "FusionModel":
         encoder = cls._encoder(config)
-        return cls(config, _init_params(config, encoder), encoder)
+        return cls(config, _init_params(config, encoder), encoder, variant)
 
     def _validate_shapes(self) -> None:
         expected = expected_param_shapes(self.config)
@@ -700,27 +727,10 @@ class FusionModel:
 
     # -- parameter views ---------------------------------------------------
 
-    def head_param_names(self, layer: int, head: int) -> dict[str, str]:
-        """HeadParams field -> parameter name for one head."""
-        own = f"layer{layer}/head{head}"
-        uv = f"layer{layer}" if self.config.share_uv else own
-        return {"W_q": f"{own}/W_q", "W_k": f"{own}/W_k",
-                "W_r": f"{own}/W_r", "W_v": f"{own}/W_v",
-                "u": f"{uv}/u", "v": f"{uv}/v"}
-
-    def head_params(self, layer: int, head: int) -> HeadParams:
-        return HeadParams(**{field: self.params[name] for field, name
-                             in self.head_param_names(layer, head).items()})
-
     def layer_heads(self, layer: int) -> HeadParams:
-        """All heads of a layer stacked as HeadParams lays them out."""
-        p = self.params
-        names = self._head_names[layer]
-        return HeadParams(
-            **{field: np.concatenate([p[n[field]] for n in names], axis=1)
-               for field in ("W_q", "W_k", "W_r", "W_v")},
-            **{field: np.array([p[n[field]] for n in names])
-               for field in ("u", "v")})
+        """A layer's head parameters, the stored arrays themselves."""
+        return HeadParams(*(self.params[f"layer{layer}/{field}"]
+                            for field in _HEAD_FIELDS))
 
     @property
     def score_scale(self) -> float:
@@ -975,8 +985,8 @@ class FusionModel:
         (attention, FFN) dropout masks."""
         cfg = self.config
         p = self.params
-        heads = self.layer_heads(layer)
-        concat, head_cache = head_forward(x, pe, vis, heads, self.score_scale)
+        concat, head_cache = head_forward(x, pe, vis, self.layer_heads(layer),
+                                          self.score_scale)
 
         attn = concat @ p[f"layer{layer}/W_o"] + p[f"layer{layer}/b_o"]
         if keep is not None:
@@ -994,8 +1004,7 @@ class FusionModel:
             y + ffn, p[f"layer{layer}/ln2/gamma"], p[f"layer{layer}/ln2/beta"])
 
         cache = {
-            "x_in": x, "heads": head_cache, "head_params": heads,
-            "concat": concat,
+            "x_in": x, "heads": head_cache, "concat": concat,
             "keep": keep, "ln1": ln1_cache, "hidden": hidden,
             "ln2": ln2_cache,
         }
@@ -1079,16 +1088,10 @@ class FusionModel:
                 n_docs, rows, -1)
 
         dheads = head_backward(dconcat, cache["heads"], cache["x_in"], pe,
-                               cache["head_params"], self.score_scale,
+                               self.layer_heads(layer), self.score_scale,
                                dx, dpe)
-        d_head = cfg.d_head
-        for h in range(cfg.n_heads):
-            names = self._head_names[layer][h]
-            for field in ("W_q", "W_k", "W_r", "W_v"):
-                grads[names[field]] += getattr(dheads, field)[
-                    :, h * d_head:(h + 1) * d_head]
-            grads[names["u"]] += dheads.u[h]
-            grads[names["v"]] += dheads.v[h]
+        for field in _HEAD_FIELDS:
+            grads[f"layer{layer}/{field}"] += getattr(dheads, field)
         return dx
 
     # -- loss --------------------------------------------------------------
@@ -1175,16 +1178,18 @@ class FusionModel:
     # -- checkpointing -------------------------------------------------------
 
     MAGIC = b"CGFUSION\n"
-    FORMAT_VERSION = 1
+    FORMAT_VERSION = 2
 
     def save(self, path: str | Path) -> None:
-        """Versioned binary dump: JSON header (config + shape table) + raw
-        little-endian tensor bytes in header order. Contains no timestamps,
-        so identical models serialize to identical bytes."""
+        """Versioned binary dump: JSON header (config, training variant,
+        shape table) + raw little-endian tensor bytes in header order.
+        Contains no timestamps, so identical models serialize to identical
+        bytes."""
         names = sorted(self.params)
         header = {
             "format_version": self.FORMAT_VERSION,
             "config": self.config.to_dict(),
+            "variant": None if self.variant is None else self.variant.value,
             "tensors": [{"name": name,
                          "shape": list(self.params[name].shape),
                          "dtype": "float64"} for name in names],
@@ -1200,8 +1205,9 @@ class FusionModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "FusionModel":
-        """Read a checkpoint written by save(); a malformed file raises
-        ContractError naming the path."""
+        """Read a checkpoint written by save(), or a format 1 one, whose
+        per-head tensors are stacked; a malformed file raises ContractError
+        naming the path."""
         with open(path, "rb") as fh:
             if fh.read(len(cls.MAGIC)) != cls.MAGIC:
                 raise ContractError(f"{path}: not a fusion checkpoint")
@@ -1212,18 +1218,21 @@ class FusionModel:
                 raise ContractError(f"{path}: unreadable header: {exc}") from exc
             if not isinstance(header, dict):
                 raise ContractError(f"{path}: header is not a JSON object")
-            if header.get("format_version") != cls.FORMAT_VERSION:
-                raise ContractError(
-                    f"{path}: unsupported checkpoint version "
-                    f"{header.get('format_version')}")
+            version = header.get("format_version")
+            if version not in (1, cls.FORMAT_VERSION):
+                raise ContractError(f"{path}: unsupported checkpoint version "
+                                    f"{version}")
             try:
                 config = ModelConfig.from_dict(header["config"])
                 table = [(str(t["name"]), tuple(t["shape"]))
                          for t in header["tensors"]]
+                recorded = None if version == 1 else header["variant"]
+                variant = None if recorded is None else Variant(recorded)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ContractError(f"{path}: malformed header: "
                                     f"{type(exc).__name__}: {exc}") from exc
-            expected = expected_param_shapes(config)
+            expected, heads = (_v1_layout(config) if version == 1 else
+                               (expected_param_shapes(config), {}))
             params: dict[str, np.ndarray] = {}
             for name, shape in table:
                 if name in params:
@@ -1244,8 +1253,11 @@ class FusionModel:
                     f"{path}: checkpoint missing tensors {sorted(missing)}")
             if fh.read(1):
                 raise ContractError(f"{path}: trailing bytes after the last tensor")
+        for name, names in heads.items():
+            stacked = np.stack([params.pop(n) for n in names], axis=-2)
+            params[name] = stacked.reshape(len(stacked), -1)
         encoder = cls._encoder(config)
         if not config.encoder_trainable:
             # regenerate the frozen table exactly as build() would
             encoder.init_params(np.random.default_rng(np.random.PCG64(config.seed)))
-        return cls(config, params, encoder)
+        return cls(config, params, encoder, variant)

@@ -58,7 +58,7 @@ def train(dataset: list[Document], model_config: ModelConfig,
         if doc.label is None:
             raise ContractError(f"document {doc.id!r} is unlabeled")
 
-    model = FusionModel.build(model_config)
+    model = FusionModel.build(model_config, train_config.variant)
     optimizer = AdamW(model.params, lr=train_config.lr,
                       weight_decay=train_config.weight_decay,
                       betas=train_config.betas, eps=train_config.eps)

@@ -9,7 +9,9 @@ global-local kernel replaced; dense_layout spreads that kernel's per-pair
 values over the (n, n) grid the dense kernel uses. all_rows_forward is the
 model's forward with the last layer run on every row, as it was before that
 layer ran its sentence rows only. adamw_step is AdamW.step as it was
-written with a temporary per operation.
+written with a temporary per operation. masked_softmax is the checked
+softmax of scores under an additive mask, which the model's kernel forms
+as softmax(scores + mask) without the checks.
 """
 
 from __future__ import annotations
@@ -17,8 +19,41 @@ from __future__ import annotations
 import numpy as np
 
 from cohgraph.flat import ElementKind, FlatElement
+from cohgraph.fusion.masking import softmax
 from cohgraph.fusion.model import HeadParams, chunk_visibility
 from cohgraph.fusion.positions import position_embedding, sinusoid
+
+
+class FullyMaskedRowError(AssertionError):
+    """A softmax row with no visible entry; impossible for masks built by
+    visible_matrix (the diagonal is always visible)."""
+
+
+def masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of scores + mask, along the last axis.
+
+    mask has the shape of scores or broadcasts to it (one mask for every
+    head of a document). Rows sum to 1 over visible entries; masked entries
+    underflow to exactly zero. Raises FullyMaskedRowError if any row has no
+    visible entry.
+    """
+    if (mask.ndim != scores.ndim
+            or np.broadcast_shapes(scores.shape, mask.shape) != scores.shape):
+        raise ValueError(f"shape mismatch: scores {scores.shape} vs mask {mask.shape}")
+    if not (mask == 0.0).any(axis=-1).all():
+        raise FullyMaskedRowError("softmax row with every entry masked")
+    return softmax(scores + mask)
+
+
+def head_slice(heads: HeadParams, h: int) -> HeadParams:
+    """Head h of a layer's stacked HeadParams: its column block of W_q,
+    W_k, W_r, W_v and its row of u, v, or u, v themselves when shared."""
+    d_head = heads.u.shape[-1]
+    cols = slice(h * d_head, (h + 1) * d_head)
+    row = (lambda a: a[h]) if heads.u.ndim == 2 else (lambda a: a)
+    return HeadParams(W_q=heads.W_q[:, cols], W_k=heads.W_k[:, cols],
+                      W_r=heads.W_r[:, cols], W_v=heads.W_v[:, cols],
+                      u=row(heads.u), v=row(heads.v))
 
 
 def named_distances(a: FlatElement, b: FlatElement,

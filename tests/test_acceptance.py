@@ -5,6 +5,7 @@ per criterion. Criterion 7 trains twenty-one toy models (4 variants x 5
 folds + one full-corpus fit) and dominates the runtime.
 """
 
+import dataclasses
 import hashlib
 import time
 from pathlib import Path
@@ -17,8 +18,8 @@ from cohgraph.cli import main as cli_main
 from cohgraph.corpus import write_corpus
 from cohgraph.flat import FlatSequence, linearize
 from cohgraph.fusion.config import ModelConfig, TrainConfig
-from cohgraph.fusion.masking import MASKED, masked_softmax, visible_matrix
-from cohgraph.fusion.model import FusionModel
+from cohgraph.fusion.masking import MASKED, softmax, visible_matrix
+from cohgraph.fusion.model import FusionModel, HeadParams
 from cohgraph.fusion.train import FusionClassifier, train
 from cohgraph.graph import build_graph
 from cohgraph.harness import run_cv
@@ -30,6 +31,7 @@ from cohgraph.synth import SynthProfile, synth_generate
 from cohgraph.variants import Variant
 
 from conftest import make_demo_document, tiny_model_config
+from oracles import head_slice
 from test_masking import oracle_visible, random_flat_sequence
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -81,7 +83,8 @@ def test_c02_visible_matrix_oracle():
 
 def test_c03_masked_softmax_mass():
     """C3: rows sum to one within 1e-9 over visible entries; masked entries
-    carry below 1e-12 mass, on 100 random score/mask pairs."""
+    carry below 1e-12 mass, on 100 random score/mask pairs, for
+    softmax(scores + mask), the expression the attention kernel runs."""
     rng = np.random.default_rng(303)
     worst_row = 0.0
     worst_masked = 0.0
@@ -90,7 +93,7 @@ def test_c03_masked_softmax_mass():
         scores = rng.normal(0, 4, (n, n))
         visible = rng.random((n, n)) < 0.45
         np.fill_diagonal(visible, True)
-        probs = masked_softmax(scores, np.where(visible, 0.0, MASKED))
+        probs = softmax(scores + np.where(visible, 0.0, MASKED))
         worst_row = max(worst_row, np.abs(probs.sum(axis=1) - 1.0).max())
         worst_masked = max(worst_masked, probs[~visible].max(initial=0.0))
     assert worst_row < 1e-9
@@ -102,7 +105,9 @@ def test_c03_masked_softmax_mass():
 def test_c04_gradient_check():
     """C4: analytic gradients vs central finite differences (eps = 1e-3) on
     a d_model=32, 2-head, 1-layer config and a 3-document batch, within 1e-4
-    relative error per parameter tensor, in under 60 seconds."""
+    relative error per parameter tensor and per head's block of a stacked
+    head tensor (its columns of W_q, W_k, W_r, W_v, its row of u, v), in
+    under 60 seconds."""
     started = time.perf_counter()
     config = tiny_model_config()  # d_model=32, 2 heads, 1 layer
     assert (config.d_model, config.n_heads, config.n_layers) == (32, 2, 1)
@@ -114,8 +119,7 @@ def test_c04_gradient_check():
     _, grads = model.loss_and_grad_contexts(contexts)
 
     eps = 1e-3
-    worst = 0.0
-    worst_name = ""
+    fds = {}
     for name in sorted(model.params):
         param = model.params[name]
         fd = np.zeros_like(param)
@@ -129,11 +133,24 @@ def test_c04_gradient_check():
             down = model.context_loss(contexts)
             param[idx] = orig
             fd[idx] = (up - down) / (2 * eps)
-        denom = max(np.linalg.norm(grads[name]), np.linalg.norm(fd), 1e-12)
-        rel = np.linalg.norm(grads[name] - fd) / denom
+        fds[name] = fd
+
+    fields = [f.name for f in dataclasses.fields(HeadParams)]
+    stacked = lambda arrays: HeadParams(*(arrays[f"layer0/{f}"]
+                                          for f in fields))
+    checks = [(name, grads[name], fds[name]) for name in sorted(fds)]
+    for h in range(config.n_heads):
+        got, want = head_slice(stacked(grads), h), head_slice(stacked(fds), h)
+        checks += [(f"layer0/{f} head {h}", getattr(got, f), getattr(want, f))
+                   for f in fields]
+    worst = 0.0
+    worst_name = ""
+    for label, got, want in checks:
+        denom = max(np.linalg.norm(got), np.linalg.norm(want), 1e-12)
+        rel = np.linalg.norm(got - want) / denom
         if rel > worst:
-            worst, worst_name = rel, name
-        assert rel < 1e-4, f"{name}: relative error {rel:.2e}"
+            worst, worst_name = rel, label
+        assert rel < 1e-4, f"{label}: relative error {rel:.2e}"
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
     report(f"C4 PASS gradients vs finite differences "

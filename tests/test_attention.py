@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cohgraph.flat import FlatSequence, linearize
-from cohgraph.fusion.masking import masked_softmax, visible_matrix
+from cohgraph.fusion.masking import visible_matrix
 from cohgraph.fusion.model import (FusionModel, HeadParams, chunk_visibility,
                                    head_backward, head_forward, head_scores)
 from cohgraph.fusion.positions import (distance_indices, position_embedding,
@@ -15,7 +15,8 @@ from cohgraph.synth import SynthProfile, synth_generate
 
 from conftest import make_demo_document, tiny_model_config
 from oracles import (dense_head_backward, dense_head_scores, dense_layout,
-                     oracle_pair_embedding, oracle_scores, slot_order)
+                     head_slice, masked_softmax, oracle_pair_embedding,
+                     oracle_scores, slot_order)
 
 D = 8
 MAX_DISTANCE = 16
@@ -152,7 +153,8 @@ def test_trained_path_probabilities_match_oracle(share_uv, scale_scores):
                 rows = order[:len(ctx.sentences)]
             for h in range(cfg.n_heads):
                 want = masked_softmax(
-                    oracle_scores(ctx.seq, x, model.head_params(layer, h),
+                    oracle_scores(ctx.seq, x,
+                                  head_slice(model.layer_heads(layer), h),
                                   pair_embedding, scale),
                     mask)
                 got = dense_layout(ctx, probs[0, h], probs_e[0, h], 0.0)
@@ -175,8 +177,9 @@ def test_head_kernel_matches_dense_oracle(share_uv, scale_scores,
     over the stacked heads, every row a query, matches the dense per-pair
     kernel run head by head:
     scores and probabilities on the pairs each row sees, output, the six
-    parameter gradients, dx, and the per-pair position gradient summed onto
-    the tuple rows. The dense kernel embeds every pair's distances afresh.
+    parameter gradients on each head's block (shared u, v: summed over the
+    heads), dx, and the per-pair position gradient summed onto the tuple
+    rows. The dense kernel embeds every pair's distances afresh.
     A small max distance makes many pairs share a tuple."""
     model = FusionModel.build(tiny_model_config(
         n_layers=2, share_uv=share_uv, scale_scores=scale_scores,
@@ -222,9 +225,11 @@ def test_head_kernel_matches_dense_oracle(share_uv, scale_scores,
             x, out, dout, dx = x[to_seq], out[to_seq], dout[to_seq], dx[to_seq]
             want_dx = np.zeros_like(x)
             want_dpe = np.zeros_like(pe)
+            want_uv = np.zeros((2, d_head))
             for h in range(n_heads):
                 block = slice(h * d_head, (h + 1) * d_head)
-                head = model.head_params(layer, h)
+                head = head_slice(heads, h)
+                got = head_slice(grads, h)
                 want_s, q, k, r = dense_head_scores(x, pe2d, head, scale)
                 _assert_rel_close(
                     dense_layout(ctx, got_s[0, h], got_se[0, h], 0.0),
@@ -240,15 +245,21 @@ def test_head_kernel_matches_dense_oracle(share_uv, scale_scores,
                     dout[:, block], q, k, v_mat, r, probs, x, pe2d, head,
                     scale)
                 for field in ("W_q", "W_k", "W_r", "W_v"):
-                    _assert_rel_close(getattr(grads, field)[:, block],
+                    _assert_rel_close(getattr(got, field),
                                       getattr(want_grads, field))
-                _assert_rel_close(grads.u[h], want_grads.u)
-                _assert_rel_close(grads.v[h], want_grads.v)
+                if share_uv:
+                    want_uv += (want_grads.u, want_grads.v)
+                else:
+                    _assert_rel_close(got.u, want_grads.u)
+                    _assert_rel_close(got.v, want_grads.v)
                 want_dx += head_dx
                 # a masked pair has zero probability and so zero gradient
                 dpe2d = dpe2d.reshape(n, n, -1)
                 assert not dpe2d[~visible].any()
                 np.add.at(want_dpe, pair_tuple[visible], dpe2d[visible])
+            if share_uv:
+                _assert_rel_close(grads.u, want_uv[0])
+                _assert_rel_close(grads.v, want_uv[1])
             _assert_rel_close(dx, want_dx)
             _assert_rel_close(dpe, want_dpe)
 

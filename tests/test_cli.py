@@ -168,6 +168,43 @@ class TestTrainEval:
         assert 0.0 <= payload["report"]["accuracy"] <= 1.0
         assert payload["n_documents"] == 18
 
+    def test_eval_uses_the_recorded_variant_and_refuses_another(
+            self, runner, small_corpus, tmp_path):
+        ckpt = tmp_path / "t.ckpt"
+        assert runner.invoke(main, ["train", str(small_corpus), str(ckpt),
+                                    *TRAIN_FLAGS, "--variant", "TextOnly"]
+                             ).exit_code == 0
+        report_path = tmp_path / "report.json"
+        result = runner.invoke(main, ["eval", str(ckpt), str(small_corpus),
+                                      "--report", str(report_path)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(report_path.read_text())["variant"] == "TextOnly"
+
+        report_path.unlink()
+        result = runner.invoke(main, ["eval", str(ckpt), str(small_corpus),
+                                      "--report", str(report_path),
+                                      "--variant", "Full"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        for name in ("TextOnly", "Full", str(ckpt)):
+            assert name in result.output
+        assert not report_path.exists()
+
+    @pytest.mark.parametrize("variant", [None, "TextOnly"])
+    def test_eval_format1_checkpoint_takes_any_variant(self, runner,
+                                                       small_corpus, tmp_path,
+                                                       variant):
+        """A format 1 checkpoint records no variant: eval defaults to Full
+        and accepts any --variant."""
+        report_path = tmp_path / "report.json"
+        flags = [] if variant is None else ["--variant", variant]
+        result = runner.invoke(main, [
+            "eval", str(Path(__file__).parent / "fixtures" / "v1-d8.ckpt"),
+            str(small_corpus), "--report", str(report_path), *flags])
+        assert result.exit_code == 0, result.output
+        assert (json.loads(report_path.read_text())["variant"]
+                == (variant or "Full"))
+
     def test_eval_config_mismatch_fails(self, runner, small_corpus, tmp_path):
         ckpt = tmp_path / "c.ckpt"
         assert runner.invoke(main, ["train", str(small_corpus), str(ckpt),

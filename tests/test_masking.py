@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohgraph.flat import ElementKind, FlatElement, FlatSequence, linearize
-from cohgraph.fusion.masking import (MASKED, FullyMaskedRowError,
-                                     masked_softmax, visible_matrix)
+from cohgraph.fusion.masking import MASKED, visible_matrix
 from cohgraph.fusion.model import ContractError, FusionModel
 from cohgraph.graph import build_graph
 
 from conftest import make_demo_document, tiny_model_config
-from oracles import slot_order
+from oracles import FullyMaskedRowError, masked_softmax, slot_order
 from test_graph import random_document
 
 

@@ -3,10 +3,13 @@
 import hashlib
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from cohgraph.cli import main as cli_main
 from cohgraph.documents import (AnnotationSet, Document, Sentence)
 from cohgraph.flat import FlatSequence
 from cohgraph.fusion.config import ModelConfig
@@ -19,6 +22,7 @@ from cohgraph.synth import SynthProfile, synth_generate
 from cohgraph.variants import Variant
 
 from conftest import make_demo_document, tiny_model_config
+from oracles import head_slice
 
 
 def small_docs(n=3, seed=2, n_sentences=(3, 4)):
@@ -386,6 +390,14 @@ def split_checkpoint(data: bytes):
     return json.loads(data[start:end]), data[end:]
 
 
+def join_checkpoint(header, body: bytes) -> bytes:
+    """Checkpoint bytes from a header (an object, or its bytes) and the
+    tensor bytes."""
+    if not isinstance(header, bytes):
+        header = json.dumps(header).encode("utf-8")
+    return FusionModel.MAGIC + len(header).to_bytes(8, "big") + header + body
+
+
 def _without(key):
     def edit(header, body):
         del header[key]
@@ -413,6 +425,9 @@ MALFORMED_CHECKPOINTS = [
     ("config-invalid-value", _with_config(d_model=0), "dimensions"),
     ("tensors-missing", _without("tensors"), "tensors"),
     ("tensors-not-a-list", lambda h, b: ({**h, "tensors": 5}, b), "malformed"),
+    ("variant-missing", _without("variant"), "variant"),
+    ("variant-unknown", lambda h, b: ({**h, "variant": "Bogus"}, b),
+     "'Bogus' is not a valid Variant"),
     ("header-not-an-object", lambda h, b: ([h], b), "not a JSON object"),
     ("header-not-json", lambda h, b: (b"{", b), "unreadable header"),
     ("header-not-utf8", lambda h, b: (b"\xff", b), "unreadable header"),
@@ -426,10 +441,12 @@ MALFORMED_CHECKPOINTS = [
 class TestCheckpoint:
     def test_roundtrip_preserves_bits_and_config(self, tmp_path):
         model = FusionModel.build(tiny_model_config())
+        model.variant = Variant.TEXT_REL
         path = tmp_path / "model.ckpt"
         model.save(path)
         loaded = FusionModel.load(path)
         assert loaded.config == model.config
+        assert loaded.variant is Variant.TEXT_REL
         for name, arr in model.params.items():
             np.testing.assert_array_equal(arr, loaded.params[name])
         doc = small_docs(1)[0]
@@ -456,11 +473,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         FusionModel.build(tiny_model_config()).save(path)
         header, body = split_checkpoint(path.read_bytes())
-        header, body = edit(header, body)
-        if not isinstance(header, bytes):
-            header = json.dumps(header).encode("utf-8")
-        path.write_bytes(FusionModel.MAGIC + len(header).to_bytes(8, "big")
-                         + header + body)
+        path.write_bytes(join_checkpoint(*edit(header, body)))
         with pytest.raises(ContractError) as err:
             FusionModel.load(path)
         assert str(path) in str(err.value)
@@ -478,12 +491,130 @@ class TestCheckpoint:
         assert "clf/W" in str(err.value)
 
 
+FIXTURES = Path(__file__).parent / "fixtures"
+V1_CHECKPOINT = FIXTURES / "v1-d8.ckpt"
+
+
+def _raw_tensors(data: bytes) -> dict[str, np.ndarray]:
+    """Every tensor of a checkpoint's bytes as its header lists it, read
+    without FusionModel."""
+    header, body = split_checkpoint(data)
+    tensors, offset = {}, 0
+    for t in header["tensors"]:
+        size = 8 * int(np.prod(t["shape"]))
+        tensors[t["name"]] = np.frombuffer(
+            body[offset:offset + size], dtype="<f8").reshape(t["shape"])
+        offset += size
+    return tensors
+
+
+class TestFormat1Checkpoint:
+    """tests/fixtures/v1-d8.ckpt is a format 1 checkpoint: it stores each
+    head's block of a layer's head tensors as a tensor of its own
+    (layer0/head{h}/W_q, ..., layer0/head{h}/v) and records no variant.
+    It was written by `cohgraph train` at the last commit that wrote format
+    1, in tests/fixtures:
+
+        cohgraph synth corpus.jsonl --n-docs 12 --seed 5
+        cohgraph train corpus.jsonl v1-d8.ckpt --config v1-d8.config.json \
+            --seed 7
+    """
+
+    def test_loads_the_heads_stacked_bit_exactly(self):
+        raw = _raw_tensors(V1_CHECKPOINT.read_bytes())
+        model = FusionModel.load(V1_CHECKPOINT)
+        assert model.variant is None
+        heads = [head_slice(model.layer_heads(0), h)
+                 for h in range(model.config.n_heads)]
+        assert len(raw) == len(model.params) + 6 * (len(heads) - 1)
+        for name, arr in raw.items():
+            layer, _, field = name.rpartition("/")
+            if layer.startswith("layer0/head"):
+                got = getattr(heads[int(layer[len("layer0/head"):])], field)
+            else:
+                got = model.params[name]
+            np.testing.assert_array_equal(got, arr)
+
+    def test_a_shared_uv_model_in_format1_layout_loads_as_itself(
+            self, tmp_path):
+        """A share_uv model's parameters written in format 1's per-head
+        layout, where the shared u, v stayed one tensor per layer, load
+        back bit for bit."""
+        model = FusionModel.build(tiny_model_config(n_layers=2,
+                                                    share_uv=True))
+        fields = ("W_q", "W_k", "W_r", "W_v")
+        params = dict(model.params)
+        for l in range(model.config.n_layers):
+            for field in fields:
+                del params[f"layer{l}/{field}"]
+            for h in range(model.config.n_heads):
+                head = head_slice(model.layer_heads(l), h)
+                for field in fields:
+                    params[f"layer{l}/head{h}/{field}"] = getattr(head, field)
+        names = sorted(params)
+        header = {"format_version": 1, "config": model.config.to_dict(),
+                  "tensors": [{"name": name, "shape": list(params[name].shape),
+                               "dtype": "float64"} for name in names]}
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(join_checkpoint(header, b"".join(
+            params[name].astype("<f8").tobytes() for name in names)))
+        loaded = FusionModel.load(path)
+        assert loaded.variant is None
+        assert loaded.params.keys() == model.params.keys()
+        for name, arr in model.params.items():
+            np.testing.assert_array_equal(loaded.params[name], arr)
+
+    def test_retraining_matches_the_fixture(self, tmp_path):
+        """The fixture's commands rerun here give its parameters within
+        1e-12 relative: bits across BLAS builds are not promised."""
+        runner = CliRunner()
+        corpus, path = tmp_path / "corpus.jsonl", tmp_path / "v2.ckpt"
+        for args in (["synth", str(corpus), "--n-docs", "12", "--seed", "5"],
+                     ["train", str(corpus), str(path), "--config",
+                      str(FIXTURES / "v1-d8.config.json"), "--seed", "7"]):
+            result = runner.invoke(cli_main, args)
+            assert result.exit_code == 0, result.output
+        want, got = FusionModel.load(V1_CHECKPOINT), FusionModel.load(path)
+        assert got.config == want.config
+        assert got.variant is Variant.FULL
+        for name, arr in want.params.items():
+            np.testing.assert_allclose(got.params[name], arr, rtol=0,
+                                       atol=1e-12 * np.abs(arr).max())
+
+    @pytest.mark.parametrize("edit", ["dropped", "resized"])
+    def test_bad_head_tensor_is_contract_error(self, tmp_path, edit):
+        header, body = split_checkpoint(V1_CHECKPOINT.read_bytes())
+        names = [t["name"] for t in header["tensors"]]
+        i = names.index("layer0/head1/W_k")
+        sizes = [8 * int(np.prod(t["shape"])) for t in header["tensors"]]
+        start = sum(sizes[:i])
+        if edit == "dropped":
+            del header["tensors"][i]
+            body = body[:start] + body[start + sizes[i]:]
+            expect = "missing tensors ['layer0/head1/W_k']"
+        else:
+            header["tensors"][i]["shape"] = [8, 3]
+            expect = "tensor layer0/head1/W_k shape (8, 3) does not match"
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(join_checkpoint(header, body))
+        with pytest.raises(ContractError) as err:
+            FusionModel.load(path)
+        assert str(path) in str(err.value)
+        assert expect in str(err.value)
+
+
 def test_param_count_is_config_deterministic():
-    shapes_a = expected_param_shapes(tiny_model_config())
+    """One tensor per head field and layer, the heads stacked in it."""
+    config = tiny_model_config()
+    shapes_a = expected_param_shapes(config)
     shapes_b = expected_param_shapes(tiny_model_config())
     assert shapes_a == shapes_b
+    assert len(expected_param_shapes(ModelConfig())) == 38
+    assert shapes_a["layer0/W_q"] == (config.d_model, config.d_model)
+    assert shapes_a["layer0/u"] == (config.n_heads, config.d_head)
     shared = expected_param_shapes(tiny_model_config(share_uv=True))
-    assert "layer0/u" in shared and "layer0/head0/u" not in shared
+    assert shared["layer0/u"] == shared["layer0/v"] == (config.d_head,)
+    assert not any("/head" in name for name in shapes_a | shared)
 
 
 def test_share_uv_flag_trains_and_runs():
@@ -518,8 +649,7 @@ def test_gradcheck_covers_config_branches(overrides):
     contexts = [model.prepare(doc) for doc in docs]
     _, grads = model.loss_and_grad_contexts(contexts)
     eps = 1e-5
-    uv_name = "layer0/u" if overrides.get("share_uv") else "layer0/head0/u"
-    for name in ("pos/W_p", uv_name, "clf/W", "layer0/ffn/W1"):
+    for name in ("pos/W_p", "layer0/u", "clf/W", "layer0/ffn/W1"):
         param = model.params[name]
         fd = np.zeros_like(param)
         it = np.nditer(param, flags=["multi_index"])
