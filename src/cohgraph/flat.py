@@ -51,10 +51,6 @@ class FlatSequence:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def sentence_positions(self) -> list[int]:
-        return [idx for idx, el in enumerate(self.elements)
-                if el.kind is ElementKind.SENTENCE]
-
 
 def _sentence_element(k: int) -> FlatElement:
     return FlatElement(ElementKind.SENTENCE, k, k, k)
@@ -97,11 +93,11 @@ def linearize(graph: CoherenceGraph, max_elements: int = 512) -> FlatSequence:
 
 def apply_variant(seq: FlatSequence, variant: Variant) -> FlatSequence:
     """Filter edge elements per the ablation variant; sentences always stay."""
+    entities, relations = variant.keeps_entities, variant.keeps_relations
     kept = tuple(
         el for el in seq.elements
         if el.kind is ElementKind.SENTENCE
-        or (el.kind is ElementKind.ENTITY and variant.keeps_entities)
-        or (el.kind is ElementKind.RELATION and variant.keeps_relations))
+        or (entities if el.kind is ElementKind.ENTITY else relations))
     return FlatSequence(kept, seq.n_sentences)
 
 

@@ -6,7 +6,7 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 
-from ..variants import Variant
+from ..variants import FUSION_VARIANTS, Variant
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,10 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
         if self.lr < 0 or self.weight_decay < 0:
             raise ValueError("lr and weight_decay must be >= 0")
+        if self.variant not in FUSION_VARIANTS:
+            raise ValueError(
+                f"variant {self.variant.value} is prompt-only; a fusion model "
+                f"trains under {', '.join(v.value for v in FUSION_VARIANTS)}")
 
     def to_dict(self) -> dict:
         data = asdict(self)

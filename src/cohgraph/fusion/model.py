@@ -42,9 +42,9 @@ r_ij depends on the pair only through its clipped distance tuple, and only
 the U distinct tuples of pairs some row sees are kept (about n / 2 on long
 documents). The position path runs on those rows: the embeddings are
 projected once per tuple, each head projects r on them, sentence and edge
-rows read their terms from one (S, U) and one (E, n_edge_tuples) product,
-and backward sums the pair gradients onto the tuple rows. Nothing of shape
-(n * n, d_model) is formed, and nothing n * n is gathered or softmaxed.
+rows read their terms from one (S, U) and one (E, M) product, M the tuples
+edge rows use, and backward sums the pair gradients onto the tuple rows.
+Nothing (n * n, d_model) is formed, and nothing n * n gathered or softmaxed.
 
 Per-document structure (sequence, the sentence rows' visibility, each edge
 row's keys, the distinct distance tuples and each visible pair's tuple,
@@ -58,16 +58,17 @@ document no fit has seen is prepared with its chunk.
 
 Documents run through the layers in chunks: chunk_order walks a batch in
 stable ascending length order and closes a chunk before B documents padded
-to the longest one, n_max, would exceed PAD_ROW_BUDGET rows. A chunk pads
-each document's sentences and edges separately, to its most sentences S and
-most edges E (S + E is n_max or a little more), and is one call per
-projection, block, softmax, FFN and LayerNorm of each layer, with documents
-and heads as batch axes; its position path runs on its documents' tuples
-stacked, every edge row's tuple first, so a document's tuple numbers only
-move by an offset. A padded sentence slot sees only itself, a padded edge
-slot has only itself as keys, and no real row sees a padded one, so padding
-never changes a real row and receives exactly zero gradient. forward_context
-runs one context as a chunk of one, unpadded, on the same path.
+to the longest one would exceed its row budget (see PAD_ROW_BUDGET). A
+chunk pads each document's sentences, edges and distance tuples (a block
+per document, as its context lays them out) to its most sentences S, edges
+E and tuples U, and is one call per projection, block, softmax, FFN and
+LayerNorm of each layer, with documents and heads as batch axes. A
+document's rows score only its own block, so a chunk's position products,
+(B, H, S, U) and (B, H, E, M) with M the most edge tuples of a document,
+grow linearly in B. A padded slot sees only itself, no real row sees a
+padded one and no pair maps to a padded tuple, so padding never changes a
+real row and gets exactly zero gradient. forward_context runs one context
+as a chunk of one.
 
 Activations are bounded per chunk, not per batch: one chunk's cache is
 alive at a time, and it holds about B * (S + E) rows of activations per
@@ -76,8 +77,8 @@ previous layer's B * (S + E) rows), and, per layer, the probabilities of
 the sentence rows (B, H, S, S + E) and, but the last, of the edge rows
 (B, H, E, 3); the (B, H, S, U) position scores and (B, H, E, S + E) edge
 blocks exist only while a layer runs. A document longer than half the
-budget runs alone, so every document of more than 48 elements keeps the
-shapes and memory it has on its own.
+budget runs alone, so at the default d_model every document of more than
+48 elements keeps the shapes and memory it has on its own.
 
 Kept contexts are bounded per live document instead: while a document of n
 elements, S of them sentences, with U distinct tuples is alive, each
@@ -116,12 +117,11 @@ LN_EPS = 1e-5
 N_RELATION_ROWS = 30  # 15 explicit + 15 implicit senses, canonical order
 
 # Padded rows (documents in a chunk x its longest document) one chunk may
-# hold. Layer caches grow with B * n_max, so this bounds the memory of a
-# chunk's forward pass; a document longer than half of it runs alone. At
-# d_model 32 a training step at 96 rows costs about 5 % more CPU than at
-# 128 and 15 % less than at 64, with caches bounded at three quarters of
-# those at 128.
-PAD_ROW_BUDGET = 96
+# hold: PAD_VALUE_BUDGET / d_model, at most PAD_ROW_BUDGET; 96 at the
+# default d_model 256. Layer caches grow with rows x d_model, so this bounds
+# a chunk's memory; a document longer than half the rows runs alone.
+PAD_ROW_BUDGET = 192
+PAD_VALUE_BUDGET = 96 * 256
 
 
 class NumericalError(RuntimeError):
@@ -212,7 +212,7 @@ class Visibility:
                             # sentence_queries
     tuple_cols: np.ndarray  # (B, H, E, 3) flat index of their distance
                             # tuples in a (B, H, E, n_edge_tuples) array
-    n_edge_tuples: int      # the edge rows' tuples are the chunk's first
+    n_edge_tuples: int      # most edge-row tuples of a document's block
 
     @property
     def n_queries(self) -> int:
@@ -404,19 +404,19 @@ def head_scores(x: np.ndarray, pe: np.ndarray, vis: Visibility,
     """Scaled four-term scores q_i.k_j + q_i.r_ij + u.k_j + v.r_ij of every
     head on the keys each query row sees, before the mask, for a chunk laid
     out as vis describes: layer input x (B * n, d_model) and the position
-    embeddings pe (U, d_model) of the chunk's distance tuples.
+    embeddings pe (B * U, d_model) of its documents' U-tuple blocks.
 
     Each score is (q_i + u).k_j + (q_i + v).r_ij, and both terms are batched
     products read per pair: sentence rows' from their products with all n
-    keys and the U tuples, edge rows' from their products with all n keys
-    and the first n_edge_tuples tuples. Returns (sentence scores
+    keys and their block's U tuples, edge rows' from their products with
+    all n keys and its first n_edge_tuples tuples. Returns (sentence scores
     (B, H, S, n), edge scores (B, H, E_q, 3) on (itself, start, end),
     (q, k, r)) with q (B * vis.n_queries, H * d_head) on the query rows,
-    k (B * n, H * d_head) and r (U, H * d_head); E_q is E, or 0 when vis
-    has only sentence queries.
+    k (B * n, H * d_head) and r (B * U, H * d_head); E_q is E, or 0 when
+    vis has only sentence queries.
     """
     u, v = np.atleast_2d(heads.u), np.atleast_2d(heads.v)
-    n_sent, n = vis.mask.shape[2:]
+    n_docs, _, n_sent, n = vis.mask.shape
     rows = vis.n_queries
     n_heads = heads.W_q.shape[1] // u.shape[1]
     q = _query_rows(x, n, rows) @ heads.W_q
@@ -426,7 +426,7 @@ def head_scores(x: np.ndarray, pe: np.ndarray, vis: Visibility,
     qu = q4 + u[:, None, :]
     qv = q4 + v[:, None, :]
     k4 = _split_heads(k, n, n_heads)
-    r4 = _split_heads(r, r.shape[0], n_heads).swapaxes(-1, -2)
+    r4 = _split_heads(r, len(r) // n_docs, n_heads).swapaxes(-1, -2)
     s = qu[:, :, :n_sent] @ k4.swapaxes(-1, -2)
     s += (qv[:, :, :n_sent] @ r4).ravel()[vis.cols]
     s *= scale
@@ -486,9 +486,9 @@ def head_backward(dout: np.ndarray, cache: tuple, x: np.ndarray,
     """Reverse of head_forward for the output gradient dout
     (B * n_queries, H * d_head).
 
-    Adds the gradients of x (B * n, d_model) and of the (U, d_model) tuple
-    embeddings pe into dx and dpe in place: the query gradient into each
-    document's query rows, the key and value gradients into all its rows.
+    Adds the gradients of x (B * n, d_model) and of the tuple embeddings
+    pe (B * U, d_model) into dx and dpe in place: the query gradient into
+    each document's query rows, the key and value gradients into all rows.
     Returns the parameter gradients, summed over the chunk, laid out as
     heads is: shared u, v get the sum of every head's gradient.
     """
@@ -496,7 +496,7 @@ def head_backward(dout: np.ndarray, cache: tuple, x: np.ndarray,
     u, v = np.atleast_2d(heads.u), np.atleast_2d(heads.v)
     n_docs, n_heads, n_sent, n = probs.shape
     rows = vis.n_queries
-    n_tuples, n_et = r.shape[0], vis.n_edge_tuples
+    n_tuples, n_et = len(r) // n_docs, vis.n_edge_tuples
     q4 = _split_heads(q, rows, n_heads)
     qu = q4 + u[:, None, :]
     qv = q4 + v[:, None, :]
@@ -521,7 +521,7 @@ def head_backward(dout: np.ndarray, cache: tuple, x: np.ndarray,
     dq[:, :, :n_sent] = content + position
     grad_u = content.sum(axis=(0, 2))
     grad_v_bias = position.sum(axis=(0, 2))
-    dr = (seg.swapaxes(-1, -2) @ qv[:, :, :n_sent]).sum(axis=0)
+    dr = seg.swapaxes(-1, -2) @ qv[:, :, :n_sent]
     dk = ds.swapaxes(-1, -2) @ qu[:, :, :n_sent]
     del seg, ds
 
@@ -542,11 +542,11 @@ def head_backward(dout: np.ndarray, cache: tuple, x: np.ndarray,
         dq[:, :, n_sent:] = content + position
         grad_u += content.sum(axis=(0, 2))
         grad_v_bias += position.sum(axis=(0, 2))
-        dr[:, :n_et] += (seg.swapaxes(-1, -2) @ qv[:, :, n_sent:]).sum(axis=0)
+        dr[:, :, :n_et] += seg.swapaxes(-1, -2) @ qv[:, :, n_sent:]
         dk += block.swapaxes(-1, -2) @ qu[:, :, n_sent:]
 
-    dq, dk, dv = _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
-    dr = _merge_heads(dr[None])
+    dq, dk, dv, dr = (_merge_heads(dq), _merge_heads(dk), _merge_heads(dv),
+                      _merge_heads(dr))
     dxq = dq @ heads.W_q.T
     if rows == n:
         dx += dxq
@@ -563,68 +563,64 @@ def head_backward(dout: np.ndarray, cache: tuple, x: np.ndarray,
 
 
 def chunk_visibility(contexts: list[SequenceContext], n_heads: int):
-    """The Visibility of contexts run as one chunk, and the chunk's
-    distance tuples pos_rows (U, 4) it indexes.
-
-    Each document's sentences and edges are padded to the chunk's most
-    sentences S and most edges E. The chunk's tuples are stacked as each
-    context lays them out: the edge rows' tuples of every document, then the
-    sentence rows' of every document. A single context is a chunk with
-    nothing to pad, on its own tuples."""
+    """The Visibility of contexts run as one chunk, and the distance tuples
+    pos_rows (B * U, 4) it indexes. Each document's sentences, edges and
+    tuples are padded to the chunk's most S, E and U: document b's tuples
+    are rows b * U on, as its context lays them out, then repeats of its
+    first, which no pair maps to."""
     n_docs = len(contexts)
     n_sent = max(len(ctx.sentences) for ctx in contexts)
-    n_edge = max(len(ctx.edge_pos) for ctx in contexts)
-    n = n_sent + n_edge
-    n_et = sum(ctx.n_edge_tuples for ctx in contexts)
-    pos_rows = np.concatenate(
-        [ctx.pos_rows[:ctx.n_edge_tuples] for ctx in contexts]
-        + [ctx.pos_rows[ctx.n_edge_tuples:] for ctx in contexts])
-
-    # a padded sentence slot sees only itself; an edge slot's first key is
-    # itself, and a padded one's are all itself
+    n = n_sent + max(len(ctx.edge_pos) for ctx in contexts)
+    n_et = max(ctx.n_edge_tuples for ctx in contexts)
+    n_tuples = max(len(ctx.pos_rows) for ctx in contexts)
+    pos_rows = np.empty((n_docs, n_tuples, 4), np.intp)
+    # a padded sentence slot sees only itself; an edge slot's first key
+    # is itself, and a padded one's are all itself. A masked or padded
+    # pair's term is masked out, so its tuple may be any of its block's
     visible = np.zeros((n_docs, n_sent, n), dtype=bool)
     visible[:, np.arange(n_sent), np.arange(n_sent)] = True
-    edge_keys = np.empty((n_docs, n_edge, 3), dtype=np.intp)
-    edge_keys[:] = np.arange(n_sent, n)[:, None]
+    edge_keys = np.tile(np.arange(n_sent, n)[:, None], (n_docs, 1, 3))
     pos = np.zeros(visible.shape, dtype=np.intp)
     edge_pos = np.zeros(edge_keys.shape, dtype=np.intp)
-    # each document's tuple numbers move past the tuples stacked before
-    # its own. A masked pair's position term is masked out, so its tuple
-    # may be any in range; padding takes the same
-    e0, s0 = 0, n_et
     for b, ctx in enumerate(contexts):
-        s, e, m = len(ctx.sentences), len(ctx.edge_pos), ctx.n_edge_tuples
+        s, e = len(ctx.sentences), len(ctx.edge_pos)
         visible[b, :s, :s] = ctx.visible[:, :s]
         visible[b, :s, n_sent:n_sent + e] = ctx.visible[:, s:]
         pos[b, :s, :s] = ctx.sentence_pos[:, :s]
         pos[b, :s, n_sent:n_sent + e] = ctx.sentence_pos[:, s:]
-        pos[b] += s0 - m
         edge_keys[b, :e, 1:] = ctx.edge_keys[:, 1:]
         edge_pos[b, :e] = ctx.edge_pos
-        edge_pos[b, :e] += e0
-        e0, s0 = e0 + m, s0 + len(ctx.pos_rows) - m
+        pos_rows[b] = ctx.pos_rows[0]
+        pos_rows[b, :len(ctx.pos_rows)] = ctx.pos_rows
+    pos_rows = pos_rows.reshape(-1, 4)
 
     # the flat (document, head, row) index of each query row of a block
     sentence_rows = np.arange(n_docs * n_heads * n_sent).reshape(
         n_docs, n_heads, n_sent, 1)
-    edge_rows = np.arange(n_docs * n_heads * n_edge).reshape(
-        n_docs, n_heads, n_edge, 1)
+    edge_rows = np.arange(n_docs * n_heads * (n - n_sent)).reshape(
+        n_docs, n_heads, n - n_sent, 1)
     return Visibility(
         mask=np.where(visible, 0.0, MASKED)[:, None],
-        cols=sentence_rows * len(pos_rows) + pos[:, None],
+        cols=sentence_rows * n_tuples + pos[:, None],
         edge_cols=edge_rows * n + edge_keys[:, None],
         tuple_cols=edge_rows * n_et + edge_pos[:, None],
         n_edge_tuples=n_et), pos_rows
 
 
-def chunk_order(lengths: list[int]) -> list[list[int]]:
+def chunk_order(lengths: list[int],
+                d_model: int = ModelConfig.d_model) -> list[list[int]]:
     """Split batch positions into chunks: greedily, in stable ascending
     length order, closing a chunk before its document count times its
-    longest length would exceed PAD_ROW_BUDGET. A document longer than half
-    the budget therefore always runs alone."""
+    longest length would exceed the row budget at d_model (see
+    PAD_ROW_BUDGET). A document longer than half of it runs alone.
+
+    The model always passes its own d_model; the default, the default
+    config's, keeps the budget tests' bare chunk_order(lengths) calls at
+    the 96-row budget they were written for."""
+    budget = min(PAD_ROW_BUDGET, PAD_VALUE_BUDGET // d_model)
     chunks: list[list[int]] = []
     for i in sorted(range(len(lengths)), key=lengths.__getitem__):
-        if chunks and (len(chunks[-1]) + 1) * lengths[i] <= PAD_ROW_BUDGET:
+        if chunks and (len(chunks[-1]) + 1) * lengths[i] <= budget:
             chunks[-1].append(i)
         else:
             chunks.append([i])
@@ -1120,7 +1116,8 @@ class FusionModel:
         total = 0.0
         predictions = np.empty(len(contexts), dtype=np.int64)
         train_mode = dropout is not None
-        for chunk in chunk_order([len(ctx.seq) for ctx in contexts]):
+        for chunk in chunk_order([len(ctx.seq) for ctx in contexts],
+                                 self.config.d_model):
             logits, _, cache = self.forward_context(
                 [contexts[i] for i in chunk], train_mode=train_mode,
                 dropout=dropout, doc_index=chunk)
@@ -1145,7 +1142,8 @@ class FusionModel:
         """Eval-mode mean cross-entropy over prepared contexts (no gradients)."""
         labels = self._labels(contexts)
         total = 0.0
-        for chunk in chunk_order([len(ctx.seq) for ctx in contexts]):
+        for chunk in chunk_order([len(ctx.seq) for ctx in contexts],
+                                 self.config.d_model):
             logits, _, _ = self.forward_context([contexts[i] for i in chunk])
             probs = softmax(logits)
             total += -np.log(np.maximum(
@@ -1163,7 +1161,8 @@ class FusionModel:
         seqs = [self.sequence_for(doc, variant) if ctx is None else ctx.seq
                 for doc, ctx in zip(docs, kept)]
         out = [0] * len(docs)
-        for chunk in chunk_order([len(seq) for seq in seqs]):
+        for chunk in chunk_order([len(seq) for seq in seqs],
+                                 self.config.d_model):
             try:
                 logits, _, _ = self.forward_context(
                     [self.prepare(docs[i], variant, seqs[i]) for i in chunk])

@@ -52,10 +52,6 @@ class Triple:
             raise PromptStructureError(
                 f"triple requires i < j, got ({self.i}, {self.j})")
 
-    @property
-    def is_entity(self) -> bool:
-        return self.label == ENTITY_LABEL
-
     def render(self) -> str:
         return f"(s_{self.i}, {self.label}, s_{self.j})"
 
@@ -76,14 +72,14 @@ def extract_triples(graph: CoherenceGraph) -> list[Triple]:
     triples = [Triple(e.i, ENTITY_LABEL, e.j) for e in graph.entity_edges]
     triples += [Triple(e.i, relation_label(e), e.j)
                 for e in graph.relation_edges]
-    triples.sort(key=lambda t: (t.i, t.j, 0 if t.is_entity else 1, t.label))
+    triples.sort(key=lambda t: (t.i, t.j, t.label != ENTITY_LABEL, t.label))
     return triples
 
 
 def filter_triples(triples: list[Triple], variant: Variant) -> list[Triple]:
+    entities, relations = variant.keeps_entities, variant.keeps_relations
     return [t for t in triples
-            if (t.is_entity and variant.keeps_entities)
-            or (not t.is_entity and variant.keeps_relations)]
+            if (entities if t.label == ENTITY_LABEL else relations)]
 
 
 @dataclass(frozen=True)
@@ -130,12 +126,12 @@ def render_prompt(doc: Document, triples: list[Triple], variant: Variant,
                   max_chars: int = DEFAULT_MAX_CHARS) -> PromptDocument:
     """Deterministic prompt text for one document under one variant."""
     n = len(doc.sentences)
+    entities, relations = variant.keeps_entities, variant.keeps_relations
     for t in triples:
         if not 1 <= t.i < t.j <= n:
             raise PromptStructureError(
                 f"triple {t.render()} references sentences outside [1, {n}]")
-        if (t.is_entity and not variant.keeps_entities) or \
-           (not t.is_entity and not variant.keeps_relations):
+        if not (entities if t.label == ENTITY_LABEL else relations):
             raise PromptStructureError(
                 f"triple {t.render()} is not allowed under variant {variant.value}")
 

@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 
 from cohgraph.fusion import model as fusion_model
 from cohgraph.fusion.masking import softmax
-from cohgraph.fusion.model import DropoutStream, FusionModel, chunk_order
+from cohgraph.fusion.model import (DropoutStream, FusionModel, chunk_order,
+                                   chunk_visibility, head_backward,
+                                   head_forward)
+from cohgraph.fusion.positions import position_embedding
 from cohgraph.synth import SynthProfile, synth_generate
 from cohgraph.variants import Variant
 
@@ -71,6 +74,20 @@ class TestChunkOrder:
         lengths = list(range(49, 149))
         assert chunk_order(lengths) == [[i] for i in range(len(lengths))]
 
+    def test_row_budget_follows_d_model(self, monkeypatch):
+        """A chunk holds PAD_VALUE_BUDGET // d_model rows, at most
+        PAD_ROW_BUDGET: 96 at d_model 256, 48 at 512, and the cap at 32."""
+        sizes = lambda d_model: [len(c) for c in chunk_order([16] * 64,
+                                                             d_model)]
+        assert sizes(256) == [6] * 10 + [4]
+        assert sizes(512) == [3] * 21 + [1]
+        cap = fusion_model.PAD_ROW_BUDGET // 16
+        assert cap > 6 and sizes(32) == [cap] * (64 // cap) + (
+            [64 % cap] if 64 % cap else [])
+        monkeypatch.setattr(fusion_model, "PAD_ROW_BUDGET", 1024)
+        assert sizes(32) == [48, 16]       # 768 rows of 32 values
+        assert sizes(128) == [12] * 5 + [4]
+
 
 @pytest.mark.parametrize("overrides", [
     {},
@@ -89,7 +106,8 @@ def test_chunks_match_one_document_at_a_time(overrides, budget, monkeypatch):
                                                 **overrides))
     contexts = [model.prepare(doc) for doc in mixed_docs()]
     if budget is not None:
-        assert len(chunk_order([len(c.seq) for c in contexts])) >= 2
+        assert len(chunk_order([len(c.seq) for c in contexts],
+                               model.config.d_model)) >= 2
     for dropout in (DropoutStream(5, 0.2).at(1, 2), None):
         predictions = []
         loss, grads = model.loss_and_grad_contexts(
@@ -143,6 +161,111 @@ def test_padding_is_inert_and_receives_zero_gradient():
     assert (dx[~real] == 0.0).all()
 
 
+def test_position_path_runs_on_per_document_tuple_blocks(monkeypatch):
+    """A chunk lays out each document's distance tuples in a block of U
+    rows, U the most any one document has (not the chunk's total):
+    document b's own tuples first, then repeats of its first. Sentence rows
+    index (B, H, S, U) position scores and edge rows (B, H, E, M), M the
+    most edge tuples of any one document, and backward sums the pair
+    gradients onto arrays of those shapes."""
+    model = FusionModel.build(tiny_model_config(n_layers=2))
+    contexts = [model.prepare(doc) for doc in mixed_docs(4)]
+    n_docs, n_heads = len(contexts), model.config.n_heads
+    n_tuples = max(len(ctx.pos_rows) for ctx in contexts)
+    n_et = max(ctx.n_edge_tuples for ctx in contexts)
+    assert n_tuples < sum(len(ctx.pos_rows) for ctx in contexts)
+    assert min(len(ctx.pos_rows) for ctx in contexts) < n_tuples
+    vis, pos_rows = chunk_visibility(contexts, n_heads)
+    _, _, n_sent, n = vis.mask.shape
+    n_edge = n - n_sent
+    blocks = pos_rows.reshape(n_docs, n_tuples, 4)
+    for b, ctx in enumerate(contexts):
+        np.testing.assert_array_equal(blocks[b, :len(ctx.pos_rows)],
+                                      ctx.pos_rows)
+        assert (blocks[b, len(ctx.pos_rows):] == ctx.pos_rows[0]).all()
+    # each query row reads only its own (document, head, row) block
+    assert vis.n_edge_tuples == n_et
+    np.testing.assert_array_equal(
+        vis.cols // n_tuples,
+        np.arange(n_docs * n_heads * n_sent).reshape(
+            n_docs, n_heads, n_sent, 1) + np.zeros(n, dtype=int))
+    np.testing.assert_array_equal(
+        vis.tuple_cols // n_et,
+        np.arange(n_docs * n_heads * n_edge).reshape(
+            n_docs, n_heads, n_edge, 1) + np.zeros(3, dtype=int))
+
+    pe = position_embedding(model.position_table, pos_rows,
+                            model.params["pos/W_p"])[2]
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(n_docs * n, model.config.d_model))
+    heads = model.layer_heads(0)
+    out, cache = head_forward(x, pe, vis, heads, model.score_scale)
+    sizes = []
+    bincount = np.bincount
+
+    def spy(*args, **kwargs):
+        counts = bincount(*args, **kwargs)
+        sizes.append(len(counts))
+        return counts
+
+    monkeypatch.setattr(np, "bincount", spy)
+    head_backward(rng.normal(size=out.shape), cache, x, pe, heads,
+                  model.score_scale, np.zeros_like(x), np.zeros_like(pe))
+    assert sizes == [n_docs * n_heads * n_sent * n_tuples,
+                     n_docs * n_heads * n_edge * n_et]
+
+
+def test_padded_tuple_rows_are_inert():
+    """No pair maps to a padded tuple row: it gets exactly zero dpe, and
+    what it holds changes no logit and no gradient bit, pos/W_p's
+    included."""
+    model = FusionModel.build(tiny_model_config(n_layers=2,
+                                                position_activation="relu"))
+    contexts = [model.prepare(doc) for doc in mixed_docs(4)]
+    vis, pos_rows = chunk_visibility(contexts, model.config.n_heads)
+    n_tuples = len(pos_rows) // len(contexts)
+    padded = np.zeros(len(pos_rows), dtype=bool)
+    for b, ctx in enumerate(contexts):
+        padded[b * n_tuples + len(ctx.pos_rows):(b + 1) * n_tuples] = True
+    assert padded.any()
+
+    pe = position_embedding(model.position_table, pos_rows,
+                            model.params["pos/W_p"])[2]
+    n = vis.mask.shape[3]
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(len(contexts) * n, model.config.d_model))
+    for layer, queries in ((0, vis), (1, vis.sentence_queries())):
+        heads = model.layer_heads(layer)
+        out, cache = head_forward(x, pe, queries, heads, model.score_scale)
+        dpe = np.zeros_like(pe)
+        head_backward(rng.normal(size=out.shape), cache, x, pe, heads,
+                      model.score_scale, np.zeros_like(x), dpe)
+        assert (dpe[padded] == 0.0).all() and dpe[~padded].any()
+
+    def run(pad_with):
+        def padded_with(ctxs, n_heads):
+            chunk, rows = chunk_visibility(ctxs, n_heads)
+            rows[padded] = pad_with
+            return chunk, rows
+
+        saved = fusion_model.chunk_visibility
+        fusion_model.chunk_visibility = padded_with
+        try:
+            logits, _, cache = model.forward_context(contexts)
+            grads = model.zero_grads()
+            model.backward_from_logits(np.ones_like(logits), cache, grads)
+        finally:
+            fusion_model.chunk_visibility = saved
+        return logits, grads
+
+    logits, grads = run(pos_rows[padded])
+    for pad_with in (pos_rows[~padded][-1], 0):
+        other_logits, other_grads = run(pad_with)
+        np.testing.assert_array_equal(other_logits, logits)
+        for name in grads:
+            np.testing.assert_array_equal(other_grads[name], grads[name])
+
+
 @pytest.mark.parametrize("variants", [
     (Variant.FULL, Variant.TEXT_ONLY, Variant.TEXT_REL),
     (Variant.TEXT_ONLY, Variant.FULL, Variant.TEXT_ONLY),
@@ -175,7 +298,7 @@ def test_gradients_match_finite_differences_across_chunks(monkeypatch):
                                n_token_buckets=8, n_entity_buckets=4)
     model = FusionModel.build(config)
     contexts = [model.prepare(doc) for doc in mixed_docs(4, seed=11)]
-    chunks = chunk_order([len(c.seq) for c in contexts])
+    chunks = chunk_order([len(c.seq) for c in contexts], config.d_model)
     assert len(chunks) >= 2 and max(len(chunk) for chunk in chunks) >= 2
     _, grads = model.loss_and_grad_contexts(contexts)
     eps = 1e-5

@@ -281,6 +281,24 @@ class TestTrainEval:
         assert result.exit_code == 1
         assert "divisible" in result.output
 
+    def test_prompt_only_variant_rejected_in_the_train_config(
+            self, runner, small_corpus, tmp_path):
+        """A config file's prompt-only training variant exits 1 naming it
+        and the fusion variants, and writes no checkpoint."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"d_model": 16, "n_heads": 2},
+                                   "train": {"variant": "FullWithExplanation",
+                                             "epochs": 1}}))
+        ckpt = tmp_path / "x.ckpt"
+        result = runner.invoke(main, ["train", str(small_corpus), str(ckpt),
+                                      "--config", str(cfg)])
+        assert result.exit_code == 1
+        assert "invalid configuration" in result.output
+        assert "FullWithExplanation is prompt-only" in result.output
+        assert "TextOnly, TextEnty, TextRel, Full" in result.output
+        assert "Traceback" not in result.output
+        assert not ckpt.exists()
+
 
 class TestCvAndXdomain:
     def test_cv_report_shape(self, runner, small_corpus, tmp_path):
