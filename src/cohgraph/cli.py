@@ -1,17 +1,21 @@
 """Command-line front door.
 
 Subcommands: build-graph, emit-prompts, train, eval, cv, xdomain, synth.
-Exit codes: 0 success, 1 input error, 2 numerical failure. Logs go to
-stderr, data to files or stdout. Every output artifact is stamped with the
-resolved configuration and its hash, and every command is idempotent for
-identical inputs and seeds.
+Exit codes: 0 success, 1 input error (a malformed command line, a bad
+corpus, config or checkpoint, an unreadable or unwritable file), 2 numerical
+failure, each through one funnel as one message line, never a traceback.
+Each command makes its outputs' directories and tries writing there before
+it computes. Logs go to stderr, data to files or stdout. Every output
+artifact is stamped with the resolved configuration and its hash, and every
+command is idempotent for identical inputs and seeds.
 """
 
 from __future__ import annotations
 
-import contextlib
+import dataclasses
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import click
@@ -33,52 +37,73 @@ EXIT_NUMERICAL_ERROR = 2
 
 _INPUT_ERRORS = (CorpusFormatError, GraphStructureError, ContractError,
                  PromptBudgetError, ValueError, OSError)
+_NUMERICAL_ERRORS = (TrainingDivergedError, NumericalError)
 
 
-def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+class _FrontDoor(click.Group):
+    """The one place where a failure becomes an exit code. Click parses the
+    group's options in make_context; invoke parses the subcommand's and runs
+    its body, file writes included. A malformed command line keeps click's
+    usage message and exits 1, every other failure prints one line. A bare
+    `cohgraph` prints its help and exits 0 on every click version."""
 
+    def parse_args(self, ctx, args):
+        if not args and not ctx.resilient_parsing:
+            click.echo(ctx.get_help(), color=ctx.color)
+            ctx.exit()
+        return super().parse_args(ctx, args)
 
-@contextlib.contextmanager
-def _exit_on_failure():
-    """End a failed computation with its exit code and message, never a
-    traceback: 2 for a numerical failure, 1 for bad input, a violated
-    contract or exhausted memory."""
-    try:
-        yield
-    except (TrainingDivergedError, NumericalError) as exc:
-        _fail(EXIT_NUMERICAL_ERROR, str(exc))
-    except _INPUT_ERRORS + (MemoryError,) as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
+    def make_context(self, *args, **kwargs):
+        return self._funnel(super().make_context, *args, **kwargs)
+
+    def invoke(self, ctx):
+        return self._funnel(super().invoke, ctx)
+
+    @staticmethod
+    def _funnel(call, *args, **kwargs):
+        try:
+            return call(*args, **kwargs)
+        except click.UsageError as exc:
+            exc.exit_code = EXIT_INPUT_ERROR
+            raise
+        except _NUMERICAL_ERRORS + _INPUT_ERRORS + (MemoryError,) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_NUMERICAL_ERROR if isinstance(exc, _NUMERICAL_ERRORS)
+                     else EXIT_INPUT_ERROR)
 
 
 def _read_corpus(path: str) -> list[Document]:
     try:
         return read_corpus(path)
     except _INPUT_ERRORS as exc:
-        _fail(EXIT_INPUT_ERROR, f"{path}: {exc}")
+        raise ValueError(f"{path}: {exc}") from exc
 
 
-def _variant(name: str) -> Variant:
+def _output(path: str | Path) -> Path:
+    """path, its directories made and its writability tried now, before any
+    computation (appending nothing to an existing file leaves it as it is)."""
+    out = Path(path)
     try:
-        return Variant(name)
-    except ValueError:
-        _fail(EXIT_INPUT_ERROR,
-              f"unknown variant {name!r}; expected one of "
-              f"{[v.value for v in Variant]}")
+        out.parent.mkdir(parents=True, exist_ok=True)
+        if out.exists():
+            open(out, "a").close()
+        else:
+            tempfile.TemporaryFile(dir=out.parent).close()
+    except OSError as exc:
+        raise OSError(f"{out}: cannot be written: "
+                      f"{exc.strerror or exc}") from exc
+    return out
 
 
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
-        _fail(EXIT_INPUT_ERROR, f"config file {path}: {exc}")
+        raise ValueError(f"config file {path}: {exc}") from exc
     if not isinstance(data, dict):
-        _fail(EXIT_INPUT_ERROR, f"config file {path}: expected a JSON object")
+        raise ValueError(f"config file {path}: expected a JSON object")
     return data
 
 
@@ -105,12 +130,11 @@ def _resolve_configs(config_file: str | None, seed: int | None,
         model_config = ModelConfig(**model_kwargs)
         train_config = TrainConfig.from_dict(train_kwargs)
     except (TypeError, ValueError) as exc:
-        _fail(EXIT_INPUT_ERROR, f"invalid configuration: {exc}")
+        raise ValueError(f"invalid configuration: {exc}") from exc
     return model_config, train_config
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2))
         fh.write("\n")
@@ -122,7 +146,7 @@ def _provenance(model_config: ModelConfig, train_config: TrainConfig) -> dict:
             "config_hash": config_hash(model_config, train_config)}
 
 
-@click.group()
+@click.group(cls=_FrontDoor)
 def main() -> None:
     """Coherence-graph toolkit: graphs, prompts, fusion training, reports."""
 
@@ -136,16 +160,13 @@ def cmd_build_graph(corpus_path: str, out_path: str) -> None:
     if not docs:
         click.echo(f"warning: {corpus_path} contains no documents", err=True)
     entity_count = relation_count = 0
-    try:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            for doc in docs:
-                graph = build_graph(doc)
-                entity_count += len(graph.entity_edges)
-                relation_count += len(graph.relation_edges)
-                fh.write(dumps_canonical(graph_to_record(graph)))
-                fh.write("\n")
-    except _INPUT_ERRORS as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
+    with open(_output(out_path), "w", encoding="utf-8", newline="\n") as fh:
+        for doc in docs:
+            graph = build_graph(doc)
+            entity_count += len(graph.entity_edges)
+            relation_count += len(graph.relation_edges)
+            fh.write(dumps_canonical(graph_to_record(graph)))
+            fh.write("\n")
     click.echo(f"{len(docs)} documents, {entity_count} entity edges, "
                f"{relation_count} relation edges -> {out_path}")
 
@@ -154,6 +175,7 @@ def cmd_build_graph(corpus_path: str, out_path: str) -> None:
 @click.argument("corpus_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("out_dir", type=click.Path(file_okay=False))
 @click.option("--variant", "variants", multiple=True,
+              type=click.Choice([v.value for v in Variant]),
               default=[Variant.FULL.value], show_default=True,
               help="Prompt variant; repeatable.")
 @click.option("--max-chars", default=100_000, show_default=True,
@@ -162,16 +184,15 @@ def cmd_emit_prompts(corpus_path: str, out_dir: str, variants: tuple[str, ...],
                      max_chars: int) -> None:
     """Write <doc_id>.<variant>.txt prompt files plus an index.jsonl."""
     docs = _read_corpus(corpus_path)
-    chosen = [_variant(name) for name in variants]
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    chosen = [Variant(name) for name in variants]
+    out = _output(Path(out_dir) / "index.jsonl").parent
     index_entries = []
     failures = 0
     for doc in docs:
         try:
             triples = extract_triples(build_graph(doc))
         except GraphStructureError as exc:
-            _fail(EXIT_INPUT_ERROR, f"document {doc.id}: {exc}")
+            raise GraphStructureError(f"document {doc.id}: {exc}") from exc
         for variant in chosen:
             try:
                 prompt = render_prompt(doc, filter_triples(triples, variant),
@@ -194,7 +215,7 @@ def cmd_emit_prompts(corpus_path: str, out_dir: str, variants: tuple[str, ...],
             fh.write("\n")
     click.echo(f"{len(index_entries)} prompts -> {out_dir}")
     if failures:
-        _fail(EXIT_INPUT_ERROR, f"{failures} documents exceeded the prompt budget")
+        raise ValueError(f"{failures} documents exceeded the prompt budget")
 
 
 @main.command("synth")
@@ -205,16 +226,13 @@ def cmd_emit_prompts(corpus_path: str, out_dir: str, variants: tuple[str, ...],
               type=click.Choice(sorted(PROFILES)))
 def cmd_synth(out_path: str, n_docs: int, seed: int, profile: str) -> None:
     """Generate a deterministic synthetic labeled corpus."""
-    try:
-        docs = synth_generate(n_docs, seed, profile)
-        write_corpus(docs, out_path)
-    except _INPUT_ERRORS as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
+    docs = synth_generate(n_docs, seed, profile)
+    write_corpus(docs, _output(out_path))
     click.echo(f"{len(docs)} documents -> {out_path}")
 
 
-# Defaults live in ModelConfig/TrainConfig; a None flag means "not given",
-# so config-file values are only overridden by flags the user typed.
+# Defaults live in ModelConfig/TrainConfig; a None flag means "not given", so
+# only typed flags override config-file values (see _resolve_configs).
 _train_options = [
     click.option("--config", "config_file", type=click.Path(exists=True),
                  default=None, help="JSON config file; explicit flags override it."),
@@ -245,26 +263,20 @@ def _with_train_options(fn):
               help="Per-epoch JSONL metrics log (default: <checkpoint>.metrics.jsonl)")
 @_with_train_options
 def cmd_train(corpus_path: str, checkpoint_path: str, metrics_log: str | None,
-              config_file: str | None, seed, variant, epochs,
-              lr, batch_size, d_model, n_heads,
-              n_layers, dropout) -> None:
+              **options) -> None:
     """Train a fusion model and write a checkpoint plus metrics log."""
-    model_config, train_config = _resolve_configs(
-        config_file, seed, variant, epochs, lr, batch_size,
-        d_model, n_heads, n_layers, dropout)
+    model_config, train_config = _resolve_configs(**options)
     docs = _read_corpus(corpus_path)
     if not docs:
-        _fail(EXIT_INPUT_ERROR, f"{corpus_path}: empty corpus")
-    with _exit_on_failure():
-        model, metrics = train_model(docs, model_config, train_config)
-    model.save(checkpoint_path)
-    log_path = Path(metrics_log or f"{checkpoint_path}.metrics.jsonl")
+        raise ValueError(f"{corpus_path}: empty corpus")
+    checkpoint = _output(checkpoint_path)
+    log_path = _output(metrics_log or f"{checkpoint_path}.metrics.jsonl")
+    model, metrics = train_model(docs, model_config, train_config)
+    model.save(checkpoint)
     provenance = _provenance(model_config, train_config)
     with open(log_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_canonical({"run": provenance}))
-        fh.write("\n")
-        for record in metrics:
-            fh.write(dumps_canonical(record.to_dict()))
+        for record in [{"run": provenance}, *(m.to_dict() for m in metrics)]:
+            fh.write(dumps_canonical(record))
             fh.write("\n")
     final = metrics[-1] if metrics else None
     click.echo(f"checkpoint -> {checkpoint_path} "
@@ -286,28 +298,23 @@ def cmd_train(corpus_path: str, checkpoint_path: str, metrics_log: str | None,
 def cmd_eval(checkpoint_path: str, corpus_path: str, report_path: str,
              variant: str | None, expect_d_model: int | None) -> None:
     """Evaluate a checkpoint on a labeled corpus and write an EvalReport."""
-    try:
-        model = FusionModel.load(checkpoint_path)
-    except _INPUT_ERRORS as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
+    model = FusionModel.load(checkpoint_path)
     if variant is None:
         variant = (model.variant or Variant.FULL).value
     elif model.variant not in (None, Variant(variant)):
-        _fail(EXIT_INPUT_ERROR,
-              f"{checkpoint_path}: checkpoint was trained on variant "
-              f"{model.variant.value}, not {variant}")
+        raise ValueError(f"{checkpoint_path}: checkpoint was trained on "
+                         f"variant {model.variant.value}, not {variant}")
     if expect_d_model is not None and model.config.d_model != expect_d_model:
-        _fail(EXIT_INPUT_ERROR,
-              f"checkpoint config mismatch: d_model is "
-              f"{model.config.d_model}, expected {expect_d_model}")
+        raise ValueError(f"checkpoint config mismatch: d_model is "
+                         f"{model.config.d_model}, expected {expect_d_model}")
     docs = _read_corpus(corpus_path)
     labeled = [d for d in docs if d.label is not None]
     if not labeled:
-        _fail(EXIT_INPUT_ERROR, f"{corpus_path}: no labeled documents")
-    with _exit_on_failure():
-        preds = model.predict(labeled, variant=_variant(variant))
+        raise ValueError(f"{corpus_path}: no labeled documents")
+    report_file = _output(report_path)
+    preds = model.predict(labeled, variant=Variant(variant))
     report = per_label_report(preds, [d.label for d in labeled])
-    _write_json(Path(report_path), {
+    _write_json(report_file, {
         "model_config": model.config.to_dict(),
         "config_hash": config_hash(model.config),
         "variant": variant,
@@ -326,22 +333,18 @@ def cmd_eval(checkpoint_path: str, corpus_path: str, report_path: str,
               help="Shuffled folds without label stratification.")
 @_with_train_options
 def cmd_cv(corpus_path: str, report_path: str, k: int, plain_folds: bool,
-           config_file: str | None, seed, variant, epochs,
-           lr, batch_size, d_model, n_heads,
-           n_layers, dropout) -> None:
+           **options) -> None:
     """k-fold cross-validation; writes per-fold rows plus mean and std."""
-    model_config, train_config = _resolve_configs(
-        config_file, seed, variant, epochs, lr, batch_size,
-        d_model, n_heads, n_layers, dropout)
+    model_config, train_config = _resolve_configs(**options)
     docs = _read_corpus(corpus_path)
+    report_file = _output(report_path)
     factory = lambda: FusionClassifier(model_config, train_config)
-    with _exit_on_failure():
-        result = run_cv(docs, k, factory, train_config.seed,
-                        stratified=not plain_folds)
+    result = run_cv(docs, k, factory, train_config.seed,
+                    stratified=not plain_folds)
     payload = _provenance(model_config, train_config)
     payload.update({"k": k, "stratified": not plain_folds,
                     "result": result.to_dict()})
-    _write_json(Path(report_path), payload)
+    _write_json(report_file, payload)
     click.echo(f"mean accuracy {result.mean['accuracy']:.4f} "
                f"(std {result.std['accuracy']:.4f}) -> {report_path}")
 
@@ -354,26 +357,21 @@ def cmd_cv(corpus_path: str, report_path: str, k: int, plain_folds: bool,
 @click.option("--test-tag", "test_tags", multiple=True, required=True)
 @_with_train_options
 def cmd_xdomain(corpus_path: str, report_path: str, train_tag: str,
-                test_tags: tuple[str, ...], config_file: str | None, seed,
-                variant, epochs, lr, batch_size,
-                d_model, n_heads, n_layers,
-                dropout) -> None:
+                test_tags: tuple[str, ...], **options) -> None:
     """Train on one domain tag, evaluate on others, report TextOnly deltas."""
-    model_config, train_config = _resolve_configs(
-        config_file, seed, variant, epochs, lr, batch_size,
-        d_model, n_heads, n_layers, dropout)
-    baseline_config = TrainConfig.from_dict(
-        {**train_config.to_dict(), "variant": Variant.TEXT_ONLY.value})
+    model_config, train_config = _resolve_configs(**options)
+    baseline_config = dataclasses.replace(train_config,
+                                          variant=Variant.TEXT_ONLY)
     docs = _read_corpus(corpus_path)
-    with _exit_on_failure():
-        reports = cross_domain(
-            docs, train_tag, list(test_tags),
-            lambda: FusionClassifier(model_config, train_config),
-            lambda: FusionClassifier(model_config, baseline_config))
+    report_file = _output(report_path)
+    reports = cross_domain(
+        docs, train_tag, list(test_tags),
+        lambda: FusionClassifier(model_config, train_config),
+        lambda: FusionClassifier(model_config, baseline_config))
     payload = _provenance(model_config, train_config)
     payload.update({"train_tag": train_tag,
                     "transfers": [r.to_dict() for r in reports]})
-    _write_json(Path(report_path), payload)
+    _write_json(report_file, payload)
     for r in reports:
         click.echo(f"{train_tag} -> {r.test_tag}: accuracy "
                    f"{r.report.accuracy:.4f} "

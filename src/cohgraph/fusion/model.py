@@ -607,16 +607,11 @@ def chunk_visibility(contexts: list[SequenceContext], n_heads: int):
         n_edge_tuples=n_et), pos_rows
 
 
-def chunk_order(lengths: list[int],
-                d_model: int = ModelConfig.d_model) -> list[list[int]]:
+def chunk_order(lengths: list[int], d_model: int) -> list[list[int]]:
     """Split batch positions into chunks: greedily, in stable ascending
     length order, closing a chunk before its document count times its
     longest length would exceed the row budget at d_model (see
-    PAD_ROW_BUDGET). A document longer than half of it runs alone.
-
-    The model always passes its own d_model; the default, the default
-    config's, keeps the budget tests' bare chunk_order(lengths) calls at
-    the 96-row budget they were written for."""
+    PAD_ROW_BUDGET). A document longer than half of it runs alone."""
     budget = min(PAD_ROW_BUDGET, PAD_VALUE_BUDGET // d_model)
     chunks: list[list[int]] = []
     for i in sorted(range(len(lengths)), key=lengths.__getitem__):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohgraph.fusion import model as fusion_model
+from cohgraph.fusion.config import ModelConfig
 from cohgraph.fusion.masking import softmax
 from cohgraph.fusion.model import (DropoutStream, FusionModel, chunk_order,
                                    chunk_visibility, head_backward,
@@ -50,18 +51,21 @@ def one_at_a_time(model, contexts, dropout):
     return total / len(contexts), grads, np.array(logits_all)
 
 
+DEFAULT_D_MODEL = ModelConfig().d_model
+
+
 class TestChunkOrder:
     def test_greedy_in_stable_length_order_under_the_budget(self,
                                                            monkeypatch):
         monkeypatch.setattr(fusion_model, "PAD_ROW_BUDGET", 20)
         # ascending, ties in batch order; 4 x 5 rows fill the first chunk
-        assert chunk_order([5, 3, 5, 9, 3, 4, 40]) == [[1, 4, 5, 0], [2, 3],
-                                                       [6]]
+        assert chunk_order([5, 3, 5, 9, 3, 4, 40], DEFAULT_D_MODEL) == [
+            [1, 4, 5, 0], [2, 3], [6]]
 
     def test_documents_over_half_the_budget_run_alone(self, monkeypatch):
         monkeypatch.setattr(fusion_model, "PAD_ROW_BUDGET", 20)
         lengths = [11, 4, 12, 30, 4, 10, 5]
-        chunks = chunk_order(lengths)
+        chunks = chunk_order(lengths, DEFAULT_D_MODEL)
         assert sorted(i for chunk in chunks for i in chunk) == list(range(7))
         for chunk in chunks:
             if any(lengths[i] > 10 for i in chunk):
@@ -72,7 +76,8 @@ class TestChunkOrder:
         """At the default budget every document of more than 48 elements is
         a chunk of its own, with the shapes it has alone."""
         lengths = list(range(49, 149))
-        assert chunk_order(lengths) == [[i] for i in range(len(lengths))]
+        assert chunk_order(lengths, DEFAULT_D_MODEL) == [
+            [i] for i in range(len(lengths))]
 
     def test_row_budget_follows_d_model(self, monkeypatch):
         """A chunk holds PAD_VALUE_BUDGET // d_model rows, at most

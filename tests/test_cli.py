@@ -392,4 +392,184 @@ class TestHelp:
 
     def test_unknown_flag_is_hard_error(self, runner):
         result = runner.invoke(main, ["synth", "out.jsonl", "--bogus"])
-        assert result.exit_code != 0
+        assert result.exit_code == 1
+
+
+class TestFrontDoor:
+    """Every malformed command line and every unwritable output ends in
+    exit 1 with one message, never a traceback or click's exit 2."""
+
+    @staticmethod
+    def assert_usage_error(result, token):
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert "Error:" in result.output and token in result.output
+
+    # (command, what is malformed, its arguments; {corpus} names the corpus,
+    # which also stands in for eval's checkpoint since parsing fails before
+    # it is read, and {tmp} a scratch directory)
+    MALFORMED = [
+        ("build-graph", "missing", ["{tmp}/nope.jsonl", "{tmp}/g.jsonl"]),
+        ("build-graph", "option", ["{corpus}", "{tmp}/g.jsonl", "--bogus"]),
+        ("emit-prompts", "integer",
+         ["{corpus}", "{tmp}/p", "--max-chars", "abc"]),
+        ("emit-prompts", "choice", ["{corpus}", "{tmp}/p", "--variant", "Bogus"]),
+        ("emit-prompts", "missing", ["{tmp}/nope.jsonl", "{tmp}/p"]),
+        ("emit-prompts", "option", ["{corpus}", "{tmp}/p", "--bogus"]),
+        ("synth", "integer", ["{tmp}/s.jsonl", "--n-docs", "abc"]),
+        ("synth", "choice", ["{tmp}/s.jsonl", "--profile", "Bogus"]),
+        ("synth", "option", ["{tmp}/s.jsonl", "--bogus"]),
+        ("train", "integer", ["{corpus}", "{tmp}/t.ckpt", "--epochs", "abc"]),
+        ("train", "choice", ["{corpus}", "{tmp}/t.ckpt", "--variant", "Bogus"]),
+        ("train", "missing", ["{tmp}/nope.jsonl", "{tmp}/t.ckpt"]),
+        ("train", "option", ["{corpus}", "{tmp}/t.ckpt", "--bogus"]),
+        ("eval", "integer", ["{corpus}", "{corpus}", "--report", "{tmp}/r.json",
+                             "--expect-d-model", "abc"]),
+        ("eval", "choice", ["{corpus}", "{corpus}", "--report", "{tmp}/r.json",
+                            "--variant", "Bogus"]),
+        ("eval", "missing", ["{tmp}/nope.ckpt", "{corpus}",
+                             "--report", "{tmp}/r.json"]),
+        ("eval", "option", ["{corpus}", "{corpus}", "--report", "{tmp}/r.json",
+                            "--bogus"]),
+        ("cv", "integer", ["{corpus}", "--report", "{tmp}/r.json",
+                           "--k", "abc"]),
+        ("cv", "choice", ["{corpus}", "--report", "{tmp}/r.json",
+                          "--variant", "Bogus"]),
+        ("cv", "missing", ["{tmp}/nope.jsonl", "--report", "{tmp}/r.json"]),
+        ("cv", "option", ["{corpus}", "--report", "{tmp}/r.json", "--bogus"]),
+        ("xdomain", "integer", ["{corpus}", "--report", "{tmp}/r.json",
+                                "--train-tag", "synthA", "--test-tag", "synthB",
+                                "--epochs", "abc"]),
+        ("xdomain", "choice", ["{corpus}", "--report", "{tmp}/r.json",
+                               "--train-tag", "synthA", "--test-tag", "synthB",
+                               "--variant", "Bogus"]),
+        ("xdomain", "missing", ["{tmp}/nope.jsonl", "--report", "{tmp}/r.json",
+                                "--train-tag", "synthA",
+                                "--test-tag", "synthB"]),
+        ("xdomain", "option", ["{corpus}", "--report", "{tmp}/r.json",
+                               "--train-tag", "synthA", "--test-tag", "synthB",
+                               "--bogus"]),
+    ]
+    # the token click's message names for each kind of mistake
+    TOKENS = {"integer": "abc", "choice": "Bogus", "missing": "nope",
+              "option": "--bogus"}
+
+    @pytest.mark.parametrize("command, kind, args", MALFORMED,
+                             ids=[f"{c}-{k}" for c, k, _ in MALFORMED])
+    def test_malformed_command_line_exits_1(self, runner, small_corpus,
+                                            tmp_path, command, kind, args):
+        names = {"corpus": small_corpus, "tmp": tmp_path}
+        result = runner.invoke(main, [command,
+                                      *(a.format(**names) for a in args)])
+        self.assert_usage_error(result, self.TOKENS[kind])
+        assert [p.name for p in tmp_path.iterdir()] == [small_corpus.name]
+
+    @pytest.mark.parametrize("args, token", [
+        (["nope"], "nope"),
+        (["--bogus", "synth", "out.jsonl"], "--bogus"),
+    ], ids=["unknown-command", "group-option"])
+    def test_malformed_group_command_line_exits_1(self, runner, args, token):
+        self.assert_usage_error(runner.invoke(main, args), token)
+
+    # (command, its arguments with one output under {blocker}, a regular
+    # file; {corpus} and {tmp} as above; the cli functions that must not run
+    # because the output is checked first)
+    UNWRITABLE = [
+        ("build-graph", ["{corpus}", "{blocker}/g.jsonl"], []),
+        ("emit-prompts", ["{corpus}", "{blocker}/prompts"], []),
+        ("synth", ["{blocker}/s.jsonl", "--n-docs", "4"], []),
+        ("train", ["{corpus}", "{blocker}/t.ckpt", *TRAIN_FLAGS],
+         ["train_model"]),
+        ("train", ["{corpus}", "{tmp}/t.ckpt", "--metrics-log",
+                   "{blocker}/m.jsonl", *TRAIN_FLAGS], ["train_model"]),
+        ("eval", [str(Path(__file__).parent / "fixtures" / "v1-d8.ckpt"),
+                  "{corpus}", "--report", "{blocker}/r.json"], []),
+        ("cv", ["{corpus}", "--k", "3", "--report", "{blocker}/r.json",
+                *TRAIN_FLAGS], ["run_cv"]),
+        ("xdomain", ["{corpus}", "--train-tag", "synthA", "--test-tag",
+                     "synthB", "--report", "{blocker}/r.json", *TRAIN_FLAGS],
+         ["cross_domain"]),
+    ]
+
+    @pytest.mark.parametrize("command, args, not_run", UNWRITABLE, ids=[
+        "build-graph", "emit-prompts", "synth", "train-checkpoint",
+        "train-metrics-log", "eval", "cv", "xdomain"])
+    def test_output_under_a_regular_file_exits_1(
+            self, runner, small_corpus, tmp_path, monkeypatch, command, args,
+            not_run):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file\n")
+        for name in not_run:
+            def forbidden(*_, name=name, **__):
+                raise AssertionError(f"{name} ran before the output was made")
+            monkeypatch.setattr(f"cohgraph.cli.{name}", forbidden)
+        names = {"corpus": small_corpus, "tmp": tmp_path, "blocker": blocker}
+        result = runner.invoke(main, [command,
+                                      *(a.format(**names) for a in args)])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert "error: " in result.output and str(blocker) in result.output
+
+    @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
+                        reason="every directory is writable for root")
+    @pytest.mark.parametrize("command, args, not_run", [
+        ("train", ["{corpus}", "{ro}/t.ckpt", *TRAIN_FLAGS], "train_model"),
+        ("cv", ["{corpus}", "--k", "3", "--report", "{ro}/r.json",
+                *TRAIN_FLAGS], "run_cv"),
+    ], ids=["train", "cv"])
+    def test_output_in_a_read_only_directory_exits_1_before_the_fit(
+            self, runner, small_corpus, tmp_path, monkeypatch, command, args,
+            not_run):
+        read_only = tmp_path / "ro"
+        read_only.mkdir()
+        read_only.chmod(0o555)
+
+        def forbidden(*_, **__):
+            raise AssertionError(f"{not_run} ran before the output was tried")
+        monkeypatch.setattr(f"cohgraph.cli.{not_run}", forbidden)
+        names = {"corpus": small_corpus, "ro": read_only}
+        try:
+            result = runner.invoke(main, [command,
+                                          *(a.format(**names) for a in args)])
+        finally:
+            read_only.chmod(0o755)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "error: " in result.output and str(read_only) in result.output
+        assert list(read_only.iterdir()) == []
+
+    @pytest.mark.parametrize("command, args, made", [
+        ("build-graph", ["{corpus}", "{tmp}/new/g.jsonl"], ["new/g.jsonl"]),
+        ("emit-prompts", ["{corpus}", "{tmp}/new/p"], ["new/p/index.jsonl"]),
+        ("synth", ["{tmp}/new/s.jsonl", "--n-docs", "4"], ["new/s.jsonl"]),
+        ("train", ["{corpus}", "{tmp}/new/deeper/t.ckpt", *TRAIN_FLAGS],
+         ["new/deeper/t.ckpt", "new/deeper/t.ckpt.metrics.jsonl"]),
+    ], ids=["build-graph", "emit-prompts", "synth", "train"])
+    def test_output_under_a_missing_directory_is_created(
+            self, runner, small_corpus, tmp_path, command, args, made):
+        names = {"corpus": small_corpus, "tmp": tmp_path}
+        result = runner.invoke(main, [command,
+                                      *(a.format(**names) for a in args)])
+        assert result.exit_code == 0, result.output
+        for name in made:
+            assert (tmp_path / name).is_file()
+        # the writability probe leaves no file of its own behind
+        assert sorted(p.name for p in (tmp_path / made[0]).parent.iterdir()
+                      if p.suffix not in (".txt",)) == sorted(
+                          Path(name).name for name in made)
+
+    def test_budget_overflow_exits_1_with_its_summary(self, runner,
+                                                      demo_corpus, tmp_path):
+        result = runner.invoke(main, ["emit-prompts", str(demo_corpus),
+                                      str(tmp_path / "p"),
+                                      "--max-chars", "50"])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "error: 1 documents exceeded the prompt budget" in result.output
+
+    def test_bare_command_prints_help_and_exits_0(self, runner):
+        result = runner.invoke(main, [])
+        assert result.exit_code == 0, result.output
+        assert "Usage:" in result.output and "build-graph" in result.output
