@@ -15,6 +15,13 @@ One document per line. Field contract (all names fixed):
 Raw integer labels are mapped on load; serialization always emits the mapped
 string form, making serialize(parse(x)) canonical: writing a parsed document
 back out and re-parsing it is byte-stable.
+
+A missing or null `annotations` is empty. Any other malformed field, such as
+a non-object `annotations` or a non-array `tokens`, `nouns`, `coref_links`
+or `relations`, raises CorpusFormatError naming the field and the line.
+Parsed documents share immutable objects: every relation sense is the
+registry's own instance, and equal token spans of one document are one
+TokenSpan.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from .documents import (
     TokenSpan,
 )
 from .labels import CoherenceLabel, ScoreScheme, map_raw_score
-from .relations import CauseDirection, RelationKind, UnknownSenseError, load_registry
+from .relations import CauseDirection, UnknownSenseError, load_registry
 
 
 class CorpusFormatError(ValueError):
@@ -45,28 +52,68 @@ class CorpusFormatError(ValueError):
         super().__init__(f"line {line_number}: {message}")
 
 
+_DIRECTIONS = {direction.value: direction for direction in CauseDirection}
+
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string",
+               int: "a number", float: "a number", bool: "a boolean",
+               type(None): "null"}
+
+
+def _checked(value, expected: type, *where):
+    """value if it has the JSON type expected; otherwise a ValueError naming
+    the field by the words in where, which are joined only then."""
+    if not isinstance(value, expected):
+        raise ValueError(f"{' '.join(map(str, where))} must be "
+                         f"{_JSON_TYPES[expected]}, got "
+                         f"{_JSON_TYPES.get(type(value), type(value).__name__)}")
+    return value
+
+
+def _direction(value) -> CauseDirection:
+    """The member a direction string names; anything else goes to the enum's
+    own conversion, which raises its usual message."""
+    try:
+        return _DIRECTIONS[value]
+    except (KeyError, TypeError):
+        return CauseDirection(value)
+
+
 def document_from_record(record: dict, line_number: int = 0) -> Document:
-    """Build and validate a Document from one decoded JSON record."""
+    """Build and validate a Document from one decoded JSON record, in one
+    pass that shares senses and spans as the module docstring says."""
     registry = load_registry()
+    spans: dict[tuple[int, int], TokenSpan] = {}
+
+    def span(raw) -> TokenSpan:
+        key = (int(raw[0]), int(raw[1]))
+        shared = spans.get(key)
+        if shared is None:
+            shared = spans[key] = TokenSpan(*key)
+        return shared
+
     try:
         sentences = tuple(
-            Sentence(index=k + 1, text=str(s["text"]),
-                     tokens=tuple(str(t) for t in s["tokens"]))
+            Sentence(k + 1, str(s["text"]),
+                     tuple(map(str, _checked(s["tokens"], list,
+                                             "'tokens' of sentence", k + 1))))
             for k, s in enumerate(record["sentences"]))
-        ann = record.get("annotations") or {}
+        ann = record.get("annotations")
+        ann = {} if ann is None else _checked(ann, dict, "'annotations'")
         nouns = tuple(
-            NounAnnotation(int(i), TokenSpan(int(span[0]), int(span[1])), str(surface))
-            for i, span, surface in ann.get("nouns", ()))
+            NounAnnotation(int(i), span(raw), str(surface))
+            for i, raw, surface in _checked(ann.get("nouns", []), list,
+                                            "'annotations.nouns'"))
         corefs = tuple(
-            (Mention(int(a[0]), TokenSpan(int(a[1][0]), int(a[1][1]))),
-             Mention(int(b[0]), TokenSpan(int(b[1][0]), int(b[1][1]))))
-            for a, b in ann.get("coref_links", ()))
+            (Mention(int(a[0]), span(a[1])), Mention(int(b[0]), span(b[1])))
+            for a, b in _checked(ann.get("coref_links", []), list,
+                                 "'annotations.coref_links'"))
         relations = []
-        for entry in ann.get("relations", ()):
-            i, name, kind_str = entry[0], entry[1], entry[2]
-            direction_str = entry[3] if len(entry) > 3 else None
-            sense = registry.lookup(str(name), RelationKind(str(kind_str)))
-            direction = CauseDirection(direction_str) if direction_str else None
+        for entry in _checked(ann.get("relations", []), list,
+                              "'annotations.relations'"):
+            i, name, kind = entry[0], entry[1], entry[2]
+            direction = entry[3] if len(entry) > 3 else None
+            sense = registry.lookup_entry(name, kind)
+            direction = _direction(direction) if direction else None
             relations.append(RelationAnnotation(int(i), sense, direction))
         doc = Document(
             id=str(record["id"]),

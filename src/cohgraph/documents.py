@@ -17,7 +17,7 @@ class DocumentStructureError(ValueError):
     """An annotation or sentence violates the document's structural invariants."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenSpan:
     """Half-open [start, end) span over a sentence's token indices."""
 
@@ -30,7 +30,7 @@ class TokenSpan:
                 f"invalid token span [{self.start}, {self.end})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mention:
     """A mention located by 1-based sentence index and token span."""
 
@@ -38,14 +38,14 @@ class Mention:
     span: TokenSpan
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NounAnnotation:
     sentence_index: int
     span: TokenSpan
     surface: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelationAnnotation:
     """A discourse relation between sentence i and sentence i+1.
 
@@ -58,14 +58,14 @@ class RelationAnnotation:
     direction: CauseDirection | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnotationSet:
     nouns: tuple[NounAnnotation, ...] = ()
     coref_links: tuple[tuple[Mention, Mention], ...] = ()
     relations: tuple[RelationAnnotation, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sentence:
     index: int  # 1-based position in the document
     text: str
@@ -86,6 +86,8 @@ class Document:
     label: CoherenceLabel | None = None
     domain_tag: str = ""
     annotations: AnnotationSet = field(default_factory=AnnotationSet)
+    # set by a validate() that passed; the fields it checked are immutable
+    _valid: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -95,8 +97,11 @@ class Document:
 
         Raises DocumentStructureError on the first violation. Corpus loading
         and graph building both call this, so hand-built documents used in
-        error-path tests can stay unchecked until they hit a pipeline.
+        error-path tests can stay unchecked until they hit a pipeline. A
+        document that passed once returns at once.
         """
+        if self._valid:
+            return self
         n = len(self.sentences)
         if n == 0:
             raise DocumentStructureError(f"document {self.id!r} has no sentences")
@@ -105,21 +110,28 @@ class Document:
                 raise DocumentStructureError(
                     f"document {self.id!r}: sentence at position {k} has "
                     f"index {sent.index}, expected {k + 1}")
+        # a mention whose span does not end inside its sentence goes to
+        # _check_mention, which raises the message
+        ends = {sent.index: len(sent.tokens) for sent in self.sentences}
         for noun in self.annotations.nouns:
-            self._check_mention(noun.sentence_index, noun.span, "noun")
+            if noun.span.end > ends.get(noun.sentence_index, -1):
+                self._check_mention(noun.sentence_index, noun.span, "noun")
             if not noun.surface:
                 raise DocumentStructureError(
                     f"document {self.id!r}: empty noun surface in "
                     f"sentence {noun.sentence_index}")
         for a, b in self.annotations.coref_links:
-            self._check_mention(a.sentence_index, a.span, "coref mention")
-            self._check_mention(b.sentence_index, b.span, "coref mention")
+            if a.span.end > ends.get(a.sentence_index, -1):
+                self._check_mention(a.sentence_index, a.span, "coref mention")
+            if b.span.end > ends.get(b.sentence_index, -1):
+                self._check_mention(b.sentence_index, b.span, "coref mention")
         for rel in self.annotations.relations:
             if not 1 <= rel.sentence_index < n:
                 raise DocumentStructureError(
                     f"document {self.id!r}: relation at sentence "
                     f"{rel.sentence_index} is not an adjacent pair in "
                     f"[1, {n - 1}]")
+        object.__setattr__(self, "_valid", True)
         return self
 
     def _check_mention(self, sentence_index: int, span: TokenSpan, what: str) -> None:

@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 
 from .documents import Document
-from .relations import CauseDirection, RelationSense
+from .relations import CauseDirection, RelationKind, RelationSense
 
 
 class GraphStructureError(ValueError):
@@ -23,8 +23,10 @@ class EdgeSource(enum.Enum):
     SHARED_NOUN = "shared_noun"
     COREF = "coref"
 
+    __hash__ = object.__hash__  # members compare by identity, see RelationKind
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class EntityEdge:
     """Entity link between sentences i < j, keyed by (i, j, surface)."""
 
@@ -45,7 +47,7 @@ class EntityEdge:
         return (self.i, self.j, self.surface)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelationEdge:
     """Discourse relation edge spanning the adjacent pair (i, i+1)."""
 
@@ -62,7 +64,7 @@ class RelationEdge:
         return (self.i, self.sense.kind.value, self.sense.name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoherenceGraph:
     doc_id: str
     n_sentences: int
@@ -85,22 +87,24 @@ def extract_entity_edges(doc: Document) -> frozenset[EntityEdge]:
     coref edge wins.
     """
     n = len(doc.sentences)
-    nouns_by_sentence: dict[int, set[str]] = {}
+    sentences_of: dict[str, set[int]] = {}
     for noun in doc.annotations.nouns:
         if not 1 <= noun.sentence_index <= n:
             raise GraphStructureError(
                 f"noun annotation references sentence {noun.sentence_index} "
                 f"outside [1, {n}]")
-        nouns_by_sentence.setdefault(noun.sentence_index, set()).add(
-            noun.surface.casefold())
+        sentences_of.setdefault(noun.surface.casefold(), set()).add(
+            noun.sentence_index)
 
+    # every pair of sentences sharing a surface, in time linear in the edges
     edges: dict[tuple[int, int, str], EntityEdge] = {}
-    indices = sorted(nouns_by_sentence)
-    for a_pos, i in enumerate(indices):
-        for j in indices[a_pos + 1:]:
-            for surface in nouns_by_sentence[i] & nouns_by_sentence[j]:
-                edge = EntityEdge(i, j, surface, EdgeSource.SHARED_NOUN)
-                edges[edge.key] = edge
+    for surface, indices in sentences_of.items():
+        if len(indices) > 1:
+            indices = sorted(indices)
+            for a_pos, i in enumerate(indices):
+                for j in indices[a_pos + 1:]:
+                    edges[(i, j, surface)] = EntityEdge(
+                        i, j, surface, EdgeSource.SHARED_NOUN)
 
     for mention_a, mention_b in doc.annotations.coref_links:
         for m in (mention_a, mention_b):
@@ -110,8 +114,9 @@ def extract_entity_edges(doc: Document) -> frozenset[EntityEdge]:
                     f"outside [1, {n}]")
         if mention_a.sentence_index == mention_b.sentence_index:
             continue
-        first, second = sorted((mention_a, mention_b),
-                               key=lambda m: (m.sentence_index, m.span.start))
+        first, second = ((mention_a, mention_b)
+                         if mention_a.sentence_index < mention_b.sentence_index
+                         else (mention_b, mention_a))
         edge = EntityEdge(first.sentence_index, second.sentence_index,
                           doc.mention_text(first), EdgeSource.COREF)
         edges[edge.key] = edge  # coref overrides a shared-noun edge on the same key
@@ -123,14 +128,17 @@ def extract_relation_edges(doc: Document) -> frozenset[RelationEdge]:
     """One RelationEdge per annotated adjacent-pair relation, deduplicated
     per (pair, sense); the first annotation's direction wins on duplicates."""
     n = len(doc.sentences)
-    edges: dict[tuple[int, str, str], RelationEdge] = {}
+    # (i, kind, name) identifies an edge as RelationEdge.key does, and
+    # hashes without calling back into Python
+    edges: dict[tuple[int, RelationKind, str], RelationEdge] = {}
     for rel in doc.annotations.relations:
-        if not 1 <= rel.sentence_index < n:
-            raise GraphStructureError(
-                f"relation at sentence {rel.sentence_index} is not an "
-                f"adjacent pair in [1, {n - 1}]")
-        edge = RelationEdge(rel.sentence_index, rel.sense, rel.direction)
-        edges.setdefault(edge.key, edge)
+        i, sense = rel.sentence_index, rel.sense
+        if not 1 <= i < n:
+            raise GraphStructureError(f"relation at sentence {i} is not an "
+                                      f"adjacent pair in [1, {n - 1}]")
+        key = (i, sense.kind, sense.name)
+        if key not in edges:
+            edges[key] = RelationEdge(i, sense, rel.direction)
     return frozenset(edges.values())
 
 

@@ -13,7 +13,7 @@ tests/golden are the byte-exact contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .documents import Document
 from .graph import CoherenceGraph, RelationEdge
@@ -41,19 +41,23 @@ class PromptStructureError(ValueError):
     """Triples and document disagree (out-of-range sentence, variant mismatch)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     i: int
     label: str
     j: int
+    # the rendered form, formatted once; not part of equality or repr
+    text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.i < self.j:
             raise PromptStructureError(
                 f"triple requires i < j, got ({self.i}, {self.j})")
+        object.__setattr__(self, "text",
+                           f"(s_{self.i}, {self.label}, s_{self.j})")
 
     def render(self) -> str:
-        return f"(s_{self.i}, {self.label}, s_{self.j})"
+        return self.text
 
 
 def relation_label(edge: RelationEdge) -> str:
@@ -69,11 +73,11 @@ def extract_triples(graph: CoherenceGraph) -> list[Triple]:
     Every edge already links exactly two sentences, so direct enumeration of
     edges is equivalent to the sentence-by-sentence traversal reading.
     """
-    triples = [Triple(e.i, ENTITY_LABEL, e.j) for e in graph.entity_edges]
-    triples += [Triple(e.i, relation_label(e), e.j)
-                for e in graph.relation_edges]
-    triples.sort(key=lambda t: (t.i, t.j, t.label != ENTITY_LABEL, t.label))
-    return triples
+    # sort plain (i, j, is_relation, label) rows, then build each Triple once
+    rows = [(e.i, e.j, False, ENTITY_LABEL) for e in graph.entity_edges]
+    rows += [(e.i, e.j, True, relation_label(e)) for e in graph.relation_edges]
+    rows.sort()
+    return [Triple(i, label, j) for i, j, _, label in rows]
 
 
 def filter_triples(triples: list[Triple], variant: Variant) -> list[Triple]:
@@ -130,16 +134,16 @@ def render_prompt(doc: Document, triples: list[Triple], variant: Variant,
     for t in triples:
         if not 1 <= t.i < t.j <= n:
             raise PromptStructureError(
-                f"triple {t.render()} references sentences outside [1, {n}]")
+                f"triple {t.text} references sentences outside [1, {n}]")
         if not (entities if t.label == ENTITY_LABEL else relations):
             raise PromptStructureError(
-                f"triple {t.render()} is not allowed under variant {variant.value}")
+                f"triple {t.text} is not allowed under variant {variant.value}")
 
     parts = [_HEADERS[variant], "", "Sentences:"]
     parts += [f"s_{s.index}: {s.text}" for s in doc.sentences]
     if variant is not Variant.TEXT_ONLY:
         parts += ["", "Connections:"]
-        parts += [t.render() for t in triples]
+        parts += [t.text for t in triples]
     parts += ["", _QUERY]
     if variant is Variant.FULL_WITH_EXPLANATION:
         parts.append(_EXPLANATION_REQUEST)

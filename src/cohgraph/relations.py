@@ -4,6 +4,9 @@ The registry is embedded constant data: 15 explicit senses and 15 implicit
 senses (14 frequent types plus NoRel for pairs with no relation at all),
 each with its fraction in the parser training corpus. The fractions are
 metadata consumed only by the synthetic-data generator, never by the model.
+
+The registry holds one RelationSense per (kind, name): lookup() and
+all_senses() return those instances, so parsed documents share them.
 """
 
 from __future__ import annotations
@@ -16,6 +19,10 @@ class RelationKind(enum.Enum):
     EXPLICIT = "explicit"
     IMPLICIT = "implicit"
 
+    # Members are singletons that compare by identity, so the identity hash
+    # agrees with equality; it runs in C where Enum's hashes the name.
+    __hash__ = object.__hash__
+
 
 class CauseDirection(enum.Enum):
     """Directional reading of a Cause relation: the second argument is either
@@ -24,14 +31,16 @@ class CauseDirection(enum.Enum):
     REASON = "reason"
     RESULT = "result"
 
+    __hash__ = object.__hash__  # see RelationKind
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class RelationSense:
     """A discourse relation sense, identified by (name, kind).
 
     Names carry the registry's exact capitalization/hyphenation; construction
     goes through RelationSenseRegistry.lookup so arbitrary casings normalize
-    to the canonical spelling.
+    to the canonical spelling and every caller shares the registry's object.
     """
 
     name: str
@@ -107,10 +116,16 @@ class RelationSenseRegistry:
             RelationKind.EXPLICIT: dict(_EXPLICIT),
             RelationKind.IMPLICIT: dict(_IMPLICIT),
         }
-        self._canonical: dict[RelationKind, dict[str, str]] = {
-            kind: {n.lower(): n for n in names}
-            for kind, names in self._names.items()
-        }
+        self._all = tuple(RelationSense(n, kind)
+                          for kind in (RelationKind.EXPLICIT,
+                                       RelationKind.IMPLICIT)
+                          for n in self._names[kind])
+        self._index = {sense: k for k, sense in enumerate(self._all)}
+        self._lowercase: dict[RelationKind, dict[str, RelationSense]] = {
+            kind: {s.name.lower(): s for s in self._all if s.kind is kind}
+            for kind in self._names}
+        # (canonical name, kind value) -> sense, as corpus entries spell it
+        self._entries = {(s.name, s.kind.value): s for s in self._all}
 
     def names(self, kind: RelationKind) -> tuple[str, ...]:
         return self._names[kind]
@@ -122,28 +137,33 @@ class RelationSenseRegistry:
         return dict(self._priors[kind])
 
     def lookup(self, name: str, kind: RelationKind) -> RelationSense:
-        """Case-normalized lookup; raises UnknownSenseError listing valid senses."""
-        canonical = self._canonical[kind].get(name.strip().lower())
-        if canonical is None:
+        """The registry's sense for a case-insensitive name; raises
+        UnknownSenseError listing valid senses."""
+        sense = self._lowercase[kind].get(name.strip().lower())
+        if sense is None:
             raise UnknownSenseError(name, kind, self._names[kind])
-        return RelationSense(canonical, kind)
+        return sense
 
-    def contains(self, name: str, kind: RelationKind) -> bool:
-        return name.strip().lower() in self._canonical[kind]
+    def lookup_entry(self, name, kind) -> RelationSense:
+        """The sense a corpus entry's (name, kind value) pair names: one
+        dict hit for the canonical spellings, otherwise
+        lookup(str(name), RelationKind(str(kind))) with its errors."""
+        try:
+            return self._entries[(name, kind)]
+        except (KeyError, TypeError):
+            return self.lookup(str(name), RelationKind(str(kind)))
 
     def all_senses(self) -> tuple[RelationSense, ...]:
         """Every sense in canonical order: explicit block, then implicit."""
-        out = [RelationSense(n, RelationKind.EXPLICIT)
-               for n in self._names[RelationKind.EXPLICIT]]
-        out += [RelationSense(n, RelationKind.IMPLICIT)
-                for n in self._names[RelationKind.IMPLICIT]]
-        return tuple(out)
+        return self._all
 
     def sense_index(self, sense: RelationSense) -> int:
         """Stable embedding-row index of a sense in all_senses() order."""
-        offset = 0 if sense.kind is RelationKind.EXPLICIT else len(
-            self._names[RelationKind.EXPLICIT])
-        return offset + self._names[sense.kind].index(sense.name)
+        try:
+            return self._index[sense]
+        except KeyError:
+            raise UnknownSenseError(sense.name, sense.kind,
+                                    self._names[sense.kind]) from None
 
 
 _REGISTRY = RelationSenseRegistry()

@@ -89,7 +89,7 @@ class _SenseSampler:
 
     def __init__(self, tilt: float):
         registry = load_registry()
-        self.names: dict[RelationKind, tuple[str, ...]] = {}
+        self.senses: dict[RelationKind, tuple[RelationSense, ...]] = {}
         self.dists: dict[tuple[RelationKind, CoherenceLabel], np.ndarray] = {}
         deltas = {RelationKind.EXPLICIT: _EXPLICIT_DELTA,
                   RelationKind.IMPLICIT: _IMPLICIT_DELTA}
@@ -106,12 +106,12 @@ class _SenseSampler:
                     raise ValueError(f"tilt {tilt} drives a {kind.value} "
                                      "sense probability negative")
                 self.dists[(kind, label)] = dist / dist.sum()
-            self.names[kind] = names
+            self.senses[kind] = tuple(registry.lookup(n, kind) for n in names)
 
     def sample(self, rng: np.random.Generator, kind: RelationKind,
                label: CoherenceLabel) -> RelationSense:
-        idx = rng.choice(len(self.names[kind]), p=self.dists[(kind, label)])
-        return RelationSense(self.names[kind][idx], kind)
+        idx = rng.choice(len(self.senses[kind]), p=self.dists[(kind, label)])
+        return self.senses[kind][idx]
 
 
 def _doc_rng(seed: int, doc_index: int) -> np.random.Generator:

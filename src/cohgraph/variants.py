@@ -12,6 +12,10 @@ class Variant(enum.Enum):
     FULL = "Full"
     FULL_WITH_EXPLANATION = "FullWithExplanation"
 
+    # Members are singletons that compare by identity, so the identity hash
+    # agrees with equality; it runs in C where Enum's hashes the name.
+    __hash__ = object.__hash__
+
     @property
     def keeps_entities(self) -> bool:
         return self in (Variant.TEXT_ENTY, Variant.FULL,

@@ -16,6 +16,7 @@ from cohgraph.corpus import document_to_record, dumps_canonical, write_corpus
 from cohgraph.fusion.model import (ContractError, FusionModel,
                                    NumericalError)
 from cohgraph.synth import SynthProfile, synth_generate
+from cohgraph.variants import Variant
 
 from conftest import make_demo_document
 
@@ -86,6 +87,29 @@ class TestBuildGraph:
         assert "line 7" in result.output
 
 
+    @pytest.mark.parametrize("command", ["build-graph", "emit-prompts"])
+    @pytest.mark.parametrize("field, value", [("annotations", [1]),
+                                              ("annotations", "x"),
+                                              ("tokens", "ab")])
+    def test_malformed_container_exits_1_naming_field_and_line(
+            self, runner, tmp_path, command, field, value):
+        good = document_to_record(make_demo_document())
+        bad = document_to_record(make_demo_document())
+        if field == "tokens":
+            bad["sentences"][0]["tokens"] = value
+        else:
+            bad[field] = value
+        corpus = tmp_path / "bad.jsonl"
+        corpus.write_text(dumps_canonical(good) + "\n" + dumps_canonical(bad)
+                          + "\n")
+        result = runner.invoke(main, [command, str(corpus),
+                                      str(tmp_path / "out")])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "error: " in result.output and "line 2: " in result.output
+        assert f"'{field}'" in result.output
+
+
 class TestEmitPrompts:
     def test_full_matches_golden(self, runner, demo_corpus, tmp_path):
         out = tmp_path / "prompts"
@@ -121,6 +145,33 @@ class TestEmitPrompts:
                                       str(tmp_path / "p"), "--max-chars", "50"])
         assert result.exit_code == 1
         assert "budget" in result.output
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    """build-graph and emit-prompts (every variant) write byte-identical
+    trees under two hash seeds: no output follows set or dict hash order,
+    whatever the enums' and strings' hashes are."""
+    corpus = tmp_path / "corpus.jsonl"
+    write_corpus(synth_generate(40, seed=9)
+                 + [make_demo_document()], corpus)
+    src = str(Path(cohgraph.__file__).parents[1])
+    hashes = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"seed{seed}"
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for args in (["build-graph", str(corpus), str(out / "graphs.jsonl")],
+                     ["emit-prompts", str(corpus), str(out / "prompts"),
+                      *[flag for v in Variant for flag in ("--variant",
+                                                           v.value)]]):
+            proc = subprocess.run([sys.executable, "-m", "cohgraph.cli", *args],
+                                  capture_output=True, text=True, env=env,
+                                  timeout=120)
+            assert proc.returncode == 0, proc.stderr
+        hashes.append(tree_hash(out))
+    assert len(list((tmp_path / "seed0" / "prompts").glob("*.txt"))) == 41 * 5
+    assert hashes[0] == hashes[1]
 
 
 class TestSynth:

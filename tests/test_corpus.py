@@ -1,5 +1,6 @@
 """Corpus format: parsing, canonical serialization, error reporting."""
 
+import copy
 import json
 
 import pytest
@@ -9,6 +10,8 @@ from cohgraph.corpus import (CorpusFormatError, document_from_record,
                              write_corpus)
 from cohgraph.documents import DocumentStructureError
 from cohgraph.labels import CoherenceLabel
+from cohgraph.relations import load_registry
+from cohgraph.synth import PROFILES, synth_generate
 
 from conftest import make_demo_document
 
@@ -91,3 +94,98 @@ def test_empty_lines_are_skipped(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text(f"\n{good}\n\n", encoding="utf-8")
     assert len(read_corpus(path)) == 1
+
+
+def _set(path, value):
+    """A mutation of a record: the item at path (keys and indices) := value."""
+    def mutate(record):
+        *parents, last = path
+        for key in parents:
+            record = record[key]
+        record[last] = value
+    return mutate
+
+
+# (case, mutation, message after "line 3: "). The first seven messages are
+# the ones every earlier version of the parser gave.
+MALFORMED = [
+    ("unknown kind", _set(["annotations", "relations", 0, 2], "sideways"),
+     "'sideways' is not a valid RelationKind"),
+    ("list-valued kind", _set(["annotations", "relations", 0, 2], ["explicit"]),
+     "\"['explicit']\" is not a valid RelationKind"),
+    ("unknown direction", _set(["annotations", "relations", 0, 3], "because"),
+     "'because' is not a valid CauseDirection"),
+    ("short relation", _set(["annotations", "relations", 0], [1, "Cause"]),
+     "list index out of range"),
+    ("non-integer span", _set(["annotations", "nouns", 0], [1, ["a", 1], "John"]),
+     "invalid literal for int() with base 10: 'a'"),
+    ("null sentences", _set(["sentences"], None),
+     "'NoneType' object is not iterable"),
+    ("bad label", _set(["label"], "great"),
+     "unknown coherence label 'great'; expected one of "
+     "['high', 'low', 'medium']"),
+    ("list annotations", _set(["annotations"], [1]),
+     "'annotations' must be an object, got an array"),
+    ("string annotations", _set(["annotations"], "x"),
+     "'annotations' must be an object, got a string"),
+    ("string tokens", _set(["sentences", 0, "tokens"], "ab"),
+     "'tokens' of sentence 1 must be an array, got a string"),
+    ("null nouns", _set(["annotations", "nouns"], None),
+     "'annotations.nouns' must be an array, got null"),
+    ("object coref links", _set(["annotations", "coref_links"], {"a": 1}),
+     "'annotations.coref_links' must be an array, got an object"),
+    ("string relations", _set(["annotations", "relations"], "x"),
+     "'annotations.relations' must be an array, got a string"),
+]
+
+
+@pytest.mark.parametrize("mutate, message", [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_field_names_its_line(tmp_path, mutate, message):
+    good = document_to_record(make_demo_document())
+    bad = copy.deepcopy(good)
+    mutate(bad)
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(dumps_canonical(r) + "\n"
+                            for r in (good, good, bad, good)),
+                    encoding="utf-8")
+    with pytest.raises(CorpusFormatError) as err:
+        read_corpus(path)
+    assert err.value.line_number == 3
+    assert str(err.value) == f"line 3: {message}"
+
+
+@pytest.mark.parametrize("absent", [True, False])
+def test_null_or_absent_annotations_are_empty(absent):
+    record = document_to_record(make_demo_document())
+    if absent:
+        del record["annotations"]
+    else:
+        record["annotations"] = None
+    doc = document_from_record(record)
+    assert doc.annotations.nouns == doc.annotations.relations == ()
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_synth_corpus_roundtrips_and_parses_to_the_generated(tmp_path,
+                                                              profile):
+    """write -> read -> write is byte-identical, and the parsed documents
+    equal the generated ones."""
+    generated = synth_generate(60, seed=5, profile=profile)
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    write_corpus(generated, first)
+    parsed = read_corpus(first)
+    write_corpus(parsed, second)
+    assert second.read_bytes() == first.read_bytes()
+    assert parsed == generated
+
+
+def test_parsed_senses_are_the_registry_instances():
+    registry = load_registry()
+    record = document_to_record(make_demo_document())
+    record["annotations"]["relations"][1][1] = " instantiation "  # normalized
+    doc = document_from_record(record)
+    assert doc.annotations.relations
+    for rel in doc.annotations.relations:
+        assert rel.sense is registry.lookup(rel.sense.name, rel.sense.kind)
+        assert any(rel.sense is s for s in registry.all_senses())
