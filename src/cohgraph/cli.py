@@ -184,7 +184,8 @@ def cmd_emit_prompts(corpus_path: str, out_dir: str, variants: tuple[str, ...],
                      max_chars: int) -> None:
     """Write <doc_id>.<variant>.txt prompt files plus an index.jsonl."""
     docs = _read_corpus(corpus_path)
-    chosen = [Variant(name) for name in variants]
+    # a repeated --variant names one prompt; dict keys keep the first order
+    chosen = [Variant(name) for name in dict.fromkeys(variants)]
     out = _output(Path(out_dir) / "index.jsonl").parent
     index_entries = []
     failures = 0

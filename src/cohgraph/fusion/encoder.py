@@ -28,6 +28,17 @@ def stable_bucket(text: str, n_buckets: int) -> int:
     return int.from_bytes(digest, "big") % n_buckets
 
 
+def add_rows_at(table: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """np.add.at(table, ids, rows) for a C-contiguous 2-D table, scattered
+    into its flat view: every cell receives the same additions in the same
+    order, on numpy's much faster 1-D path."""
+    if not table.flags.c_contiguous:
+        raise ValueError("add_rows_at needs a C-contiguous table")
+    d = table.shape[1]
+    np.add.at(table.reshape(-1), (ids[:, None] * d + np.arange(d)).ravel(),
+              rows.ravel())
+
+
 class SentenceEncoder(Protocol):
     """tokens -> d_model vector, with a prepare step so static per-sentence
     work (hashing, tokenizer lookups) can be done once per document. The
@@ -115,6 +126,6 @@ class HashBucketSentenceEncoder:
         if not self.trainable or not prepared:
             return
         counts = np.array([p.size for p in prepared], dtype=np.int64)
-        np.add.at(grads[self.PARAM_NAME], np.concatenate(prepared),
-                  np.repeat(dvecs / np.maximum(counts, 1)[:, None], counts,
-                            axis=0))
+        add_rows_at(grads[self.PARAM_NAME], np.concatenate(prepared),
+                    np.repeat(dvecs / np.maximum(counts, 1)[:, None], counts,
+                              axis=0))

@@ -107,7 +107,8 @@ from ..graph import build_graph
 from ..relations import load_registry
 from ..variants import Variant
 from .config import ModelConfig
-from .encoder import HashBucketSentenceEncoder, SentenceEncoder, stable_bucket
+from .encoder import (HashBucketSentenceEncoder, SentenceEncoder, add_rows_at,
+                      stable_bucket)
 from .masking import MASKED, softmax, visible_matrix
 from .positions import (distance_indices, position_embedding, sinusoid_table,
                         unique_distance_rows)
@@ -865,7 +866,7 @@ class FusionModel:
         self.encoder.accumulate_grad_prepared(sentences, dx[sentence_rows],
                                               grads)
         for name, rows, ids in lookups:
-            np.add.at(grads[name], ids, dx[rows])
+            add_rows_at(grads[name], ids, dx[rows])
 
     # -- forward -----------------------------------------------------------
 

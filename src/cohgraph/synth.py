@@ -17,7 +17,9 @@ Construction per document (labels cycle low/medium/high):
   tilted per label: high documents are Cause/Conjunction-rich, low documents
   NoRel-heavy, medium uses the prior unchanged. The high and low tilts are
   exactly opposite and labels are assigned round-robin, so the corpus-wide
-  sense marginal matches the registry prior.
+  sense marginal matches the registry prior. A sense is one uniform draw
+  on the document's own Philox stream against the cumulative distribution
+  of its (kind, label), the computation `Generator.choice(n, p=...)` does.
 * Text channel. Remaining tokens come from a shared vocabulary with
   probability `shared_token_prob`, otherwise from a small per-label
   vocabulary, making the text signal real but strictly weaker than the graph
@@ -25,10 +27,15 @@ Construction per document (labels cycle low/medium/high):
 
 Vocabularies are domain-prefixed, so text features do not transfer across
 domain tags while the graph signals do.
+
+Every document draws from its own Philox stream, keyed by the seed with the
+document index in the counter, so corpora are byte-stable for a seed and
+profile; tests/test_synth.py pins them by sha256 digests.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,17 +92,21 @@ PROFILES = {
 
 
 class _SenseSampler:
-    """Label-conditional sense distributions with a prior-matching marginal."""
+    """Label-conditional sense distributions with a prior-matching marginal.
+    The cumulative distributions are normalised as `Generator.choice` does
+    it, so a draw takes the sense `choice(n, p=dist)` takes on that stream."""
 
     def __init__(self, tilt: float):
         registry = load_registry()
         self.senses: dict[RelationKind, tuple[RelationSense, ...]] = {}
         self.dists: dict[tuple[RelationKind, CoherenceLabel], np.ndarray] = {}
+        self.cdfs: dict[tuple[RelationKind, CoherenceLabel], list[float]] = {}
         deltas = {RelationKind.EXPLICIT: _EXPLICIT_DELTA,
                   RelationKind.IMPLICIT: _IMPLICIT_DELTA}
         for kind in RelationKind:
             names = registry.names(kind)
-            prior = np.array([registry.priors(kind)[n] for n in names])
+            priors = registry.priors(kind)
+            prior = np.array([priors[n] for n in names])
             prior = prior / prior.sum()
             delta = tilt * np.array([deltas[kind].get(n, 0.0) for n in names])
             for label, sign in ((CoherenceLabel.LOW, -1.0),
@@ -105,12 +116,15 @@ class _SenseSampler:
                 if (dist < 0).any():
                     raise ValueError(f"tilt {tilt} drives a {kind.value} "
                                      "sense probability negative")
-                self.dists[(kind, label)] = dist / dist.sum()
+                dist = self.dists[(kind, label)] = dist / dist.sum()
+                cdf = dist.cumsum()
+                cdf /= cdf[-1]
+                self.cdfs[(kind, label)] = cdf.tolist()
             self.senses[kind] = tuple(registry.lookup(n, kind) for n in names)
 
     def sample(self, rng: np.random.Generator, kind: RelationKind,
                label: CoherenceLabel) -> RelationSense:
-        idx = rng.choice(len(self.senses[kind]), p=self.dists[(kind, label)])
+        idx = bisect_right(self.cdfs[(kind, label)], rng.random())
         return self.senses[kind][idx]
 
 
@@ -128,77 +142,80 @@ def synth_generate(n_docs: int, seed: int,
     if isinstance(profile, str):
         profile = PROFILES[profile]
     sampler = _SenseSampler(profile.relation_tilt)
+    labels = (CoherenceLabel.LOW, CoherenceLabel.MEDIUM, CoherenceLabel.HIGH)
+    # the vocabularies of the domains and labels this call reaches, formatted
+    # once: every vocabulary token of a document references one of these
+    domains = profile.domain_tags[:(n_docs + 2) // 3]
+    n_shared, n_own = profile.shared_vocab_size, profile.label_vocab_size
+    shared_words = {domain: [f"{domain}-word{i:03d}" for i in range(n_shared)]
+                    for domain in domains}
+    label_words = {(domain, label): [f"{domain}-{label.as_text}{i:02d}"
+                                     for i in range(n_own)]
+                   for domain in domains for label in labels[:n_docs]}
+    n_tok_low, n_tok_high = profile.tokens_per_sentence
+    p_shared = profile.shared_token_prob
+    noun_span, pronoun_span = TokenSpan(0, 1), TokenSpan(1, 2)
 
     docs = []
     for index in range(n_docs):
-        label = (CoherenceLabel.LOW, CoherenceLabel.MEDIUM,
-                 CoherenceLabel.HIGH)[index % 3]
+        label = labels[index % 3]
         domain = profile.domain_tags[(index // 3) % len(profile.domain_tags)]
         rng = _doc_rng(seed, index)
-        n_sent = int(rng.integers(profile.n_sentences[0],
-                                  profile.n_sentences[1] + 1))
+        random, integers = rng.random, rng.integers
+        n_sent = int(integers(profile.n_sentences[0],
+                              profile.n_sentences[1] + 1))
 
         # tokens: every sentence opens with a unique noun and a pronoun from
         # a closed class (identical layout for every label), then vocabulary
         # words that carry the (weak) text signal
         pool = rng.choice(profile.entity_pool_size, size=n_sent, replace=False)
-        nouns = [f"{domain}-thing{int(p):03d}" for p in pool]
-        token_lists: list[list[str]] = []
-        for k in range(n_sent):
-            words = [nouns[k], _PRONOUNS[int(rng.integers(len(_PRONOUNS)))]]
-            n_tok = int(rng.integers(profile.tokens_per_sentence[0],
-                                     profile.tokens_per_sentence[1] + 1))
-            for _ in range(n_tok):
-                if rng.random() < profile.shared_token_prob:
-                    words.append(f"{domain}-word"
-                                 f"{rng.integers(profile.shared_vocab_size):03d}")
-                else:
-                    words.append(f"{domain}-{label.as_text}"
-                                 f"{rng.integers(profile.label_vocab_size):02d}")
-            token_lists.append(words)
-        noun_annotations = tuple(
-            NounAnnotation(k + 1, TokenSpan(0, 1), nouns[k])
-            for k in range(n_sent))
+        shared, own = shared_words[domain], label_words[(domain, label)]
+        sentences, noun_annotations = [], []
+        for k, entity in enumerate(pool.tolist(), start=1):
+            noun = f"{domain}-thing{entity:03d}"
+            words = [noun, _PRONOUNS[integers(len(_PRONOUNS))]]
+            words += [shared[integers(n_shared)] if random() < p_shared
+                      else own[integers(n_own)]
+                      for _ in range(integers(n_tok_low, n_tok_high + 1))]
+            sentences.append(Sentence(k, " ".join(words), tuple(words)))
+            noun_annotations.append(NounAnnotation(k, noun_span, noun))
 
-        # entity channel: coref links between noun of sentence k (token 0)
-        # and pronoun of sentence j (token 1)
-        def link(k: int, j: int) -> tuple[Mention, Mention]:
-            return (Mention(k + 1, TokenSpan(0, 1)),
-                    Mention(j + 1, TokenSpan(1, 2)))
-
-        coref_links: list[tuple[Mention, Mention]] = []
+        # entity channel: coref links between the noun of sentence k
+        # (token 0) and the pronoun of sentence k + 1 (token 1)
+        pairs = range(1, n_sent)
         if label is CoherenceLabel.HIGH:
-            coref_links += [link(k, k + 1) for k in range(n_sent - 1)]
+            linked = pairs
         elif label is CoherenceLabel.MEDIUM:
-            coref_links += [link(k, k + 1) for k in range(n_sent - 1)
-                            if rng.random() < profile.medium_entity_prob]
+            linked = [k for k in pairs
+                      if random() < profile.medium_entity_prob]
+        else:
+            linked = ()
+        coref_links = tuple(
+            (Mention(k, noun_span), Mention(k + 1, pronoun_span))
+            for k in linked)
 
         # relation channel: an implicit sense per adjacent pair, plus an
         # explicit one when a connective is present
         relations = []
-        for k in range(1, n_sent):
-            kinds = [RelationKind.IMPLICIT]
-            if rng.random() < profile.explicit_prob:
-                kinds.append(RelationKind.EXPLICIT)
+        for k in pairs:
+            kinds = ((RelationKind.IMPLICIT, RelationKind.EXPLICIT)
+                     if random() < profile.explicit_prob
+                     else (RelationKind.IMPLICIT,))
             for kind in kinds:
                 sense = sampler.sample(rng, kind, label)
                 direction = None
                 if sense.name == "Cause":
-                    direction = (CauseDirection.REASON if rng.random() < 0.5
+                    direction = (CauseDirection.REASON if random() < 0.5
                                  else CauseDirection.RESULT)
                 relations.append(RelationAnnotation(k, sense, direction))
 
-        sentences = tuple(
-            Sentence(index=k + 1, text=" ".join(token_lists[k]),
-                     tokens=tuple(token_lists[k]))
-            for k in range(n_sent))
         docs.append(Document(
             id=f"synth-{index:05d}",
-            sentences=sentences,
+            sentences=tuple(sentences),
             label=label,
             domain_tag=domain,
-            annotations=AnnotationSet(nouns=noun_annotations,
-                                      coref_links=tuple(coref_links),
+            annotations=AnnotationSet(nouns=tuple(noun_annotations),
+                                      coref_links=coref_links,
                                       relations=tuple(relations)),
         ).validate())
     return docs

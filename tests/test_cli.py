@@ -131,6 +131,17 @@ class TestEmitPrompts:
         text = (out / "demo-0001.TextOnly.txt").read_text()
         assert "Connections:" not in text
 
+    def test_repeated_variant_is_written_once(self, runner, demo_corpus,
+                                              tmp_path):
+        out = tmp_path / "prompts"
+        result = runner.invoke(main, ["emit-prompts", str(demo_corpus),
+                                      str(out), "--variant", "Full",
+                                      "--variant", "Full"])
+        assert result.exit_code == 0, result.output
+        assert "1 prompts" in result.output
+        index = (out / "index.jsonl").read_text().splitlines()
+        assert [json.loads(line)["variant"] for line in index] == ["Full"]
+
     def test_rerun_is_idempotent(self, runner, small_corpus, tmp_path):
         out = tmp_path / "prompts"
         args = ["emit-prompts", str(small_corpus), str(out),

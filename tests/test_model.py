@@ -16,7 +16,8 @@ from cohgraph.fusion.config import ModelConfig
 from cohgraph.fusion.encoder import HashBucketSentenceEncoder, stable_bucket
 from cohgraph.fusion.model import (ContractError, DropoutStream, FusionModel,
                                    NumericalError, _rectify, _rectify_grad,
-                                   expected_param_shapes, layer_norm_forward)
+                                   chunk_visibility, expected_param_shapes,
+                                   layer_norm_forward)
 from cohgraph.labels import CoherenceLabel
 from cohgraph.synth import SynthProfile, synth_generate
 from cohgraph.variants import Variant
@@ -74,6 +75,54 @@ class TestSentenceEncoder:
         enc, params = self._encoder(trainable=False)
         assert params == {}
         assert encode(enc, ("x",), {}).shape == (8,)
+
+
+class TestFlatScatter:
+    """The embedding gradients scatter through a flat view of each table;
+    the oracle is numpy's 2-D np.add.at, bit for bit, with repeated ids
+    onto a non-zero table."""
+
+    def test_encoder_gradient_matches_2d_add_at(self):
+        enc = HashBucketSentenceEncoder(8, 16, trainable=True)
+        table = np.random.default_rng(1).standard_normal((16, 8))
+        prepared = [np.array([3, 3, 5], dtype=np.int64),
+                    np.array([], dtype=np.int64),
+                    np.array([5, 1, 3, 3], dtype=np.int64)]
+        dvecs = np.random.default_rng(2).standard_normal((3, 8))
+        grads = {enc.PARAM_NAME: table.copy()}
+        enc.accumulate_grad_prepared(prepared, dvecs, grads)
+        counts = np.array([p.size for p in prepared])
+        expected = table.copy()
+        np.add.at(expected, np.concatenate(prepared),
+                  np.repeat(dvecs / np.maximum(counts, 1)[:, None], counts,
+                            axis=0))
+        np.testing.assert_array_equal(grads[enc.PARAM_NAME], expected)
+
+    def test_embed_backward_matches_2d_add_at(self):
+        model = FusionModel.build(tiny_model_config())
+        contexts = [model.prepare(doc) for doc in small_docs(4)]
+        vis, _ = chunk_visibility(contexts, model.config.n_heads)
+        _, _, n_sent, n = vis.mask.shape
+        _, index = model._embed(contexts, n_sent, n)
+        sentence_rows, sentences, lookups = index
+        assert any(len(np.unique(ids)) < len(ids) for _, _, ids in lookups)
+        rng = np.random.default_rng(3)
+        dx = rng.standard_normal((len(contexts) * n, model.config.d_model))
+        tables = {name: rng.standard_normal(model.params[name].shape)
+                  for name in [HashBucketSentenceEncoder.PARAM_NAME]
+                  + [name for name, _, _ in lookups]}
+        grads = {name: table.copy() for name, table in tables.items()}
+        model._embed_backward(dx, index, grads)
+        expected = {name: table.copy() for name, table in tables.items()}
+        counts = np.array([p.size for p in sentences])
+        np.add.at(expected[HashBucketSentenceEncoder.PARAM_NAME],
+                  np.concatenate(sentences),
+                  np.repeat(dx[sentence_rows] / np.maximum(counts, 1)[:, None],
+                            counts, axis=0))
+        for name, rows, ids in lookups:
+            np.add.at(expected[name], ids, dx[rows])
+        for name in tables:
+            np.testing.assert_array_equal(grads[name], expected[name], name)
 
 
 class TestStableBucket:

@@ -1,5 +1,6 @@
 """Synthetic corpus generator: determinism, structure, sense marginals."""
 
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -9,7 +10,8 @@ from cohgraph.corpus import document_to_record, dumps_canonical, write_corpus
 from cohgraph.graph import build_graph
 from cohgraph.labels import CoherenceLabel
 from cohgraph.relations import RelationKind, load_registry
-from cohgraph.synth import PROFILES, SynthProfile, synth_generate
+from cohgraph.synth import (PROFILES, SynthProfile, _doc_rng, _SenseSampler,
+                            synth_generate)
 
 L, M, H = CoherenceLabel.LOW, CoherenceLabel.MEDIUM, CoherenceLabel.HIGH
 
@@ -21,6 +23,43 @@ def test_same_seed_byte_identical_corpus(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     write_corpus(synth_generate(40, seed=10), b)
     assert a.read_bytes() != b.read_bytes()
+
+
+# The shape of the benchmark's long documents (bench/workloads.py).
+LONG = SynthProfile(name="long", n_sentences=(40, 40), explicit_prob=1.0,
+                    medium_entity_prob=1.0)
+
+
+@pytest.mark.parametrize("n_docs,seed,profile,digest", [
+    (60, 0, "balanced",
+     "9e17de4091dad579d77e35a8298735d75ab69bbb6f66a157ed2685511453e8ac"),
+    (60, 7, "balanced",
+     "949a8ff2c70869bd0855218e12cf99e066dace69ebfb5d880d40dd10379f0109"),
+    (60, 1, "separable",
+     "010fdd9cc37b5550c30e69afb8ab7eb1dff3daece6e767d77ffaeb7372d42765"),
+    (60, 9, "separable",
+     "04cf1e15e5bf41748a540f964a1aea6cd0fb810e9134969908260d5362e5747e"),
+    (6, 3, LONG,
+     "7c715fac3cdec96d71f9d6c495f9208fbe1dee80c9699c26cf9e379009cdb390"),
+], ids=["balanced-0", "balanced-7", "separable-1", "separable-9", "long-3"])
+def test_corpus_bytes_are_pinned(tmp_path, n_docs, seed, profile, digest):
+    """Corpora are byte-stable: a change to any draw, its bound or its
+    order changes these digests, so it can only land on purpose."""
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(synth_generate(n_docs, seed, profile), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_sense_draws_match_generator_choice():
+    """One uniform draw against the cumulative distribution takes the sense
+    that Generator.choice(n, p=dist) takes on a twin stream."""
+    sampler = _SenseSampler(1.0)
+    for (kind, label), dist in sampler.dists.items():
+        senses = sampler.senses[kind]
+        fast, oracle = _doc_rng(11, int(label)), _doc_rng(11, int(label))
+        for _ in range(10_000):
+            expected = senses[oracle.choice(len(senses), p=dist)]
+            assert sampler.sample(fast, kind, label) is expected, (kind, label)
 
 
 def test_labels_cycle_evenly():
