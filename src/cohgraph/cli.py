@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -115,8 +116,12 @@ def _resolve_configs(config_file: str | None, seed: int | None,
                      dropout: float | None) -> tuple[ModelConfig, TrainConfig]:
     """Explicit flags win over config-file values, which win over defaults."""
     file_cfg = _load_config_file(config_file)
-    model_kwargs = dict(file_cfg.get("model", {}))
-    train_kwargs = dict(file_cfg.get("train", {}))
+    sections = {key: file_cfg.get(key, {}) for key in ("model", "train")}
+    for key, section in sections.items():
+        if not isinstance(section, dict):
+            raise ValueError(f"config file {config_file}: \"{key}\" is not "
+                             f"a JSON object")
+    model_kwargs, train_kwargs = dict(sections["model"]), dict(sections["train"])
     model_overrides = {"d_model": d_model, "n_heads": n_heads,
                        "n_layers": n_layers, "dropout_rate": dropout,
                        "seed": seed}
@@ -171,6 +176,22 @@ def cmd_build_graph(corpus_path: str, out_path: str) -> None:
                f"{relation_count} relation edges -> {out_path}")
 
 
+def _check_prompt_names(docs: list[Document]) -> None:
+    """Refuse, before anything is written, a document id that is not one
+    safe file-name component (empty, . or .., holding a /, \\ or NUL, or
+    absolute) or that repeats: prompt files are named after the ids."""
+    seen = set()
+    for doc in docs:
+        if (doc.id in ("", ".", "..") or any(c in doc.id for c in "/\\\0")
+                or os.path.isabs(doc.id)):
+            raise ValueError(f"document id {doc.id!r} cannot name a prompt "
+                             f"file: it must be one path component")
+        if doc.id in seen:
+            raise ValueError(f"document id {doc.id!r} is repeated; prompt "
+                             f"files are named after the ids")
+        seen.add(doc.id)
+
+
 @main.command("emit-prompts")
 @click.argument("corpus_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("out_dir", type=click.Path(file_okay=False))
@@ -184,6 +205,7 @@ def cmd_emit_prompts(corpus_path: str, out_dir: str, variants: tuple[str, ...],
                      max_chars: int) -> None:
     """Write <doc_id>.<variant>.txt prompt files plus an index.jsonl."""
     docs = _read_corpus(corpus_path)
+    _check_prompt_names(docs)
     # a repeated --variant names one prompt; dict keys keep the first order
     chosen = [Variant(name) for name in dict.fromkeys(variants)]
     out = _output(Path(out_dir) / "index.jsonl").parent

@@ -1,12 +1,51 @@
-"""Model and training configuration."""
+"""Model and training configuration.
+
+Each config checks every field on construction: its type (an int field
+refuses bool and float, a float field takes an int, stores it as a float
+and refuses bool and non-finite values) and its range. A bad field is a
+ValueError naming it, so a config file or checkpoint header with one ends in
+a one-line error, never in a traceback from deep in the model."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import asdict, dataclass, fields
 
 from ..variants import FUSION_VARIANTS, Variant
+
+_PLAIN_TYPES = {"int": int, "bool": bool, "str": str}
+
+
+def _check_types(config) -> None:
+    """Check each int, float, bool and str field of a config dataclass
+    against its annotation (a string here, under `from __future__ import
+    annotations`); store float fields as floats."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "float":
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite number, "
+                                 f"got {value!r}")
+            object.__setattr__(config, f.name, float(value))
+        elif f.type in _PLAIN_TYPES and type(value) is not _PLAIN_TYPES[f.type]:
+            raise ValueError(f"{f.name} must be of type {f.type}, "
+                             f"got {value!r}")
+
+
+def _at_least(config, minimum: int, *names: str) -> None:
+    for name in names:
+        if getattr(config, name) < minimum:
+            raise ValueError(f"{name} must be >= {minimum}, "
+                             f"got {getattr(config, name)}")
+
+
+def _one_of(config, name: str, choices: tuple[str, ...]) -> None:
+    if getattr(config, name) not in choices:
+        raise ValueError(f"unknown {name} {getattr(config, name)!r}; "
+                         f"expected one of {', '.join(choices)}")
 
 
 @dataclass(frozen=True)
@@ -32,10 +71,15 @@ class ModelConfig:
     # smooth rectifier by default so finite-difference gradient checks are
     # well-posed at the pinned epsilon; "relu" is the classical alternative
     ffn_activation: str = "softplus"   # "softplus" | "relu"
+    # dtype of every parameter, activation, gradient and optimizer state
+    dtype: str = "float32"             # "float32" | "float64"
 
     def __post_init__(self) -> None:
-        if self.d_model < 1 or self.n_heads < 1 or self.n_layers < 1:
-            raise ValueError("all dimensions must be >= 1")
+        _check_types(self)
+        _at_least(self, 1, "d_model", "n_heads", "n_layers",
+                  "max_relative_distance", "n_token_buckets",
+                  "n_entity_buckets", "max_elements")
+        _at_least(self, 0, "d_ffn", "seed")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
@@ -43,16 +87,10 @@ class ModelConfig:
             raise ValueError(f"dropout_rate {self.dropout_rate} outside [0, 1)")
         if self.n_classes != 3:
             raise ValueError("n_classes is fixed at 3")
-        if self.max_relative_distance < 1:
-            raise ValueError("max_relative_distance must be >= 1")
-        if self.d_ffn < 0:
-            raise ValueError("d_ffn must be >= 0 (0 selects 4 * d_model)")
-        if self.position_activation not in ("none", "relu"):
-            raise ValueError(f"unknown position_activation {self.position_activation!r}")
-        if self.pooling not in ("mean_sentences", "first_sentence"):
-            raise ValueError(f"unknown pooling {self.pooling!r}")
-        if self.ffn_activation not in ("softplus", "relu"):
-            raise ValueError(f"unknown ffn_activation {self.ffn_activation!r}")
+        _one_of(self, "position_activation", ("none", "relu"))
+        _one_of(self, "pooling", ("mean_sentences", "first_sentence"))
+        _one_of(self, "ffn_activation", ("softplus", "relu"))
+        _one_of(self, "dtype", ("float32", "float64"))
 
     @property
     def d_head(self) -> int:
@@ -82,10 +120,23 @@ class TrainConfig:
     variant: Variant = Variant.FULL
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("batch_size must be >= 1 and epochs >= 0")
+        _check_types(self)
+        _at_least(self, 1, "batch_size")
+        _at_least(self, 0, "epochs")
         if self.lr < 0 or self.weight_decay < 0:
             raise ValueError("lr and weight_decay must be >= 0")
+        if self.eps <= 0:
+            raise ValueError(f"eps must be > 0, got {self.eps}")
+        betas = self.betas
+        if (not isinstance(betas, (tuple, list)) or len(betas) != 2
+                or not all(isinstance(b, (int, float))
+                           and not isinstance(b, bool) and 0.0 <= b < 1.0
+                           for b in betas)):
+            raise ValueError(f"betas must be two numbers in [0, 1), "
+                             f"got {betas!r}")
+        object.__setattr__(self, "betas", tuple(float(b) for b in betas))
+        if not isinstance(self.variant, Variant):
+            raise ValueError(f"variant must be a Variant, got {self.variant!r}")
         if self.variant not in FUSION_VARIANTS:
             raise ValueError(
                 f"variant {self.variant.value} is prompt-only; a fusion model "
@@ -102,8 +153,6 @@ class TrainConfig:
         data = dict(data)
         if "variant" in data:
             data["variant"] = Variant(data["variant"])
-        if "betas" in data:
-            data["betas"] = tuple(data["betas"])
         return cls(**data)
 
 

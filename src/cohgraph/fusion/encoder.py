@@ -4,6 +4,8 @@ The shipped encoder is a deterministic toy: each token maps to a hash bucket
 of a seeded embedding table and the sentence vector is the mean of its token
 vectors (average pooling). The interface is small on purpose so a pretrained
 encoder can be slotted in later: anything with the same four methods works.
+Sentence vectors and gradients are in the dtype of the token table, which
+is drawn in float64 and cast once to the encoder's dtype.
 """
 
 from __future__ import annotations
@@ -70,17 +72,18 @@ class HashBucketSentenceEncoder:
     PARAM_NAME = "encoder/token_embed"
 
     def __init__(self, d_model: int, n_buckets: int, trainable: bool = True,
-                 init_scale: float = 0.5):
+                 init_scale: float = 0.5, dtype: str = "float64"):
         self.d_model = d_model
         self.n_buckets = n_buckets
         self.trainable = trainable
         self.init_scale = init_scale
+        self.dtype = np.dtype(dtype)
         self._frozen_table: np.ndarray | None = None
         self.saw_empty = False
 
     def _make_table(self, rng: np.random.Generator) -> np.ndarray:
         return rng.normal(0.0, self.init_scale,
-                          (self.n_buckets, self.d_model)).astype(np.float64)
+                          (self.n_buckets, self.d_model)).astype(self.dtype)
 
     def init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
         table = self._make_table(rng)
@@ -105,17 +108,18 @@ class HashBucketSentenceEncoder:
                         params: dict[str, np.ndarray]) -> np.ndarray:
         """(len(prepared), d_model): the mean token vector of each prepared
         sentence, zero for a sentence without tokens."""
+        table = self._table(params)
         counts = np.array([p.size for p in prepared], dtype=np.int64)
-        out = np.zeros((len(prepared), self.d_model), dtype=np.float64)
+        out = np.zeros((len(prepared), self.d_model), dtype=table.dtype)
         if (counts == 0).any():
             self.saw_empty = True
             logger.warning("encoding an empty token list; emitting a zero vector")
         full = counts > 0
         if full.any():
-            rows = self._table(params)[np.concatenate(prepared)]
+            rows = table[np.concatenate(prepared)]
             starts = np.cumsum(counts) - counts
             out[full] = (np.add.reduceat(rows, starts[full], axis=0)
-                         / counts[full, None])
+                         / counts[full, None].astype(table.dtype))
         return out
 
     def accumulate_grad_prepared(self, prepared: list[np.ndarray],
@@ -126,6 +130,6 @@ class HashBucketSentenceEncoder:
         if not self.trainable or not prepared:
             return
         counts = np.array([p.size for p in prepared], dtype=np.int64)
+        weights = np.maximum(counts, 1).astype(dvecs.dtype)
         add_rows_at(grads[self.PARAM_NAME], np.concatenate(prepared),
-                    np.repeat(dvecs / np.maximum(counts, 1)[:, None], counts,
-                              axis=0))
+                    np.repeat(dvecs / weights[:, None], counts, axis=0))

@@ -1,12 +1,18 @@
 """Position-aware fusion transformer over flat sequences, with hand-written
 reverse-mode gradients.
 
-Everything is float64 numpy. Parameters live in a flat name -> array dict so
-the optimizer, checkpointing, and finite-difference checks can enumerate them
-uniformly; a layer stores its heads stacked, laid out as HeadParams says.
-Checkpoints (format 2) record the variant the model was trained under; load
-stacks the per-head tensors of format 1 files, which record none. The
-attention score between elements i and j is
+Every parameter, activation, gradient, mask and optimizer state is of the
+config's dtype: float32 by default, float64 on request (the tests' oracles
+and finite-difference checks run at float64). Initial parameters and dropout
+draws come from float64 streams and are cast once, so a float32 model starts
+from the rounded initial values of the float64 one and drops the same units.
+Parameters live in a flat name -> array dict so the optimizer,
+checkpointing, and finite-difference checks can enumerate them uniformly; a
+layer stores its heads stacked, laid out as HeadParams says. Checkpoints
+(format 3) record the variant the model was trained under and write each
+tensor in the model's dtype; load reads format 1 and 2 files as float64,
+stacks the per-head tensors of format 1 files and takes their variant as
+unknown. The attention score between elements i and j is
 
     A_ij = q_i k_j^T + q_i r_ij^T + u k_j^T + v r_ij^T
 
@@ -300,6 +306,7 @@ def _v1_layout(config: ModelConfig):
 
 def _init_params(config: ModelConfig,
                  encoder: SentenceEncoder) -> dict[str, np.ndarray]:
+    """Initial parameters, drawn in float64 and cast once to config.dtype."""
     rng = np.random.default_rng(np.random.PCG64(config.seed))
     d, d_h, ffn = config.d_model, config.d_head, config.ffn_dim
     params: dict[str, np.ndarray] = {}
@@ -334,7 +341,7 @@ def _init_params(config: ModelConfig,
         params[f"layer{l}/ln2/beta"] = np.zeros(d)
     params["clf/W"] = rng.normal(0.0, 1.0 / np.sqrt(d), (d, config.n_classes))
     params["clf/b"] = np.zeros(config.n_classes)
-    return {name: np.ascontiguousarray(arr, dtype=np.float64)
+    return {name: np.ascontiguousarray(arr, dtype=config.dtype)
             for name, arr in params.items()}
 
 
@@ -432,7 +439,7 @@ def head_scores(x: np.ndarray, pe: np.ndarray, vis: Visibility,
     s += (qv[:, :, :n_sent] @ r4).ravel()[vis.cols]
     s *= scale
     if rows == n_sent:  # no edge queries
-        return s, np.empty(vis.edge_cols.shape), (q, k, r)
+        return s, np.empty(vis.edge_cols.shape, s.dtype), (q, k, r)
     se = (qv[:, :, n_sent:] @ r4[..., :vis.n_edge_tuples]).ravel()[
         vis.tuple_cols]
     se += (qu[:, :, n_sent:] @ k4.swapaxes(-1, -2)).ravel()[vis.edge_cols]
@@ -443,7 +450,7 @@ def head_scores(x: np.ndarray, pe: np.ndarray, vis: Visibility,
 def _edge_block(w: np.ndarray, vis: Visibility, n: int) -> np.ndarray:
     """(B, H, E, n) array holding each edge row's w (B, H, E, 3) at its
     three keys, zero elsewhere."""
-    out = np.zeros(w.shape[:3] + (n,))
+    out = np.zeros(w.shape[:3] + (n,), w.dtype)
     out.ravel()[vis.edge_cols] = w
     return out
 
@@ -461,7 +468,7 @@ def head_forward(x: np.ndarray, pe: np.ndarray, vis: Visibility,
     probs = softmax(s + vis.mask)
     v_mat = x @ heads.W_v
     v4 = _split_heads(v_mat, n, n_heads)
-    out = np.empty((len(s), rows, n_heads, v4.shape[-1]))
+    out = np.empty((len(s), rows, n_heads, v4.shape[-1]), v4.dtype)
     out[:, :n_sent] = (probs @ v4).swapaxes(1, 2)
     probs_e = se
     if rows > n_sent:
@@ -510,13 +517,15 @@ def head_backward(dout: np.ndarray, cache: tuple, x: np.ndarray,
     # sentence rows. The query gradient splits into the content term's,
     # whose row sum is u's gradient, and the position term's, whose row sum
     # is v's; pairs of one query that share a distance tuple share r_c, so
-    # their score gradients are summed onto (B, H, S, U)
+    # their score gradients are summed onto (B, H, S, U), in float64 by
+    # bincount and cast back
     dout_s = dout[:, :, :n_sent]
     dv = probs.swapaxes(-1, -2) @ dout_s
     ds = _softmax_backward(dout_s @ v4.swapaxes(-1, -2), probs, scale)
     seg = np.bincount(vis.cols.ravel(), weights=ds.ravel(),
-                      minlength=ds.size // n * n_tuples).reshape(
-                          ds.shape[:3] + (n_tuples,))
+                      minlength=ds.size // n * n_tuples).astype(
+                          ds.dtype, copy=False).reshape(
+                              ds.shape[:3] + (n_tuples,))
     content = ds @ k4
     position = seg @ r4
     dq[:, :, :n_sent] = content + position
@@ -536,8 +545,9 @@ def head_backward(dout: np.ndarray, cache: tuple, x: np.ndarray,
             scale)
         block = _edge_block(dse, vis, n)
         seg = np.bincount(vis.tuple_cols.ravel(), weights=dse.ravel(),
-                          minlength=dse.size // 3 * n_et).reshape(
-                              dse.shape[:3] + (n_et,))
+                          minlength=dse.size // 3 * n_et).astype(
+                              dse.dtype, copy=False).reshape(
+                                  dse.shape[:3] + (n_et,))
         content = block @ k4
         position = seg @ r4[:, :, :n_et]
         dq[:, :, n_sent:] = content + position
@@ -563,12 +573,13 @@ def head_backward(dout: np.ndarray, cache: tuple, x: np.ndarray,
         v=grad_v_bias if heads.v.ndim == 2 else grad_v_bias.sum(axis=0))
 
 
-def chunk_visibility(contexts: list[SequenceContext], n_heads: int):
-    """The Visibility of contexts run as one chunk, and the distance tuples
-    pos_rows (B * U, 4) it indexes. Each document's sentences, edges and
-    tuples are padded to the chunk's most S, E and U: document b's tuples
-    are rows b * U on, as its context lays them out, then repeats of its
-    first, which no pair maps to."""
+def chunk_visibility(contexts: list[SequenceContext], n_heads: int,
+                     dtype=np.float64):
+    """The Visibility of contexts run as one chunk, its additive mask in
+    dtype, and the distance tuples pos_rows (B * U, 4) it indexes. Each
+    document's sentences, edges and tuples are padded to the chunk's most S,
+    E and U: document b's tuples are rows b * U on, as its context lays them
+    out, then repeats of its first, which no pair maps to."""
     n_docs = len(contexts)
     n_sent = max(len(ctx.sentences) for ctx in contexts)
     n = n_sent + max(len(ctx.edge_pos) for ctx in contexts)
@@ -601,7 +612,7 @@ def chunk_visibility(contexts: list[SequenceContext], n_heads: int):
     edge_rows = np.arange(n_docs * n_heads * (n - n_sent)).reshape(
         n_docs, n_heads, n - n_sent, 1)
     return Visibility(
-        mask=np.where(visible, 0.0, MASKED)[:, None],
+        mask=np.where(visible, 0.0, MASKED).astype(dtype, copy=False)[:, None],
         cols=sentence_rows * n_tuples + pos[:, None],
         edge_cols=edge_rows * n + edge_keys[:, None],
         tuple_cols=edge_rows * n_et + edge_pos[:, None],
@@ -654,7 +665,9 @@ class DropoutStream:
 
     def draw(self, doc_index: int, slot: int, out: np.ndarray) -> None:
         """Fill the C-contiguous float64 array out with the uniform draws
-        behind the mask at (doc_index, slot) of that shape."""
+        behind the mask at (doc_index, slot) of that shape. The draws are
+        float64 whatever the model's dtype, so a float32 and a float64 model
+        drop the same units."""
         self._counter[:] = (self.epoch, self.step, doc_index, slot)
         self._bitgen.state = self._state
         self._generator.random(out=out)
@@ -669,6 +682,13 @@ class DropoutStream:
         draws = np.empty(shape)
         self.draw(doc_index, slot, draws)
         return (draws >= self.rate) * self.scale
+
+
+def _cross_entropy(label_probs: np.ndarray) -> np.float64:
+    """Summed -log of each document's probability of its label, in float64
+    (a float32 probability is exact in it), floored at 1e-300."""
+    return -np.log(np.maximum(label_probs.astype(np.float64, copy=False),
+                              1e-300)).sum()
 
 
 # ---------------------------------------------------------------------------
@@ -687,9 +707,11 @@ class FusionModel:
         self.params = params
         self.encoder = encoder
         self.variant = variant
+        self.dtype = np.dtype(config.dtype)
         self.registry = load_registry()
-        self.position_table = sinusoid_table(config.max_relative_distance,
-                                             config.d_model)
+        self.position_table = sinusoid_table(
+            config.max_relative_distance, config.d_model).astype(
+                self.dtype, copy=False)
         # prepare's key besides the document and the variant
         self._setup = (config, type(encoder))
         self._validate_shapes()
@@ -697,7 +719,8 @@ class FusionModel:
     @staticmethod
     def _encoder(config: ModelConfig) -> HashBucketSentenceEncoder:
         return HashBucketSentenceEncoder(config.d_model, config.n_token_buckets,
-                                         trainable=config.encoder_trainable)
+                                         trainable=config.encoder_trainable,
+                                         dtype=config.dtype)
 
     @classmethod
     def build(cls, config: ModelConfig,
@@ -716,6 +739,11 @@ class FusionModel:
                     diff.append(f"  {name}: expected {e}, got {g}")
             raise ContractError("parameter shapes do not match config:\n"
                                 + "\n".join(diff))
+        wrong = sorted(name for name, arr in self.params.items()
+                       if arr.dtype != self.dtype)
+        if wrong:
+            raise ContractError(f"parameters {', '.join(wrong)} are not of "
+                                f"the config's dtype {self.config.dtype}")
 
     # -- parameter views ---------------------------------------------------
 
@@ -726,7 +754,7 @@ class FusionModel:
 
     @property
     def score_scale(self) -> float:
-        return 1.0 / np.sqrt(self.config.d_head) if self.config.scale_scores else 1.0
+        return 1.0 / math.sqrt(self.config.d_head) if self.config.scale_scores else 1.0
 
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {name: np.zeros_like(arr) for name, arr in self.params.items()}
@@ -845,7 +873,7 @@ class FusionModel:
         on the padding, and the (row, source) index _embed_backward reads:
         one encoder call and one gather per table for the chunk."""
         offsets = range(0, len(contexts) * n, n)
-        x = np.zeros((len(contexts) * n, self.config.d_model))
+        x = np.zeros((len(contexts) * n, self.config.d_model), self.dtype)
         sentence_rows = np.concatenate(
             [np.arange(off, off + len(ctx.sentences))
              for ctx, off in zip(contexts, offsets)])
@@ -898,9 +926,9 @@ class FusionModel:
         cfg = self.config
         use = (dropout if train_mode and dropout is not None
                and cfg.dropout_rate > 0.0 else None)
-        vis, pos_rows = chunk_visibility(contexts, cfg.n_heads)
+        vis, pos_rows = chunk_visibility(contexts, cfg.n_heads, self.dtype)
         n_docs, _, n_sent, n = vis.mask.shape
-        pool = np.zeros((n_docs, n_sent))
+        pool = np.zeros((n_docs, n_sent), self.dtype)
         for b, ctx in enumerate(contexts):
             if cfg.pooling == "mean_sentences":
                 pool[b, :len(ctx.sentences)] = 1.0 / len(ctx.sentences)
@@ -953,11 +981,12 @@ class FusionModel:
     def _dropout_keep(self, dropout: DropoutStream, doc_indices: list[int],
                       contexts: list[SequenceContext], vis: Visibility,
                       slot: int) -> np.ndarray:
-        """(B * vis.n_queries, d_model) inverted-dropout mask, 0 or
-        dropout.scale: each document's own (length, d_model) mask, keyed by
-        its batch position, with row t on the document's slot t, and 0 on
-        the padding. With sentence queries only, a document draws just its
-        S sentence rows, the first S * d_model draws of its mask."""
+        """(B * vis.n_queries, d_model) inverted-dropout mask in the
+        model's dtype, 0 or dropout.scale: each document's own (length,
+        d_model) mask, keyed by its batch position, with row t on the
+        document's slot t, and 0 on the padding. With sentence queries only,
+        a document draws just its S sentence rows, the first S * d_model
+        draws of its mask."""
         n_sent, rows = vis.mask.shape[2], vis.n_queries
         draws = np.zeros((len(contexts), rows, self.config.d_model))
         for b, (doc_index, ctx) in enumerate(zip(doc_indices, contexts)):
@@ -967,8 +996,8 @@ class FusionModel:
             if s < n_sent < rows:  # move the edge rows to the edge slots
                 draws[b, n_sent:n_sent + m - s] = draws[b, s:m]
                 draws[b, s:n_sent] = 0.0
-        return np.where(draws >= dropout.rate, dropout.scale, 0.0).reshape(
-            -1, self.config.d_model)
+        return np.where(draws >= dropout.rate, dropout.scale, 0.0).astype(
+            self.dtype, copy=False).reshape(-1, self.config.d_model)
 
     def _forward_layer(self, x: np.ndarray, pe: np.ndarray, vis: Visibility,
                        layer: int, keep: tuple | None):
@@ -1106,6 +1135,7 @@ class FusionModel:
         are reduced chunk by chunk in that fixed order, so the result is a
         deterministic function of the batch and independent of any
         external parallelism. Document b's dropout masks are keyed by b.
+        The loss is a Python float, summed in float64 at either dtype.
         """
         labels = self._labels(contexts)
         grads = self.zero_grads()
@@ -1119,16 +1149,15 @@ class FusionModel:
                 dropout=dropout, doc_index=chunk)
             probs = softmax(logits)
             rows = np.arange(len(chunk))
-            total += -np.log(np.maximum(probs[rows, labels[chunk]],
-                                        1e-300)).sum()
+            total += _cross_entropy(probs[rows, labels[chunk]])
             predictions[chunk] = logits.argmax(axis=1)
             dlogits = probs
             dlogits[rows, labels[chunk]] -= 1.0
             dlogits /= len(contexts)
             self.backward_from_logits(dlogits, cache, grads)
             del cache  # one chunk's activations alive at a time
-        loss = total / len(contexts)
-        if not np.isfinite(loss):
+        loss = float(total / len(contexts))
+        if not math.isfinite(loss):
             raise NumericalError("non-finite loss")
         if out_predictions is not None:
             out_predictions.extend(int(pred) for pred in predictions)
@@ -1141,10 +1170,9 @@ class FusionModel:
         for chunk in chunk_order([len(ctx.seq) for ctx in contexts],
                                  self.config.d_model):
             logits, _, _ = self.forward_context([contexts[i] for i in chunk])
-            probs = softmax(logits)
-            total += -np.log(np.maximum(
-                probs[np.arange(len(chunk)), labels[chunk]], 1e-300)).sum()
-        return total / len(contexts)
+            total += _cross_entropy(
+                softmax(logits)[np.arange(len(chunk)), labels[chunk]])
+        return float(total / len(contexts))
 
     def predict(self, docs: list[Document],
                 variant: Variant = Variant.FULL) -> list[int]:
@@ -1173,13 +1201,13 @@ class FusionModel:
     # -- checkpointing -------------------------------------------------------
 
     MAGIC = b"CGFUSION\n"
-    FORMAT_VERSION = 2
+    FORMAT_VERSION = 3
 
     def save(self, path: str | Path) -> None:
         """Versioned binary dump: JSON header (config, training variant,
-        shape table) + raw little-endian tensor bytes in header order.
-        Contains no timestamps, so identical models serialize to identical
-        bytes."""
+        shape and dtype table) + raw little-endian tensor bytes in header
+        order, each in the model's dtype. Contains no timestamps, so
+        identical models serialize to identical bytes."""
         names = sorted(self.params)
         header = {
             "format_version": self.FORMAT_VERSION,
@@ -1187,22 +1215,24 @@ class FusionModel:
             "variant": None if self.variant is None else self.variant.value,
             "tensors": [{"name": name,
                          "shape": list(self.params[name].shape),
-                         "dtype": "float64"} for name in names],
+                         "dtype": self.config.dtype} for name in names],
         }
         blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        stored = np.dtype(self.config.dtype).newbyteorder("<")
         with open(path, "wb") as fh:
             fh.write(self.MAGIC)
             fh.write(len(blob).to_bytes(8, "big"))
             fh.write(blob)
             for name in names:
                 fh.write(np.ascontiguousarray(
-                    self.params[name], dtype="<f8").tobytes())
+                    self.params[name], dtype=stored).tobytes())
 
     @classmethod
     def load(cls, path: str | Path) -> "FusionModel":
-        """Read a checkpoint written by save(), or a format 1 one, whose
-        per-head tensors are stacked; a malformed file raises ContractError
-        naming the path."""
+        """Read a checkpoint written by save(), or a format 1 or 2 one,
+        whose config records no dtype and whose tensors are float64 (format
+        1's per-head tensors are stacked); a malformed file raises
+        ContractError naming the path."""
         with open(path, "rb") as fh:
             if fh.read(len(cls.MAGIC)) != cls.MAGIC:
                 raise ContractError(f"{path}: not a fusion checkpoint")
@@ -1214,12 +1244,16 @@ class FusionModel:
             if not isinstance(header, dict):
                 raise ContractError(f"{path}: header is not a JSON object")
             version = header.get("format_version")
-            if version not in (1, cls.FORMAT_VERSION):
+            if version not in (1, 2, cls.FORMAT_VERSION):
                 raise ContractError(f"{path}: unsupported checkpoint version "
                                     f"{version}")
             try:
-                config = ModelConfig.from_dict(header["config"])
-                table = [(str(t["name"]), tuple(t["shape"]))
+                config = header["config"]
+                if version < 3:
+                    config = dict(config, dtype="float64")
+                config = ModelConfig.from_dict(config)
+                table = [(str(t["name"]), tuple(t["shape"]),
+                          str(t["dtype"]) if version == 3 else "float64")
                          for t in header["tensors"]]
                 recorded = None if version == 1 else header["variant"]
                 variant = None if recorded is None else Variant(recorded)
@@ -1228,20 +1262,27 @@ class FusionModel:
                                     f"{type(exc).__name__}: {exc}") from exc
             expected, heads = (_v1_layout(config) if version == 1 else
                                (expected_param_shapes(config), {}))
+            # little-endian, in the config's dtype, which every tensor's
+            # must equal; formats 1 and 2 hold float64 only
+            stored = np.dtype(config.dtype).newbyteorder("<")
             params: dict[str, np.ndarray] = {}
-            for name, shape in table:
+            for name, shape, dtype in table:
                 if name in params:
                     raise ContractError(f"{path}: duplicate tensor {name}")
                 if expected.get(name) != shape:
                     raise ContractError(
                         f"{path}: tensor {name} shape {shape} does not match "
                         f"config expectation {expected.get(name)}")
-                nbytes = 8 * math.prod(expected[name])
+                if dtype != config.dtype:
+                    raise ContractError(
+                        f"{path}: tensor {name} is {dtype!r}, but the "
+                        f"config's dtype is {config.dtype}")
+                nbytes = stored.itemsize * math.prod(expected[name])
                 data = fh.read(nbytes)
                 if len(data) != nbytes:
                     raise ContractError(f"{path}: tensor {name} is truncated")
-                params[name] = np.frombuffer(data, dtype="<f8").reshape(
-                    expected[name]).astype(np.float64)
+                params[name] = np.frombuffer(data, dtype=stored).reshape(
+                    expected[name]).astype(config.dtype)
             missing = set(expected) - set(params)
             if missing:
                 raise ContractError(

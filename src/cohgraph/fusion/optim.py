@@ -1,7 +1,8 @@
 """AdamW with decoupled weight decay over a flat parameter dict.
 
 Updates are applied in place, in sorted parameter-name order, so optimizer
-behaviour is a deterministic function of (params, grads, step count).
+behaviour is a deterministic function of (params, grads, step count). The
+moments and the scratch arrays are in the parameters' dtype.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ class AdamW:
         self.m = {name: np.zeros_like(arr) for name, arr in params.items()}
         self.v = {name: np.zeros_like(arr) for name, arr in params.items()}
         self._size = max((arr.size for arr in params.values()), default=0)
+        self._dtype = np.result_type(*params.values()) if params else None
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         """One update of every parameter, in place. Each update evaluates
@@ -32,7 +34,8 @@ class AdamW:
         parameter, shared by every parameter's update and freed after the
         step, instead of a temporary per operation."""
         self.t += 1
-        scratch = (np.empty(self._size), np.empty(self._size))
+        scratch = (np.empty(self._size, self._dtype),
+                   np.empty(self._size, self._dtype))
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
         for name in sorted(self.params):

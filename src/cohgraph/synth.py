@@ -35,6 +35,7 @@ profile; tests/test_synth.py pins them by sha256 digests.
 
 from __future__ import annotations
 
+import functools
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -128,6 +129,14 @@ class _SenseSampler:
         return self.senses[kind][idx]
 
 
+@functools.lru_cache(maxsize=8)
+def _sense_sampler(tilt: float) -> _SenseSampler:
+    """The sampler of a tilt, built once and shared, read-only, by every
+    call with that tilt: a caller that generates a corpus one document at a
+    time builds it once."""
+    return _SenseSampler(tilt)
+
+
 def _doc_rng(seed: int, doc_index: int) -> np.random.Generator:
     bitgen = np.random.Philox(key=seed & 0xFFFFFFFFFFFFFFFF,
                               counter=[doc_index, 0, 0, 1])
@@ -141,7 +150,7 @@ def synth_generate(n_docs: int, seed: int,
         raise ValueError("n_docs must be >= 1")
     if isinstance(profile, str):
         profile = PROFILES[profile]
-    sampler = _SenseSampler(profile.relation_tilt)
+    sampler = _sense_sampler(profile.relation_tilt)
     labels = (CoherenceLabel.LOW, CoherenceLabel.MEDIUM, CoherenceLabel.HIGH)
     # the vocabularies of the domains and labels this call reaches, formatted
     # once: every vocabulary token of a document references one of these

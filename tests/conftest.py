@@ -73,9 +73,11 @@ def demo_document() -> Document:
 
 
 def tiny_model_config(**overrides) -> ModelConfig:
+    """A small float64 config: the oracles and finite-difference checks
+    that use it hold their tolerances at float64."""
     defaults = dict(d_model=32, n_heads=2, n_layers=1, d_ffn=64,
                     n_token_buckets=16, n_entity_buckets=8,
-                    dropout_rate=0.1, seed=7)
+                    dropout_rate=0.1, seed=7, dtype="float64")
     defaults.update(overrides)
     return ModelConfig(**defaults)
 

@@ -248,8 +248,8 @@ def test_padded_tuple_rows_are_inert():
         assert (dpe[padded] == 0.0).all() and dpe[~padded].any()
 
     def run(pad_with):
-        def padded_with(ctxs, n_heads):
-            chunk, rows = chunk_visibility(ctxs, n_heads)
+        def padded_with(ctxs, n_heads, dtype):
+            chunk, rows = chunk_visibility(ctxs, n_heads, dtype)
             rows[padded] = pad_with
             return chunk, rows
 

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, idempotence."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -157,6 +158,40 @@ class TestEmitPrompts:
         assert result.exit_code == 1
         assert "budget" in result.output
 
+    @pytest.mark.parametrize("doc_id", ["", ".", "..", "../escaped", "a/b",
+                                        "a\\b", "nul\0id", "/absolute"])
+    def test_an_id_that_is_not_one_path_component_writes_nothing(
+            self, runner, tmp_path, doc_id):
+        """The id is refused before anything is written: no output
+        directory, and no file anywhere under tmp_path or at the absolute
+        path."""
+        work = tmp_path / "work"
+        work.mkdir()
+        if doc_id == "/absolute":
+            doc_id = str(tmp_path / "absolute")
+        corpus = tmp_path / "corpus.jsonl"
+        write_corpus([dataclasses.replace(make_demo_document(), id=doc_id)],
+                     corpus)
+        result = runner.invoke(main, ["emit-prompts", str(corpus),
+                                      str(work / "out")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == (f"error: document id {doc_id!r} cannot "
+                                 f"name a prompt file: it must be one path "
+                                 f"component\n")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == [
+            "corpus.jsonl", "work"]
+
+    def test_a_repeated_id_writes_nothing(self, runner, tmp_path):
+        demo = make_demo_document()
+        corpus = tmp_path / "corpus.jsonl"
+        write_corpus([demo, dataclasses.replace(demo, label=None)], corpus)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["emit-prompts", str(corpus), str(out)])
+        assert result.exit_code == 1
+        assert "error: document id 'demo-0001' is repeated" in result.output
+        assert not out.exists()
+
 
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     """build-graph and emit-prompts (every variant) write byte-identical
@@ -276,6 +311,31 @@ class TestTrainEval:
                                       "--expect-d-model", "256"])
         assert result.exit_code == 1
         assert "mismatch" in result.output
+
+    def test_eval_of_tensors_in_another_dtype_exits_1_naming_the_path(
+            self, runner, small_corpus, tmp_path):
+        """A float32 checkpoint (the default) whose header claims float64
+        tensors is refused before any prediction."""
+        ckpt = tmp_path / "c.ckpt"
+        assert runner.invoke(main, ["train", str(small_corpus), str(ckpt),
+                                    *TRAIN_FLAGS]).exit_code == 0
+        data = ckpt.read_bytes()
+        start = len(FusionModel.MAGIC) + 8
+        end = start + int.from_bytes(data[len(FusionModel.MAGIC):start], "big")
+        header = json.loads(data[start:end])
+        assert header["config"]["dtype"] == "float32"
+        header["tensors"][0]["dtype"] = "float64"
+        blob = json.dumps(header).encode()
+        ckpt.write_bytes(FusionModel.MAGIC + len(blob).to_bytes(8, "big")
+                         + blob + data[end:])
+        report = tmp_path / "r.json"
+        result = runner.invoke(main, ["eval", str(ckpt), str(small_corpus),
+                                      "--report", str(report)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert str(ckpt) in result.output
+        assert "is 'float64', but the config's dtype is float32" in result.output
+        assert not report.exists()
 
     def test_eval_malformed_checkpoint_exits_1_without_traceback(
             self, small_corpus, tmp_path):

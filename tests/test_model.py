@@ -461,6 +461,14 @@ def _with_config(**fields):
     return edit
 
 
+def _with_tensor_dtype(dtype, count=1):
+    def edit(header, body):
+        for tensor in header["tensors"][:count]:
+            tensor["dtype"] = dtype
+        return header, body
+    return edit
+
+
 def _duplicate_first_tensor(header, body):
     first = header["tensors"][0]
     header["tensors"].append(first)
@@ -471,7 +479,13 @@ def _duplicate_first_tensor(header, body):
 MALFORMED_CHECKPOINTS = [
     ("config-missing", _without("config"), "config"),
     ("config-unknown-field", _with_config(bogus=1), "bogus"),
-    ("config-invalid-value", _with_config(d_model=0), "dimensions"),
+    ("config-invalid-value", _with_config(d_model=0), "d_model must be >= 1"),
+    ("config-bad-dtype", _with_config(dtype="float16"),
+     "unknown dtype 'float16'"),
+    ("tensor-unknown-dtype", _with_tensor_dtype(["<f8"]),
+     "tensor clf/W is \"['<f8']\", but the config's dtype is float64"),
+    ("tensors-in-another-dtype", _with_tensor_dtype("float32", count=99),
+     "tensor clf/W is 'float32', but the config's dtype is float64"),
     ("tensors-missing", _without("tensors"), "tensors"),
     ("tensors-not-a-list", lambda h, b: ({**h, "tensors": 5}, b), "malformed"),
     ("variant-missing", _without("variant"), "variant"),
@@ -509,6 +523,26 @@ class TestCheckpoint:
         FusionModel.build(tiny_model_config()).save(b)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_save_load_save_is_byte_identical(self, tmp_path, dtype):
+        """Format 3 records the dtype and writes each tensor in it; load
+        reads it back as it was, so saving again repeats every byte."""
+        model = FusionModel.build(tiny_model_config(dtype=dtype))
+        first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+        model.save(first)
+        loaded = FusionModel.load(first)
+        loaded.save(second)
+        assert first.read_bytes() == second.read_bytes()
+        header, body = split_checkpoint(first.read_bytes())
+        assert header["format_version"] == 3
+        assert header["config"]["dtype"] == dtype
+        assert {t["dtype"] for t in header["tensors"]} == {dtype}
+        assert len(body) == np.dtype(dtype).itemsize * sum(
+            arr.size for arr in model.params.values())
+        for name, arr in loaded.params.items():
+            assert arr.dtype == dtype
+            np.testing.assert_array_equal(arr, model.params[name])
+
     def test_corrupt_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"garbage")
@@ -542,6 +576,7 @@ class TestCheckpoint:
 
 FIXTURES = Path(__file__).parent / "fixtures"
 V1_CHECKPOINT = FIXTURES / "v1-d8.ckpt"
+V2_CHECKPOINT = FIXTURES / "v2-d8.ckpt"
 
 
 def _raw_tensors(data: bytes) -> dict[str, np.ndarray]:
@@ -573,6 +608,7 @@ class TestFormat1Checkpoint:
         raw = _raw_tensors(V1_CHECKPOINT.read_bytes())
         model = FusionModel.load(V1_CHECKPOINT)
         assert model.variant is None
+        assert model.config.dtype == "float64"
         heads = [head_slice(model.layer_heads(0), h)
                  for h in range(model.config.n_heads)]
         assert len(raw) == len(model.params) + 6 * (len(heads) - 1)
@@ -650,6 +686,58 @@ class TestFormat1Checkpoint:
             FusionModel.load(path)
         assert str(path) in str(err.value)
         assert expect in str(err.value)
+
+
+class TestFormat2Checkpoint:
+    """tests/fixtures/v2-d8.ckpt is a format 2 checkpoint: its config
+    records no dtype, and its tensors are float64. It was written by
+    `cohgraph train` at the last commit that wrote format 2, in
+    tests/fixtures, from v1-d8.config.json without its dtype line:
+
+        cohgraph synth corpus.jsonl --n-docs 12 --seed 5
+        cohgraph train corpus.jsonl v2-d8.ckpt --config v1-d8.config.json \
+            --seed 7 --variant TextRel
+    """
+
+    def test_loads_as_float64_bit_exactly(self):
+        header, _ = split_checkpoint(V2_CHECKPOINT.read_bytes())
+        assert header["format_version"] == 2
+        assert "dtype" not in header["config"]
+        raw = _raw_tensors(V2_CHECKPOINT.read_bytes())
+        model = FusionModel.load(V2_CHECKPOINT)
+        assert model.config.dtype == "float64"
+        assert model.variant is Variant.TEXT_REL
+        assert raw.keys() == model.params.keys()
+        for name, arr in raw.items():
+            assert model.params[name].dtype == np.float64
+            np.testing.assert_array_equal(model.params[name], arr)
+
+    def test_saved_again_only_the_header_changes(self, tmp_path):
+        path = tmp_path / "v3.ckpt"
+        FusionModel.load(V2_CHECKPOINT).save(path)
+        header, body = split_checkpoint(path.read_bytes())
+        assert header["format_version"] == 3
+        assert header["config"]["dtype"] == "float64"
+        assert body == split_checkpoint(V2_CHECKPOINT.read_bytes())[1]
+
+    def test_retraining_at_float64_matches_the_fixture(self, tmp_path):
+        """The fixture's commands rerun (the config file now asks for
+        float64) give its parameters within 1e-12 relative: bits across
+        BLAS builds are not promised."""
+        runner = CliRunner()
+        corpus, path = tmp_path / "corpus.jsonl", tmp_path / "v3.ckpt"
+        for args in (["synth", str(corpus), "--n-docs", "12", "--seed", "5"],
+                     ["train", str(corpus), str(path), "--config",
+                      str(FIXTURES / "v1-d8.config.json"), "--seed", "7",
+                      "--variant", "TextRel"]):
+            result = runner.invoke(cli_main, args)
+            assert result.exit_code == 0, result.output
+        want, got = FusionModel.load(V2_CHECKPOINT), FusionModel.load(path)
+        assert got.config == want.config
+        assert got.variant is Variant.TEXT_REL
+        for name, arr in want.params.items():
+            np.testing.assert_allclose(got.params[name], arr, rtol=0,
+                                       atol=1e-12 * np.abs(arr).max())
 
 
 def test_param_count_is_config_deterministic():

@@ -11,7 +11,7 @@ from cohgraph.graph import build_graph
 from cohgraph.labels import CoherenceLabel
 from cohgraph.relations import RelationKind, load_registry
 from cohgraph.synth import (PROFILES, SynthProfile, _doc_rng, _SenseSampler,
-                            synth_generate)
+                            _sense_sampler, synth_generate)
 
 L, M, H = CoherenceLabel.LOW, CoherenceLabel.MEDIUM, CoherenceLabel.HIGH
 
@@ -60,6 +60,20 @@ def test_sense_draws_match_generator_choice():
         for _ in range(10_000):
             expected = senses[oracle.choice(len(senses), p=dist)]
             assert sampler.sample(fast, kind, label) is expected, (kind, label)
+
+
+def test_one_sense_sampler_per_tilt_in_a_bounded_cache():
+    """Calls of synth_generate with one tilt share its sampler, which holds
+    the same distributions as a fresh one."""
+    _sense_sampler.cache_clear()
+    synth_generate(3, seed=0)
+    synth_generate(3, seed=1, profile=SynthProfile(name="t", relation_tilt=0.5))
+    synth_generate(3, seed=2)
+    info = _sense_sampler.cache_info()
+    assert (info.misses, info.hits, info.maxsize) == (2, 1, 8)
+    fresh = _SenseSampler(1.0)
+    assert _sense_sampler(1.0).cdfs == fresh.cdfs
+    assert _sense_sampler(1.0).senses == fresh.senses
 
 
 def test_labels_cycle_evenly():
