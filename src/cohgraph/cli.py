@@ -105,6 +105,10 @@ def _load_config_file(path: str | None) -> dict:
         raise ValueError(f"config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"config file {path}: expected a JSON object")
+    for key in data:
+        if key not in ("model", "train"):
+            raise ValueError(f"config file {path}: unknown key {key!r}; "
+                             f"expected \"model\" or \"train\"")
     return data
 
 
@@ -179,17 +183,13 @@ def cmd_build_graph(corpus_path: str, out_path: str) -> None:
 def _check_prompt_names(docs: list[Document]) -> None:
     """Refuse, before anything is written, a document id that is not one
     safe file-name component (empty, . or .., holding a /, \\ or NUL, or
-    absolute) or that repeats: prompt files are named after the ids."""
-    seen = set()
+    absolute): prompt files are named after the ids, which the corpus
+    reader has checked are unique."""
     for doc in docs:
         if (doc.id in ("", ".", "..") or any(c in doc.id for c in "/\\\0")
                 or os.path.isabs(doc.id)):
             raise ValueError(f"document id {doc.id!r} cannot name a prompt "
                              f"file: it must be one path component")
-        if doc.id in seen:
-            raise ValueError(f"document id {doc.id!r} is repeated; prompt "
-                             f"files are named after the ids")
-        seen.add(doc.id)
 
 
 @main.command("emit-prompts")

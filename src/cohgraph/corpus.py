@@ -2,7 +2,7 @@
 
 One document per line. Field contract (all names fixed):
 
-    id          string
+    id          string, unique in the corpus
     domain_tag  string
     label       "low" | "medium" | "high"
                 | {"raw": int, "scheme": "gcdc3" | "cohesentia5"}
@@ -169,7 +169,9 @@ def dumps_canonical(record: dict) -> str:
 
 
 def iter_corpus(path: str | Path) -> Iterator[Document]:
-    """Yield validated documents; raises CorpusFormatError with line numbers."""
+    """Yield validated documents; raises CorpusFormatError with line numbers,
+    also for an id that an earlier line holds."""
+    id_lines: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, start=1):
             line = line.strip()
@@ -181,7 +183,12 @@ def iter_corpus(path: str | Path) -> Iterator[Document]:
                 raise CorpusFormatError(line_number, f"invalid JSON: {exc}") from exc
             if not isinstance(record, dict):
                 raise CorpusFormatError(line_number, "record is not a JSON object")
-            yield document_from_record(record, line_number)
+            doc = document_from_record(record, line_number)
+            first = id_lines.setdefault(doc.id, line_number)
+            if first != line_number:
+                raise CorpusFormatError(line_number, f"document id {doc.id!r} "
+                                        f"is already the id of line {first}")
+            yield doc
 
 
 def read_corpus(path: str | Path) -> list[Document]:

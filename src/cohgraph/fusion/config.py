@@ -42,10 +42,12 @@ def _at_least(config, minimum: int, *names: str) -> None:
                              f"got {getattr(config, name)}")
 
 
-def _one_of(config, name: str, choices: tuple[str, ...]) -> None:
-    if getattr(config, name) not in choices:
-        raise ValueError(f"unknown {name} {getattr(config, name)!r}; "
-                         f"expected one of {', '.join(choices)}")
+# Fields that checkpoints of formats 1 to 3 record, at the one value the model
+# has: scores scaled by 1/sqrt(d_head), linear W_p, mean pooling over the
+# sentence outputs, per-head u and v, a softplus FFN and three classes.
+RETIRED_FIELDS = {"scale_scores": True, "position_activation": "none",
+                  "pooling": "mean_sentences", "share_uv": False,
+                  "ffn_activation": "softplus", "n_classes": 3}
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,6 @@ class ModelConfig:
     n_layers: int = 2
     d_ffn: int = 0  # 0 means 4 * d_model
     dropout_rate: float = 0.1
-    n_classes: int = 3
     max_relative_distance: int = 128
     seed: int = 0
     # element embedding plumbing
@@ -63,14 +64,6 @@ class ModelConfig:
     n_entity_buckets: int = 256
     encoder_trainable: bool = True
     max_elements: int = 512
-    # documented switches around the attention formulation
-    scale_scores: bool = True        # multiply scores by 1/sqrt(d_head)
-    position_activation: str = "none"  # "none" | "relu" applied after W_p
-    pooling: str = "mean_sentences"    # "mean_sentences" | "first_sentence"
-    share_uv: bool = False             # share u, v across heads within a layer
-    # smooth rectifier by default so finite-difference gradient checks are
-    # well-posed at the pinned epsilon; "relu" is the classical alternative
-    ffn_activation: str = "softplus"   # "softplus" | "relu"
     # dtype of every parameter, activation, gradient and optimizer state
     dtype: str = "float32"             # "float32" | "float64"
 
@@ -85,12 +78,9 @@ class ModelConfig:
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError(f"dropout_rate {self.dropout_rate} outside [0, 1)")
-        if self.n_classes != 3:
-            raise ValueError("n_classes is fixed at 3")
-        _one_of(self, "position_activation", ("none", "relu"))
-        _one_of(self, "pooling", ("mean_sentences", "first_sentence"))
-        _one_of(self, "ffn_activation", ("softplus", "relu"))
-        _one_of(self, "dtype", ("float32", "float64"))
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError(f"unknown dtype {self.dtype!r}; expected one of "
+                             f"float32, float64")
 
     @property
     def d_head(self) -> int:
@@ -105,6 +95,17 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
+        """The config a checkpoint header records. A field that earlier
+        checkpoints recorded and the model no longer has is dropped if it
+        holds the one value the model now uses; any other value is a
+        ValueError naming it."""
+        data = dict(data)
+        for name, fixed in RETIRED_FIELDS.items():
+            if name in data:
+                value = data.pop(name)
+                if type(value) is not type(fixed) or value != fixed:
+                    raise ValueError(f"retired field {name} must be "
+                                     f"{fixed!r}, got {value!r}")
         return cls(**data)
 
 

@@ -17,13 +17,13 @@ unknown. The attention score between elements i and j is
     A_ij = q_i k_j^T + q_i r_ij^T + u k_j^T + v r_ij^T
 
 with q, k from the element embeddings, r_ij from the pairwise relative
-position embedding, and u, v trainable biases; scores are scaled by
-1/sqrt(d_head) (switchable) and softmaxed over the keys that
-masking.visible_matrix lets i see. All heads of a layer run as one batch
-axis of the kernel head_forward / head_backward, and head_scores is the only
-place the score is formed. Each layer then applies the standard value
-mixing, output projection, post-norm residuals, and a rectified feed-forward
-block.
+position embedding (a linear projection of the distances' sinusoids), and
+u, v trainable biases of each head; scores are scaled by 1/sqrt(d_head) and
+softmaxed over the keys that masking.visible_matrix lets i see. All heads of
+a layer run as one batch axis of the kernel head_forward / head_backward,
+and head_scores is the only place the score is formed. Each layer then
+applies the standard value mixing, output projection, post-norm residuals,
+and a softplus feed-forward block.
 
 The kernel follows the mask's two kinds of row (the global-local pattern,
 with the sentences as the global tokens). A document is laid out in slot
@@ -37,8 +37,9 @@ one (E, n) product of the edge queries with the keys (cheaper than
 gathering key vectors at these sizes), their position terms from the few
 distance tuples only edge rows use.
 
-The classifier pools only sentence outputs, so the last layer runs only the
-S sentence rows as queries: its keys, values and position path still cover
+The classifier maps the mean of the last layer's sentence outputs to the
+logits of the three coherence classes, so the last layer runs only the S
+sentence rows as queries: its keys, values and position path still cover
 all n rows, and its query projection, sentence block, output projection,
 LayerNorms, FFN and dropout masks run on the S rows. Its edge rows are
 never formed; edge embeddings still get its gradient through its keys and
@@ -110,6 +111,7 @@ import numpy as np
 from ..documents import Document
 from ..flat import ElementKind, FlatSequence, apply_variant, linearize
 from ..graph import build_graph
+from ..labels import CoherenceLabel
 from ..relations import load_registry
 from ..variants import Variant
 from .config import ModelConfig
@@ -122,6 +124,7 @@ from .positions import (distance_indices, position_embedding, sinusoid_table,
 LN_EPS = 1e-5
 
 N_RELATION_ROWS = 30  # 15 explicit + 15 implicit senses, canonical order
+N_CLASSES = len(CoherenceLabel)
 
 # Padded rows (documents in a chunk x its longest document) one chunk may
 # hold: PAD_VALUE_BUDGET / d_model, at most PAD_ROW_BUDGET; 96 at the
@@ -143,8 +146,8 @@ class ContractError(ValueError):
 class HeadParams:
     """The parameters of H attention heads, as layer l stores them in
     layer{l}/<field>: W_q, W_k, W_r, W_v (d_model, H * d_head) with head h
-    in columns h * d_head to (h + 1) * d_head, and u, v (H, d_head), or
-    (d_head,) when the heads share them."""
+    in columns h * d_head to (h + 1) * d_head, and u, v (H, d_head) with
+    head h in row h."""
 
     W_q: np.ndarray
     W_k: np.ndarray
@@ -265,11 +268,10 @@ def expected_param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     shapes["embed/entity"] = (config.n_entity_buckets, d)
     shapes["embed/relation"] = (N_RELATION_ROWS, d)
     shapes["pos/W_p"] = (4 * d, d)
-    uv = (d_h,) if config.share_uv else (config.n_heads, d_h)
     for l in range(config.n_layers):
         for w in ("W_q", "W_k", "W_r", "W_v"):
             shapes[f"layer{l}/{w}"] = (d, config.n_heads * d_h)
-        shapes[f"layer{l}/u"] = shapes[f"layer{l}/v"] = uv
+        shapes[f"layer{l}/u"] = shapes[f"layer{l}/v"] = (config.n_heads, d_h)
         shapes[f"layer{l}/W_o"] = (d, d)
         shapes[f"layer{l}/b_o"] = (d,)
         shapes[f"layer{l}/ln1/gamma"] = (d,)
@@ -280,22 +282,22 @@ def expected_param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes[f"layer{l}/ffn/b2"] = (d,)
         shapes[f"layer{l}/ln2/gamma"] = (d,)
         shapes[f"layer{l}/ln2/beta"] = (d,)
-    shapes["clf/W"] = (d, config.n_classes)
-    shapes["clf/b"] = (config.n_classes,)
+    shapes["clf/W"] = (d, N_CLASSES)
+    shapes["clf/b"] = (N_CLASSES,)
     return shapes
 
 
 def _v1_layout(config: ModelConfig):
     """Format 1 kept each head's block of a layer's head tensors (its
-    columns of W_q, W_k, W_r, W_v and, unless shared, its row of u, v) as a
-    tensor of its own, layer{l}/head{h}/<field>. Returns the shapes a
+    columns of W_q, W_k, W_r, W_v and its row of u, v) as a tensor of its
+    own, layer{l}/head{h}/<field>. Returns the shapes a
     format 1 file holds and, per stacked name, its heads' names in head
     order."""
     d, d_h = config.d_model, config.d_head
     shapes = expected_param_shapes(config)
     heads: dict[str, list[str]] = {}
     for l in range(config.n_layers):
-        for field in _HEAD_FIELDS[:4] if config.share_uv else _HEAD_FIELDS:
+        for field in _HEAD_FIELDS:
             names = [f"layer{l}/head{h}/{field}" for h in range(config.n_heads)]
             heads[f"layer{l}/{field}"] = names
             del shapes[f"layer{l}/{field}"]
@@ -323,12 +325,8 @@ def _init_params(config: ModelConfig,
             for w in ("W_q", "W_k", "W_r", "W_v"):
                 params[f"layer{l}/{w}"][:, h * d_h:(h + 1) * d_h] = rng.normal(
                     0.0, 1.0 / np.sqrt(d), (d, d_h))
-            if not config.share_uv:
-                params[f"layer{l}/u"][h] = rng.normal(0.0, 0.1, (d_h,))
-                params[f"layer{l}/v"][h] = rng.normal(0.0, 0.1, (d_h,))
-        if config.share_uv:
-            params[f"layer{l}/u"] = rng.normal(0.0, 0.1, (d_h,))
-            params[f"layer{l}/v"] = rng.normal(0.0, 0.1, (d_h,))
+            params[f"layer{l}/u"][h] = rng.normal(0.0, 0.1, (d_h,))
+            params[f"layer{l}/v"][h] = rng.normal(0.0, 0.1, (d_h,))
         params[f"layer{l}/W_o"] = rng.normal(0.0, 1.0 / np.sqrt(d), (d, d))
         params[f"layer{l}/b_o"] = np.zeros(d)
         params[f"layer{l}/ln1/gamma"] = np.ones(d)
@@ -339,8 +337,8 @@ def _init_params(config: ModelConfig,
         params[f"layer{l}/ffn/b2"] = np.zeros(d)
         params[f"layer{l}/ln2/gamma"] = np.ones(d)
         params[f"layer{l}/ln2/beta"] = np.zeros(d)
-    params["clf/W"] = rng.normal(0.0, 1.0 / np.sqrt(d), (d, config.n_classes))
-    params["clf/b"] = np.zeros(config.n_classes)
+    params["clf/W"] = rng.normal(0.0, 1.0 / np.sqrt(d), (d, N_CLASSES))
+    params["clf/b"] = np.zeros(N_CLASSES)
     return {name: np.ascontiguousarray(arr, dtype=config.dtype)
             for name, arr in params.items()}
 
@@ -372,19 +370,17 @@ def layer_norm_backward(dy: np.ndarray, cache):
     return dx, dgamma, dbeta
 
 
-def _rectify(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "softplus":
-        # log(1 + e^z) without overflow; several times cheaper than logaddexp
-        return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
-    return np.maximum(z, 0.0)
+def _softplus(z: np.ndarray) -> np.ndarray:
+    """log(1 + e^z) without overflow; several times cheaper than logaddexp.
+    Smooth, so finite-difference gradient checks are well-posed at the
+    pinned epsilon."""
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
-def _rectify_grad(hidden: np.ndarray, kind: str) -> np.ndarray:
-    """Derivative of the rectifier from its output hidden = _rectify(z):
+def _softplus_grad(hidden: np.ndarray) -> np.ndarray:
+    """Derivative of softplus from its output hidden = _softplus(z):
     softplus'(z) = sigmoid(z) = 1 - exp(-softplus(z))."""
-    if kind == "softplus":
-        return -np.expm1(-hidden)
-    return hidden > 0.0
+    return -np.expm1(-hidden)
 
 
 def _split_heads(a: np.ndarray, n_rows: int, n_heads: int) -> np.ndarray:
@@ -423,16 +419,15 @@ def head_scores(x: np.ndarray, pe: np.ndarray, vis: Visibility,
     k (B * n, H * d_head) and r (B * U, H * d_head); E_q is E, or 0 when
     vis has only sentence queries.
     """
-    u, v = np.atleast_2d(heads.u), np.atleast_2d(heads.v)
     n_docs, _, n_sent, n = vis.mask.shape
     rows = vis.n_queries
-    n_heads = heads.W_q.shape[1] // u.shape[1]
+    n_heads = len(heads.u)
     q = _query_rows(x, n, rows) @ heads.W_q
     k = x @ heads.W_k
     r = pe @ heads.W_r
     q4 = _split_heads(q, rows, n_heads)
-    qu = q4 + u[:, None, :]
-    qv = q4 + v[:, None, :]
+    qu = q4 + heads.u[:, None, :]
+    qv = q4 + heads.v[:, None, :]
     k4 = _split_heads(k, n, n_heads)
     r4 = _split_heads(r, len(r) // n_docs, n_heads).swapaxes(-1, -2)
     s = qu[:, :, :n_sent] @ k4.swapaxes(-1, -2)
@@ -498,16 +493,15 @@ def head_backward(dout: np.ndarray, cache: tuple, x: np.ndarray,
     pe (B * U, d_model) into dx and dpe in place: the query gradient into
     each document's query rows, the key and value gradients into all rows.
     Returns the parameter gradients, summed over the chunk, laid out as
-    heads is: shared u, v get the sum of every head's gradient.
+    heads is.
     """
     vis, q, k, v_mat, r, probs, probs_e = cache
-    u, v = np.atleast_2d(heads.u), np.atleast_2d(heads.v)
     n_docs, n_heads, n_sent, n = probs.shape
     rows = vis.n_queries
     n_tuples, n_et = len(r) // n_docs, vis.n_edge_tuples
     q4 = _split_heads(q, rows, n_heads)
-    qu = q4 + u[:, None, :]
-    qv = q4 + v[:, None, :]
+    qu = q4 + heads.u[:, None, :]
+    qv = q4 + heads.v[:, None, :]
     k4 = _split_heads(k, n, n_heads)
     v4 = _split_heads(v_mat, n, n_heads)
     r4 = _split_heads(r, n_tuples, n_heads)
@@ -568,9 +562,7 @@ def head_backward(dout: np.ndarray, cache: tuple, x: np.ndarray,
     dpe += dr @ heads.W_r.T
     return HeadParams(
         W_q=_query_rows(x, n, rows).T @ dq, W_k=x.T @ dk, W_r=pe.T @ dr,
-        W_v=x.T @ dv,
-        u=grad_u if heads.u.ndim == 2 else grad_u.sum(axis=0),
-        v=grad_v_bias if heads.v.ndim == 2 else grad_v_bias.sum(axis=0))
+        W_v=x.T @ dv, u=grad_u, v=grad_v_bias)
 
 
 def chunk_visibility(contexts: list[SequenceContext], n_heads: int,
@@ -754,7 +746,7 @@ class FusionModel:
 
     @property
     def score_scale(self) -> float:
-        return 1.0 / math.sqrt(self.config.d_head) if self.config.scale_scores else 1.0
+        return 1.0 / math.sqrt(self.config.d_head)
 
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {name: np.zeros_like(arr) for name, arr in self.params.items()}
@@ -906,9 +898,9 @@ class FusionModel:
         cache).
 
         Given one SequenceContext, it runs as a chunk of one: logits is
-        (n_classes,), pooled (d_model,) and doc_index (default 0) its dropout
+        (N_CLASSES,), pooled (d_model,) and doc_index (default 0) its dropout
         key. Given a list, the contexts run as one chunk padded to the
-        longest: logits is (B, n_classes), pooled (B, d_model), and
+        longest: logits is (B, N_CLASSES), pooled (B, d_model), and
         doc_index lists each one's dropout key, its position in the training
         batch (default: its position in the list).
         """
@@ -922,7 +914,8 @@ class FusionModel:
 
     def _forward_chunk(self, contexts: list[SequenceContext], train_mode: bool,
                        dropout: DropoutStream | None, doc_indices: list[int]):
-        """forward_context over a list: pack, embed, run the layers, pool."""
+        """forward_context over a list: pack, embed, run the layers, pool
+        the mean of each document's sentence outputs."""
         cfg = self.config
         use = (dropout if train_mode and dropout is not None
                and cfg.dropout_rate > 0.0 else None)
@@ -930,15 +923,11 @@ class FusionModel:
         n_docs, _, n_sent, n = vis.mask.shape
         pool = np.zeros((n_docs, n_sent), self.dtype)
         for b, ctx in enumerate(contexts):
-            if cfg.pooling == "mean_sentences":
-                pool[b, :len(ctx.sentences)] = 1.0 / len(ctx.sentences)
-            else:
-                pool[b, 0] = 1.0
+            pool[b, :len(ctx.sentences)] = 1.0 / len(ctx.sentences)
         x, embed_index = self._embed(contexts, n_sent, n)
 
-        feats, pe_lin, pe = position_embedding(
-            self.position_table, pos_rows, self.params["pos/W_p"],
-            cfg.position_activation)
+        feats, pe = position_embedding(self.position_table, pos_rows,
+                                       self.params["pos/W_p"])
 
         # the classifier pools only sentence rows, so the last layer runs
         # only those as queries
@@ -964,9 +953,8 @@ class FusionModel:
         logits = pooled @ self.params["clf/W"] + self.params["clf/b"]
 
         cache = {
-            "embed": embed_index, "feats": feats,
-            "pe_lin": pe_lin, "pe": pe, "layers": layer_caches, "x_out": x,
-            "pool": pool, "pooled": pooled,
+            "embed": embed_index, "feats": feats, "pe": pe,
+            "layers": layer_caches, "x_out": x, "pool": pool, "pooled": pooled,
         }
         return logits, pooled, cache
 
@@ -1004,7 +992,6 @@ class FusionModel:
         """One layer over a chunk: x (B * n, d_model) in, its
         vis.n_queries query rows per document out; keep is None or the
         (attention, FFN) dropout masks."""
-        cfg = self.config
         p = self.params
         concat, head_cache = head_forward(x, pe, vis, self.layer_heads(layer),
                                           self.score_scale)
@@ -1016,8 +1003,8 @@ class FusionModel:
             _query_rows(x, vis.mask.shape[3], vis.n_queries) + attn,
             p[f"layer{layer}/ln1/gamma"], p[f"layer{layer}/ln1/beta"])
 
-        hidden = _rectify(y @ p[f"layer{layer}/ffn/W1"] + p[f"layer{layer}/ffn/b1"],
-                          cfg.ffn_activation)
+        hidden = _softplus(y @ p[f"layer{layer}/ffn/W1"]
+                           + p[f"layer{layer}/ffn/b1"])
         ffn = hidden @ p[f"layer{layer}/ffn/W2"] + p[f"layer{layer}/ffn/b2"]
         if keep is not None:
             ffn *= keep[1]
@@ -1036,7 +1023,7 @@ class FusionModel:
     def backward_from_logits(self, dlogits: np.ndarray, cache: dict,
                              grads: dict[str, np.ndarray]) -> None:
         """Accumulate parameter gradients for a chunk's forward cache, given
-        dlogits (B, n_classes), one row per document of the chunk."""
+        dlogits (B, N_CLASSES), one row per document of the chunk."""
         cfg = self.config
         p = self.params
         n_docs, rows = cache["pool"].shape
@@ -1047,22 +1034,19 @@ class FusionModel:
         dx = (cache["pool"][:, :, None] * dpooled[:, None, :]).reshape(
             n_docs * rows, cfg.d_model)
 
-        dpe_lin = np.zeros_like(cache["pe"])
+        dpe = np.zeros_like(cache["pe"])
         for l in reversed(range(cfg.n_layers)):
             dx = self._backward_layer(dx, cache["layers"][l], cache["pe"],
-                                      dpe_lin, l, grads)
+                                      dpe, l, grads)
 
-        # position projection: pe_lin = feats @ W_p (optional relu after)
-        if cfg.position_activation == "relu":
-            dpe_lin *= cache["pe_lin"] > 0.0
-        grads["pos/W_p"] += cache["feats"].T @ dpe_lin
+        # position projection: pe = feats @ W_p
+        grads["pos/W_p"] += cache["feats"].T @ dpe
 
         self._embed_backward(dx, cache["embed"], grads)
 
     def _backward_layer(self, dout: np.ndarray, cache: dict, pe: np.ndarray,
                         dpe: np.ndarray, layer: int,
                         grads: dict[str, np.ndarray]) -> np.ndarray:
-        cfg = self.config
         p = self.params
 
         # each gradient is accumulated in place into the array the LayerNorm
@@ -1077,7 +1061,7 @@ class FusionModel:
         grads[f"layer{layer}/ffn/W2"] += cache["hidden"].T @ dffn
         grads[f"layer{layer}/ffn/b2"] += dffn.sum(axis=0)
         dz1 = ((dffn @ p[f"layer{layer}/ffn/W2"].T)
-               * _rectify_grad(cache["hidden"], cfg.ffn_activation))
+               * _softplus_grad(cache["hidden"]))
         del dffn
         # the FFN input y is formed again from the LayerNorm cache, exactly
         # as the forward pass formed it, rather than held
@@ -1231,8 +1215,10 @@ class FusionModel:
     def load(cls, path: str | Path) -> "FusionModel":
         """Read a checkpoint written by save(), or a format 1 or 2 one,
         whose config records no dtype and whose tensors are float64 (format
-        1's per-head tensors are stacked); a malformed file raises
-        ContractError naming the path."""
+        1's per-head tensors are stacked). A retired config field (see
+        RETIRED_FIELDS) at its one value is dropped; a malformed file, or a
+        retired field at another value, raises ContractError naming the
+        path."""
         with open(path, "rb") as fh:
             if fh.read(len(cls.MAGIC)) != cls.MAGIC:
                 raise ContractError(f"{path}: not a fusion checkpoint")

@@ -7,7 +7,8 @@ signed distances are
     d3 = end_i - start_j      d4 = end_i - end_j
 
 each clipped to +-max_distance. Their sinusoid encodings are concatenated
-into a 4*d_model feature and projected by a trainable matrix to d_model.
+into a 4*d_model feature and projected linearly by a trainable matrix
+W_p to d_model.
 
 After clipping, a document of n elements has only a few distinct distance
 tuples (about 2n to 3n over all n * n pairs, and about n / 2 over the pairs
@@ -95,17 +96,14 @@ def unique_distance_rows(dist_idx: np.ndarray):
 
 
 def position_embedding(table: np.ndarray, pos_rows: np.ndarray,
-                       W_p: np.ndarray, activation: str = "none"):
+                       W_p: np.ndarray):
     """Relative position embeddings of the U distinct distance tuples
     pos_rows (U, 4): the sinusoid rows of the four distances, concatenated
-    and projected by W_p, with an optional ReLU after the projection. The
-    embedding of pair (i, j) is row pos_inv[i, j] of the result.
+    and projected linearly by W_p. The embedding of pair (i, j) is row
+    pos_inv[i, j] of the result.
 
-    Returns the (U, 4 * d_model) features, the projection before the
-    activation and the (U, d_model) embeddings; backward reuses the first
-    two.
+    Returns the (U, 4 * d_model) features, which backward reuses, and the
+    (U, d_model) embeddings.
     """
     feats = table[pos_rows].reshape(pos_rows.shape[0], -1)
-    pe_lin = feats @ W_p
-    pe = np.maximum(pe_lin, 0.0) if activation == "relu" else pe_lin
-    return feats, pe_lin, pe
+    return feats, feats @ W_p

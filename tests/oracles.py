@@ -47,13 +47,12 @@ def masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 def head_slice(heads: HeadParams, h: int) -> HeadParams:
     """Head h of a layer's stacked HeadParams: its column block of W_q,
-    W_k, W_r, W_v and its row of u, v, or u, v themselves when shared."""
+    W_k, W_r, W_v and its row of u, v."""
     d_head = heads.u.shape[-1]
     cols = slice(h * d_head, (h + 1) * d_head)
-    row = (lambda a: a[h]) if heads.u.ndim == 2 else (lambda a: a)
     return HeadParams(W_q=heads.W_q[:, cols], W_k=heads.W_k[:, cols],
                       W_r=heads.W_r[:, cols], W_v=heads.W_v[:, cols],
-                      u=row(heads.u), v=row(heads.v))
+                      u=heads.u[h], v=heads.v[h])
 
 
 def named_distances(a: FlatElement, b: FlatElement,
@@ -75,11 +74,9 @@ def oracle_pair_features(a: FlatElement, b: FlatElement, max_distance: int,
 
 
 def oracle_pair_embedding(a: FlatElement, b: FlatElement, W_p: np.ndarray,
-                          max_distance: int,
-                          activation: str = "none") -> np.ndarray:
+                          max_distance: int) -> np.ndarray:
     """Relative position embedding of one pair straight from the distances."""
-    out = oracle_pair_features(a, b, max_distance, W_p.shape[1]) @ W_p
-    return np.maximum(out, 0) if activation == "relu" else out
+    return oracle_pair_features(a, b, max_distance, W_p.shape[1]) @ W_p
 
 
 def oracle_scores(seq, emb, head, pair_embedding, scale):
@@ -166,7 +163,7 @@ def dense_layout(ctx, sentence_block, edge_block, fill):
 def all_rows_forward(model, contexts, dropout=None, doc_indices=None):
     """(logits, pooled, cache) of model on contexts run as one chunk, with
     every layer, the last too, run on all n rows of each document and the
-    sentence rows pooled out of them by (B, n) weights. The cache is laid
+    sentence rows averaged out of them by (B, n) weights. The cache is laid
     out as forward_context's, so backward_from_logits reads it. dropout, if
     given, is the training stream; document b's masks are keyed by
     doc_indices[b] (default b)."""
@@ -177,14 +174,10 @@ def all_rows_forward(model, contexts, dropout=None, doc_indices=None):
         doc_indices = list(range(n_docs))
     pool = np.zeros((n_docs, n))
     for b, ctx in enumerate(contexts):
-        if cfg.pooling == "mean_sentences":
-            pool[b, :len(ctx.sentences)] = 1.0 / len(ctx.sentences)
-        else:
-            pool[b, 0] = 1.0
+        pool[b, :len(ctx.sentences)] = 1.0 / len(ctx.sentences)
     x, embed_index = model._embed(contexts, n_sent, n)
-    feats, pe_lin, pe = position_embedding(
-        model.position_table, pos_rows, model.params["pos/W_p"],
-        cfg.position_activation)
+    feats, pe = position_embedding(model.position_table, pos_rows,
+                                   model.params["pos/W_p"])
     layers = []
     for layer in range(cfg.n_layers):
         keep = None if dropout is None else tuple(
@@ -195,7 +188,7 @@ def all_rows_forward(model, contexts, dropout=None, doc_indices=None):
     pooled = (pool[:, None, :] @ x.reshape(n_docs, n, -1))[:, 0, :]
     logits = pooled @ model.params["clf/W"] + model.params["clf/b"]
     return logits, pooled, {
-        "embed": embed_index, "feats": feats, "pe_lin": pe_lin, "pe": pe,
+        "embed": embed_index, "feats": feats, "pe": pe,
         "layers": layers, "x_out": x, "pool": pool, "pooled": pooled}
 
 

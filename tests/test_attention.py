@@ -2,7 +2,6 @@
 global-local head kernel against the dense per-pair kernel."""
 
 import numpy as np
-import pytest
 
 from cohgraph.flat import FlatSequence, linearize
 from cohgraph.fusion.masking import visible_matrix
@@ -35,7 +34,7 @@ def _kernel_inputs(seq, W_p):
         d_model=D, n_heads=1, max_relative_distance=MAX_DISTANCE))
     ctx = model.prepare_sequence(make_demo_document(), seq)
     vis, pos_rows = chunk_visibility([ctx], 1)
-    pe = position_embedding(sinusoid_table(MAX_DISTANCE, D), pos_rows, W_p)[2]
+    pe = position_embedding(sinusoid_table(MAX_DISTANCE, D), pos_rows, W_p)[1]
     return ctx, pe, vis
 
 
@@ -57,20 +56,21 @@ def _demo_sequence():
 
 
 def _random_head(rng, d_head=D):
+    """One head, stacked as a layer stores its heads."""
     return HeadParams(
         W_q=rng.normal(0, 0.4, (D, d_head)),
         W_k=rng.normal(0, 0.4, (D, d_head)),
         W_r=rng.normal(0, 0.4, (D, d_head)),
         W_v=rng.normal(0, 0.4, (D, d_head)),
-        u=rng.normal(0, 0.4, d_head),
-        v=rng.normal(0, 0.4, d_head))
+        u=rng.normal(0, 0.4, (1, d_head)),
+        v=rng.normal(0, 0.4, (1, d_head)))
 
 
 def test_all_zero_parameters_give_zero_scores():
     """Every score term carries a zero factor when all parameters are zero."""
     seq = _demo_sequence()
     head = HeadParams(*(np.zeros((D, D)) for _ in range(4)),
-                      u=np.zeros(D), v=np.zeros(D))
+                      u=np.zeros((1, D)), v=np.zeros((1, D)))
     rng = np.random.default_rng(1)
     ctx, pe, vis = _kernel_inputs(seq, _W_p())
     s, se, _ = head_scores(rng.normal(size=(len(seq), D)), pe, vis, head,
@@ -84,7 +84,7 @@ def test_identity_projections_reduce_to_content_attention():
     """With W_q = W_k = I and zero position terms, scores are scaled e_i . e_j."""
     seq = _demo_sequence()
     head = HeadParams(W_q=np.eye(D), W_k=np.eye(D), W_r=np.zeros((D, D)),
-                      W_v=np.eye(D), u=np.zeros(D), v=np.zeros(D))
+                      W_v=np.eye(D), u=np.zeros((1, D)), v=np.zeros((1, D)))
     rng = np.random.default_rng(2)
     emb = rng.normal(size=(len(seq), D))
     ctx, pe, vis = _kernel_inputs(seq, _W_p())
@@ -105,7 +105,8 @@ def test_five_element_sequence_matches_term_oracle():
         head = _random_head(rng)
         emb = rng.normal(size=(5, D))
         got = _dense_scores(ctx, emb, pe, vis, head, SCALE)
-        want = oracle_scores(seq, emb, head, pair_embedding, SCALE)
+        want = oracle_scores(seq, emb, head_slice(head, 0), pair_embedding,
+                             SCALE)
         np.testing.assert_allclose(got, _on_visible(seq, want), rtol=0,
                                    atol=1e-12)
 
@@ -121,20 +122,17 @@ def test_explicit_scale_override():
     np.testing.assert_allclose(scaled, unscaled / np.sqrt(D), atol=1e-15)
 
 
-@pytest.mark.parametrize("share_uv", [False, True])
-@pytest.mark.parametrize("scale_scores", [True, False])
-def test_trained_path_probabilities_match_oracle(share_uv, scale_scores):
+def test_trained_path_probabilities_match_oracle():
     """Every head's cached attention in forward_context equals the masked
     softmax of the term oracle's scores on that layer's input, on every
     query row: all rows on the first layer, the sentence rows on the last,
     which runs no edge queries."""
-    model = FusionModel.build(tiny_model_config(
-        n_layers=2, share_uv=share_uv, scale_scores=scale_scores))
+    model = FusionModel.build(tiny_model_config(n_layers=2))
     profile = SynthProfile(name="oracle", n_sentences=(3, 5),
                            tokens_per_sentence=(3, 5), domain_tags=("synthA",))
     docs = [make_demo_document()] + synth_generate(3, seed=8, profile=profile)
     cfg = model.config
-    scale = 1.0 / np.sqrt(cfg.d_head) if scale_scores else 1.0
+    scale = 1.0 / np.sqrt(cfg.d_head)
     W_p = model.params["pos/W_p"]
     pair_embedding = lambda a, b: oracle_pair_embedding(
         a, b, W_p, cfg.max_relative_distance)
@@ -168,22 +166,17 @@ def _assert_rel_close(got, want, rel=1e-12):
                                atol=rel * np.max(np.abs(want)))
 
 
-@pytest.mark.parametrize("position_activation", ["none", "relu"])
-@pytest.mark.parametrize("share_uv", [False, True])
-@pytest.mark.parametrize("scale_scores", [True, False])
-def test_head_kernel_matches_dense_oracle(share_uv, scale_scores,
-                                          position_activation):
+def test_head_kernel_matches_dense_oracle():
     """On every layer's input in a forward pass, the global-local kernel
     over the stacked heads, every row a query, matches the dense per-pair
     kernel run head by head:
     scores and probabilities on the pairs each row sees, output, the six
-    parameter gradients on each head's block (shared u, v: summed over the
-    heads), dx, and the per-pair position gradient summed onto the tuple
-    rows. The dense kernel embeds every pair's distances afresh.
-    A small max distance makes many pairs share a tuple."""
-    model = FusionModel.build(tiny_model_config(
-        n_layers=2, share_uv=share_uv, scale_scores=scale_scores,
-        position_activation=position_activation, max_relative_distance=3))
+    parameter gradients on each head's block, dx, and the per-pair position
+    gradient summed onto the tuple rows. The dense kernel embeds every
+    pair's distances afresh. A small max distance makes many pairs share a
+    tuple."""
+    model = FusionModel.build(tiny_model_config(n_layers=2,
+                                                max_relative_distance=3))
     cfg = model.config
     profile = SynthProfile(name="oracle", n_sentences=(4, 7),
                            tokens_per_sentence=(3, 5), domain_tags=("synthA",))
@@ -207,7 +200,7 @@ def test_head_kernel_matches_dense_oracle(share_uv, scale_scores,
         pe2d = position_embedding(
             model.position_table,
             distance_indices(ctx.seq, cfg.max_relative_distance).reshape(-1, 4),
-            model.params["pos/W_p"], cfg.position_activation)[2]
+            model.params["pos/W_p"])[1]
         _assert_rel_close(pe[pair_tuple[visible]],
                           pe2d.reshape(n, n, -1)[visible])
         to_seq = np.argsort(slot_order(ctx.seq))
@@ -225,7 +218,6 @@ def test_head_kernel_matches_dense_oracle(share_uv, scale_scores,
             x, out, dout, dx = x[to_seq], out[to_seq], dout[to_seq], dx[to_seq]
             want_dx = np.zeros_like(x)
             want_dpe = np.zeros_like(pe)
-            want_uv = np.zeros((2, d_head))
             for h in range(n_heads):
                 block = slice(h * d_head, (h + 1) * d_head)
                 head = head_slice(heads, h)
@@ -244,34 +236,25 @@ def test_head_kernel_matches_dense_oracle(share_uv, scale_scores,
                 want_grads, head_dx, dpe2d = dense_head_backward(
                     dout[:, block], q, k, v_mat, r, probs, x, pe2d, head,
                     scale)
-                for field in ("W_q", "W_k", "W_r", "W_v"):
+                for field in ("W_q", "W_k", "W_r", "W_v", "u", "v"):
                     _assert_rel_close(getattr(got, field),
                                       getattr(want_grads, field))
-                if share_uv:
-                    want_uv += (want_grads.u, want_grads.v)
-                else:
-                    _assert_rel_close(got.u, want_grads.u)
-                    _assert_rel_close(got.v, want_grads.v)
                 want_dx += head_dx
                 # a masked pair has zero probability and so zero gradient
                 dpe2d = dpe2d.reshape(n, n, -1)
                 assert not dpe2d[~visible].any()
                 np.add.at(want_dpe, pair_tuple[visible], dpe2d[visible])
-            if share_uv:
-                _assert_rel_close(grads.u, want_uv[0])
-                _assert_rel_close(grads.v, want_uv[1])
             _assert_rel_close(dx, want_dx)
             _assert_rel_close(dpe, want_dpe)
 
 
-@pytest.mark.parametrize("share_uv", [False, True])
-def test_sentence_queries_match_the_sentence_rows_of_all_rows(share_uv):
+def test_sentence_queries_match_the_sentence_rows_of_all_rows():
     """With the sentence rows as a chunk's only queries, as in the last
     layer, the kernel's output is the all-rows output's sentence rows, and
     its gradients are the all-rows kernel's under an output gradient that
     is zero on the edge rows; the key and value gradients still reach the
     edge rows of dx."""
-    model = FusionModel.build(tiny_model_config(share_uv=share_uv))
+    model = FusionModel.build(tiny_model_config())
     cfg = model.config
     profile = SynthProfile(name="oracle", n_sentences=(4, 7),
                            tokens_per_sentence=(3, 5), domain_tags=("synthA",))
@@ -279,7 +262,7 @@ def test_sentence_queries_match_the_sentence_rows_of_all_rows(share_uv):
     vis, pos_rows = chunk_visibility([model.prepare(doc) for doc in docs],
                                      cfg.n_heads)
     pe = position_embedding(model.position_table, pos_rows,
-                            model.params["pos/W_p"])[2]
+                            model.params["pos/W_p"])[1]
     n_docs, _, n_sent, n = vis.mask.shape
     rng = np.random.default_rng(5)
     x = rng.normal(size=(n_docs * n, cfg.d_model))

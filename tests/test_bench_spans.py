@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from cohgraph.fusion.config import TrainConfig
-from cohgraph.fusion.model import FusionModel
+from cohgraph.fusion.model import N_CLASSES, FusionModel
 from cohgraph.fusion.train import train
 
 from conftest import make_demo_document, tiny_model_config
@@ -40,7 +40,7 @@ def test_forward_context_takes_a_single_context(tracing):
     model = FusionModel.build(tiny_model_config())
     ctx = model.prepare(make_demo_document())
     logits, pooled, _ = model.forward_context(ctx)
-    assert logits.shape == (model.config.n_classes,)
+    assert logits.shape == (N_CLASSES,)
     assert pooled.shape == (model.config.d_model,)
     peaks = tracing.forward_peak_mib(model, [ctx])
     assert peaks["n_le_32"] > 0.0

@@ -96,10 +96,10 @@ class TestChunkOrder:
 
 @pytest.mark.parametrize("overrides", [
     {},
-    {"share_uv": True},
-    {"ffn_activation": "relu", "position_activation": "relu"},
-    {"pooling": "first_sentence"},
-    {"max_relative_distance": 3, "scale_scores": False},
+    {"n_heads": 4},
+    {"encoder_trainable": False},
+    {"max_elements": 6},
+    {"max_relative_distance": 3},
 ])
 @pytest.mark.parametrize("budget", [None, 24])
 def test_chunks_match_one_document_at_a_time(overrides, budget, monkeypatch):
@@ -200,7 +200,7 @@ def test_position_path_runs_on_per_document_tuple_blocks(monkeypatch):
             n_docs, n_heads, n_edge, 1) + np.zeros(3, dtype=int))
 
     pe = position_embedding(model.position_table, pos_rows,
-                            model.params["pos/W_p"])[2]
+                            model.params["pos/W_p"])[1]
     rng = np.random.default_rng(2)
     x = rng.normal(size=(n_docs * n, model.config.d_model))
     heads = model.layer_heads(0)
@@ -224,8 +224,7 @@ def test_padded_tuple_rows_are_inert():
     """No pair maps to a padded tuple row: it gets exactly zero dpe, and
     what it holds changes no logit and no gradient bit, pos/W_p's
     included."""
-    model = FusionModel.build(tiny_model_config(n_layers=2,
-                                                position_activation="relu"))
+    model = FusionModel.build(tiny_model_config(n_layers=2))
     contexts = [model.prepare(doc) for doc in mixed_docs(4)]
     vis, pos_rows = chunk_visibility(contexts, model.config.n_heads)
     n_tuples = len(pos_rows) // len(contexts)
@@ -235,7 +234,7 @@ def test_padded_tuple_rows_are_inert():
     assert padded.any()
 
     pe = position_embedding(model.position_table, pos_rows,
-                            model.params["pos/W_p"])[2]
+                            model.params["pos/W_p"])[1]
     n = vis.mask.shape[3]
     rng = np.random.default_rng(4)
     x = rng.normal(size=(len(contexts) * n, model.config.d_model))

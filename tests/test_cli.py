@@ -19,7 +19,7 @@ from cohgraph.fusion.model import (ContractError, FusionModel,
 from cohgraph.synth import SynthProfile, synth_generate
 from cohgraph.variants import Variant
 
-from conftest import make_demo_document
+from conftest import make_demo_document, tiny_model_config
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -79,9 +79,10 @@ class TestBuildGraph:
         assert out.read_text() == ""
 
     def test_corrupted_line_reports_number_and_fails(self, runner, tmp_path):
-        good = dumps_canonical(document_to_record(make_demo_document()))
+        record = document_to_record(make_demo_document())
+        good = [dumps_canonical(dict(record, id=f"demo-{i}")) for i in range(6)]
         corpus = tmp_path / "bad.jsonl"
-        corpus.write_text("\n".join([good] * 6 + ["{broken"]) + "\n")
+        corpus.write_text("\n".join(good + ["{broken"]) + "\n")
         result = runner.invoke(
             main, ["build-graph", str(corpus), str(tmp_path / "out.jsonl")])
         assert result.exit_code == 1
@@ -189,7 +190,8 @@ class TestEmitPrompts:
         out = tmp_path / "out"
         result = runner.invoke(main, ["emit-prompts", str(corpus), str(out)])
         assert result.exit_code == 1
-        assert "error: document id 'demo-0001' is repeated" in result.output
+        assert (f"error: {corpus}: line 2: document id 'demo-0001' is "
+                f"already the id of line 1") in result.output
         assert not out.exists()
 
 
@@ -228,6 +230,20 @@ class TestSynth:
                                           "--seed", "4"])
             assert result.exit_code == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def _edit_header(ckpt: Path, edit) -> dict:
+    """Rewrite a checkpoint's JSON header in place by edit(header); returns
+    the edited header."""
+    data = ckpt.read_bytes()
+    start = len(FusionModel.MAGIC) + 8
+    end = start + int.from_bytes(data[len(FusionModel.MAGIC):start], "big")
+    header = json.loads(data[start:end])
+    edit(header)
+    blob = json.dumps(header).encode()
+    ckpt.write_bytes(FusionModel.MAGIC + len(blob).to_bytes(8, "big") + blob
+                     + data[end:])
+    return header
 
 
 class TestTrainEval:
@@ -319,15 +335,9 @@ class TestTrainEval:
         ckpt = tmp_path / "c.ckpt"
         assert runner.invoke(main, ["train", str(small_corpus), str(ckpt),
                                     *TRAIN_FLAGS]).exit_code == 0
-        data = ckpt.read_bytes()
-        start = len(FusionModel.MAGIC) + 8
-        end = start + int.from_bytes(data[len(FusionModel.MAGIC):start], "big")
-        header = json.loads(data[start:end])
+        header = _edit_header(
+            ckpt, lambda h: h["tensors"][0].update(dtype="float64"))
         assert header["config"]["dtype"] == "float32"
-        header["tensors"][0]["dtype"] = "float64"
-        blob = json.dumps(header).encode()
-        ckpt.write_bytes(FusionModel.MAGIC + len(blob).to_bytes(8, "big")
-                         + blob + data[end:])
         report = tmp_path / "r.json"
         result = runner.invoke(main, ["eval", str(ckpt), str(small_corpus),
                                       "--report", str(report)])
@@ -335,6 +345,26 @@ class TestTrainEval:
         assert isinstance(result.exception, SystemExit)
         assert str(ckpt) in result.output
         assert "is 'float64', but the config's dtype is float32" in result.output
+        assert not report.exists()
+
+    @pytest.mark.parametrize("field, value", [("share_uv", True),
+                                              ("pooling", "first_sentence")])
+    def test_eval_of_a_retired_field_at_another_value_exits_1(
+            self, runner, small_corpus, tmp_path, field, value):
+        """A checkpoint header recording a retired config field at a value
+        other than the model's is refused in one line naming the path and
+        the field."""
+        ckpt = tmp_path / "c.ckpt"
+        FusionModel.build(tiny_model_config(d_model=8, n_heads=2)).save(ckpt)
+        _edit_header(ckpt, lambda h: h["config"].update({field: value}))
+        report = tmp_path / "r.json"
+        result = runner.invoke(main, ["eval", str(ckpt), str(small_corpus),
+                                      "--report", str(report)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        [line] = result.output.splitlines()
+        assert line.startswith(f"error: {ckpt}: malformed header: ")
+        assert f"retired field {field} must be" in line
         assert not report.exists()
 
     def test_eval_malformed_checkpoint_exits_1_without_traceback(
@@ -501,6 +531,29 @@ def test_training_commands_exit_with_the_error_code_without_traceback(
     assert "Traceback" not in result.output
     assert "error: " in result.output
     assert "document 'synth-" in result.output
+
+
+@pytest.mark.parametrize("command, args", [
+    ("build-graph", lambda tmp: [str(tmp / "out" / "g.jsonl")]),
+    ("train", lambda tmp: [str(tmp / "out" / "t.ckpt"), *TRAIN_FLAGS]),
+    ("cv", lambda tmp: ["--k", "3", "--report", str(tmp / "out" / "r.json"),
+                        *TRAIN_FLAGS]),
+    ("xdomain", lambda tmp: ["--train-tag", "synthA", "--test-tag", "synthB",
+                             "--report", str(tmp / "out" / "r.json"),
+                             *TRAIN_FLAGS]),
+], ids=["build-graph", "train", "cv", "xdomain"])
+def test_a_repeated_id_exits_1_naming_both_lines(runner, small_corpus,
+                                                 tmp_path, command, args):
+    corpus = tmp_path / "repeated.jsonl"
+    lines = small_corpus.read_text().splitlines(keepends=True)
+    corpus.write_text("".join(lines + lines[2:3]))
+    doc_id = json.loads(lines[2])["id"]
+    result = runner.invoke(main, [command, str(corpus), *args(tmp_path)])
+    assert result.exit_code == 1, result.output
+    assert result.output.splitlines() == [
+        f"error: {corpus}: line {len(lines) + 1}: document id {doc_id!r} is "
+        f"already the id of line 3"]
+    assert not (tmp_path / "out").exists()
 
 
 class TestHelp:

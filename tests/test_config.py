@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 from cohgraph.cli import _resolve_configs, main
 from cohgraph.corpus import write_corpus
-from cohgraph.fusion.config import ModelConfig, TrainConfig, config_hash
+from cohgraph.fusion.config import (RETIRED_FIELDS, ModelConfig, TrainConfig,
+                                    config_hash)
 from cohgraph.synth import SynthProfile, synth_generate
 from cohgraph.variants import Variant
 
-MODEL_INTS = ("d_model", "n_heads", "n_layers", "d_ffn", "n_classes",
+MODEL_INTS = ("d_model", "n_heads", "n_layers", "d_ffn",
               "max_relative_distance", "seed", "n_token_buckets",
               "n_entity_buckets", "max_elements")
 
@@ -27,8 +28,7 @@ def test_an_int_field_refuses_other_types(field, value):
         ModelConfig(**{field: value})
 
 
-@pytest.mark.parametrize("field", ["encoder_trainable", "scale_scores",
-                                   "share_uv"])
+@pytest.mark.parametrize("field", ["encoder_trainable"])
 def test_a_bool_field_refuses_an_int(field):
     with pytest.raises(ValueError, match=field):
         ModelConfig(**{field: 1})
@@ -63,7 +63,6 @@ def test_counts_must_be_at_least_one(field):
     ({"d_ffn": -1}, "d_ffn must be >= 0"),
     ({"dtype": "float16"}, "unknown dtype 'float16'"),
     ({"dtype": "f4"}, "unknown dtype"),
-    ({"pooling": "max"}, "unknown pooling"),
 ])
 def test_model_ranges(kwargs, match):
     with pytest.raises(ValueError, match=match):
@@ -88,6 +87,25 @@ def test_train_ranges(kwargs, match):
         TrainConfig(**kwargs)
 
 
+def test_model_config_has_no_retired_field():
+    assert len(ModelConfig.__dataclass_fields__) == 12
+    assert not RETIRED_FIELDS.keys() & ModelConfig().to_dict().keys()
+    for name in RETIRED_FIELDS:
+        with pytest.raises(TypeError, match=name):
+            ModelConfig(**{name: RETIRED_FIELDS[name]})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("scale_scores", False), ("position_activation", "relu"),
+    ("pooling", "first_sentence"), ("share_uv", True),
+    ("ffn_activation", "relu"), ("n_classes", 5), ("scale_scores", 1),
+    ("share_uv", 0), ("n_classes", 3.0)])
+def test_a_recorded_retired_field_at_another_value_is_refused(field, value):
+    with pytest.raises(ValueError, match=f"^retired field {field} must be "
+                                         f"{RETIRED_FIELDS[field]!r}, got "):
+        ModelConfig.from_dict({field: value})
+
+
 def test_betas_are_stored_as_a_tuple_of_floats():
     config = TrainConfig.from_dict({"betas": [0, 0.5]})
     assert config.betas == (0.0, 0.5)
@@ -103,6 +121,16 @@ def corpus(tmp_path):
     return path
 
 
+def _run_with_config(command, corpus, out, cfg):
+    """Run train, cv or xdomain on corpus with the config file cfg, writing
+    its checkpoint or report to out."""
+    args = {"train": ["train", str(corpus), str(out)],
+            "cv": ["cv", str(corpus), "--report", str(out)],
+            "xdomain": ["xdomain", str(corpus), "--report", str(out),
+                        "--train-tag", "synthA", "--test-tag", "synthA"]}
+    return CliRunner().invoke(main, args[command] + ["--config", str(cfg)])
+
+
 @pytest.mark.parametrize("section, values", [
     ("model", {"n_token_buckets": 0}),
     ("model", {"seed": "x"}),
@@ -111,6 +139,8 @@ def corpus(tmp_path):
     ("model", {"max_elements": {}}),
     ("model", {"dtype": "float16"}),
     ("model", {"dtype": None}),
+    # a retired field is an unknown one, even at the value the model has
+    ("model", {"pooling": "mean_sentences"}),
 ])
 @pytest.mark.parametrize("command", ["train", "cv", "xdomain"])
 def test_a_bad_config_file_exits_1_with_one_error_line(tmp_path, corpus,
@@ -119,17 +149,29 @@ def test_a_bad_config_file_exits_1_with_one_error_line(tmp_path, corpus,
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({section: values}))
     out = tmp_path / "out"
-    args = {"train": ["train", str(corpus), str(out)],
-            "cv": ["cv", str(corpus), "--report", str(out)],
-            "xdomain": ["xdomain", str(corpus), "--report", str(out),
-                        "--train-tag", "synthA", "--test-tag", "synthA"]}
-    result = CliRunner().invoke(main, args[command] + ["--config", str(cfg)])
+    result = _run_with_config(command, corpus, out, cfg)
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit)
     lines = result.output.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: invalid "
                                                    "configuration: ")
     assert next(iter(values)) in lines[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "cv", "xdomain"])
+def test_an_unknown_top_level_key_exits_1_before_writing(tmp_path, corpus,
+                                                         command):
+    """A misspelt section is refused, not dropped: this file would
+    otherwise train the default d_model 256 model."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"modle": {"d_model": 8, "n_heads": 2}}))
+    out = tmp_path / "out"
+    result = _run_with_config(command, corpus, out, cfg)
+    assert result.exit_code == 1, result.output
+    assert result.output.splitlines() == [
+        f"error: config file {cfg}: unknown key 'modle'; expected \"model\" "
+        f"or \"train\""]
     assert not out.exists()
 
 

@@ -47,10 +47,10 @@ def test_raw_label_canonicalizes_to_string(tmp_path):
 
 
 def test_malformed_line_reports_line_number(tmp_path):
-    good = dumps_canonical(document_to_record(make_demo_document()))
+    record = document_to_record(make_demo_document())
+    good = [dumps_canonical(dict(record, id=f"demo-{i}")) for i in range(6)]
     path = tmp_path / "corpus.jsonl"
-    path.write_text("\n".join([good] * 6 + ["{not json"]) + "\n",
-                    encoding="utf-8")
+    path.write_text("\n".join(good + ["{not json"]) + "\n", encoding="utf-8")
     with pytest.raises(CorpusFormatError) as err:
         read_corpus(path)
     assert err.value.line_number == 7
@@ -87,6 +87,17 @@ def test_span_outside_sentence_rejected():
     record["annotations"]["nouns"][0] = [1, [0, 99], "John"]
     with pytest.raises(CorpusFormatError):
         document_from_record(record)
+
+
+def test_a_repeated_id_names_both_lines(tmp_path):
+    demo = make_demo_document()
+    path = tmp_path / "corpus.jsonl"
+    write_corpus([demo, *synth_generate(2, seed=1), demo], path)
+    with pytest.raises(CorpusFormatError) as err:
+        read_corpus(path)
+    assert err.value.line_number == 4
+    assert str(err.value) == ("line 4: document id 'demo-0001' is already "
+                              "the id of line 1")
 
 
 def test_empty_lines_are_skipped(tmp_path):
@@ -146,8 +157,8 @@ def test_malformed_field_names_its_line(tmp_path, mutate, message):
     bad = copy.deepcopy(good)
     mutate(bad)
     path = tmp_path / "corpus.jsonl"
-    path.write_text("".join(dumps_canonical(r) + "\n"
-                            for r in (good, good, bad, good)),
+    path.write_text("".join(dumps_canonical(dict(r, id=f"demo-{i}")) + "\n"
+                            for i, r in enumerate((good, good, bad, good))),
                     encoding="utf-8")
     with pytest.raises(CorpusFormatError) as err:
         read_corpus(path)

@@ -45,15 +45,14 @@ def _grads(model, cache, dlogits):
     return grads
 
 
-@pytest.mark.parametrize("pooling", ["mean_sentences", "first_sentence"])
 @pytest.mark.parametrize("n_layers", [1, 2, 3])
 @pytest.mark.parametrize("train", [False, True])
-def test_matches_the_all_rows_forward(n_layers, pooling, train):
+def test_matches_the_all_rows_forward(n_layers, train):
     """Logits, the pooled vector and every parameter gradient equal the
     all-rows forward's within 1e-12 relative, in eval mode and with
     dropout, on a chunk mixing documents with and without edges."""
     model = FusionModel.build(tiny_model_config(
-        n_layers=n_layers, pooling=pooling, dropout_rate=0.2))
+        n_layers=n_layers, dropout_rate=0.2))
     contexts = mixed_chunk(model)
     dropout = DropoutStream(5, 0.2).at(1, 2) if train else None
     doc_indices = [4, 0, 7]

@@ -12,10 +12,10 @@ from click.testing import CliRunner
 from cohgraph.cli import main as cli_main
 from cohgraph.documents import (AnnotationSet, Document, Sentence)
 from cohgraph.flat import FlatSequence
-from cohgraph.fusion.config import ModelConfig
+from cohgraph.fusion.config import RETIRED_FIELDS, ModelConfig
 from cohgraph.fusion.encoder import HashBucketSentenceEncoder, stable_bucket
 from cohgraph.fusion.model import (ContractError, DropoutStream, FusionModel,
-                                   NumericalError, _rectify, _rectify_grad,
+                                   NumericalError, _softplus, _softplus_grad,
                                    chunk_visibility, expected_param_shapes,
                                    layer_norm_forward)
 from cohgraph.labels import CoherenceLabel
@@ -148,7 +148,7 @@ class TestRectifier:
                         [-745.1, -708.5, -37.0, -1e-9, 0.0, 1e-9, 37.0, 709.9]])
 
     def test_softplus_matches_logaddexp(self):
-        np.testing.assert_allclose(_rectify(self.Z, "softplus"),
+        np.testing.assert_allclose(_softplus(self.Z),
                                    np.logaddexp(0.0, self.Z),
                                    rtol=1e-15, atol=0)
 
@@ -162,14 +162,8 @@ class TestRectifier:
         sigmoid[neg] = e / (1.0 + e)
         sigmoid[~neg] = 1.0 / (1.0 + np.exp(-z[~neg]))
         np.testing.assert_allclose(
-            _rectify_grad(_rectify(z, "softplus"), "softplus"), sigmoid,
+            _softplus_grad(_softplus(z)), sigmoid,
             rtol=1e-15, atol=1e-300)
-
-    def test_relu_and_its_derivative(self):
-        z = self.Z
-        np.testing.assert_array_equal(_rectify(z, "relu"), np.maximum(z, 0.0))
-        np.testing.assert_array_equal(_rectify_grad(_rectify(z, "relu"), "relu"),
-                                      z > 0.0)
 
 
 class TestLayerForward:
@@ -482,6 +476,10 @@ MALFORMED_CHECKPOINTS = [
     ("config-invalid-value", _with_config(d_model=0), "d_model must be >= 1"),
     ("config-bad-dtype", _with_config(dtype="float16"),
      "unknown dtype 'float16'"),
+    ("config-retired-share-uv", _with_config(share_uv=True),
+     "retired field share_uv must be False, got True"),
+    ("config-retired-pooling", _with_config(pooling="first_sentence"),
+     "retired field pooling must be 'mean_sentences', got 'first_sentence'"),
     ("tensor-unknown-dtype", _with_tensor_dtype(["<f8"]),
      "tensor clf/W is \"['<f8']\", but the config's dtype is float64"),
     ("tensors-in-another-dtype", _with_tensor_dtype("float32", count=99),
@@ -536,12 +534,33 @@ class TestCheckpoint:
         header, body = split_checkpoint(first.read_bytes())
         assert header["format_version"] == 3
         assert header["config"]["dtype"] == dtype
+        assert not RETIRED_FIELDS.keys() & header["config"].keys()
         assert {t["dtype"] for t in header["tensors"]} == {dtype}
         assert len(body) == np.dtype(dtype).itemsize * sum(
             arr.size for arr in model.params.values())
         for name, arr in loaded.params.items():
             assert arr.dtype == dtype
             np.testing.assert_array_equal(arr, model.params[name])
+
+    def test_retired_fields_at_their_values_load_as_before(self, tmp_path):
+        """A format 3 header that records the retired fields, as every
+        checkpoint written before they were retired does, loads to the same
+        model; saving it again drops them."""
+        model = FusionModel.build(tiny_model_config())
+        path = tmp_path / "model.ckpt"
+        model.save(path)
+        header, body = split_checkpoint(path.read_bytes())
+        header["config"].update(RETIRED_FIELDS)
+        path.write_bytes(join_checkpoint(header, body))
+        loaded = FusionModel.load(path)
+        assert loaded.config == model.config
+        for name, arr in model.params.items():
+            np.testing.assert_array_equal(loaded.params[name], arr)
+        again = tmp_path / "again.ckpt"
+        loaded.save(again)
+        assert split_checkpoint(again.read_bytes())[1] == body
+        assert not RETIRED_FIELDS.keys() & split_checkpoint(
+            again.read_bytes())[0]["config"].keys()
 
     def test_corrupt_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
@@ -620,35 +639,6 @@ class TestFormat1Checkpoint:
                 got = model.params[name]
             np.testing.assert_array_equal(got, arr)
 
-    def test_a_shared_uv_model_in_format1_layout_loads_as_itself(
-            self, tmp_path):
-        """A share_uv model's parameters written in format 1's per-head
-        layout, where the shared u, v stayed one tensor per layer, load
-        back bit for bit."""
-        model = FusionModel.build(tiny_model_config(n_layers=2,
-                                                    share_uv=True))
-        fields = ("W_q", "W_k", "W_r", "W_v")
-        params = dict(model.params)
-        for l in range(model.config.n_layers):
-            for field in fields:
-                del params[f"layer{l}/{field}"]
-            for h in range(model.config.n_heads):
-                head = head_slice(model.layer_heads(l), h)
-                for field in fields:
-                    params[f"layer{l}/head{h}/{field}"] = getattr(head, field)
-        names = sorted(params)
-        header = {"format_version": 1, "config": model.config.to_dict(),
-                  "tensors": [{"name": name, "shape": list(params[name].shape),
-                               "dtype": "float64"} for name in names]}
-        path = tmp_path / "v1.ckpt"
-        path.write_bytes(join_checkpoint(header, b"".join(
-            params[name].astype("<f8").tobytes() for name in names)))
-        loaded = FusionModel.load(path)
-        assert loaded.variant is None
-        assert loaded.params.keys() == model.params.keys()
-        for name, arr in model.params.items():
-            np.testing.assert_array_equal(loaded.params[name], arr)
-
     def test_retraining_matches_the_fixture(self, tmp_path):
         """The fixture's commands rerun here give its parameters within
         1e-12 relative: bits across BLAS builds are not promised."""
@@ -718,6 +708,7 @@ class TestFormat2Checkpoint:
         header, body = split_checkpoint(path.read_bytes())
         assert header["format_version"] == 3
         assert header["config"]["dtype"] == "float64"
+        assert not RETIRED_FIELDS.keys() & header["config"].keys()
         assert body == split_checkpoint(V2_CHECKPOINT.read_bytes())[1]
 
     def test_retraining_at_float64_matches_the_fixture(self, tmp_path):
@@ -748,39 +739,27 @@ def test_param_count_is_config_deterministic():
     assert shapes_a == shapes_b
     assert len(expected_param_shapes(ModelConfig())) == 38
     assert shapes_a["layer0/W_q"] == (config.d_model, config.d_model)
-    assert shapes_a["layer0/u"] == (config.n_heads, config.d_head)
-    shared = expected_param_shapes(tiny_model_config(share_uv=True))
-    assert shared["layer0/u"] == shared["layer0/v"] == (config.d_head,)
-    assert not any("/head" in name for name in shapes_a | shared)
-
-
-def test_share_uv_flag_trains_and_runs():
-    model = FusionModel.build(tiny_model_config(share_uv=True))
-    doc = small_docs(1)[0]
-    logits, _ = model.forward(doc)
-    assert np.isfinite(logits).all()
-    loss, grads = model.loss_and_grad_contexts(
-        [model.prepare(doc) for doc in small_docs(2)])
-    assert np.isfinite(loss)
-    assert grads["layer0/u"].shape == (model.config.d_head,)
+    assert shapes_a["layer0/u"] == shapes_a["layer0/v"] == (config.n_heads,
+                                                             config.d_head)
+    assert not any("/head" in name for name in shapes_a)
 
 
 @pytest.mark.parametrize("overrides", [
-    {"share_uv": True},
-    {"position_activation": "relu"},
-    {"pooling": "first_sentence"},
-    {"ffn_activation": "relu"},
-    {"scale_scores": False},
+    {"encoder_trainable": False},
+    {"max_relative_distance": 1},
+    {"n_heads": 4},
+    {"n_layers": 2},
+    {"max_elements": 4},
 ])
 def test_gradcheck_covers_config_branches(overrides):
-    """Finite-difference spot check on a few tensors for each config switch.
-
-    The relu variants are checked at a smaller epsilon to stay clear of
-    kink-crossing noise in the oracle itself.
-    """
-    config = tiny_model_config(d_model=16, n_heads=2, d_ffn=24,
-                               n_token_buckets=8, n_entity_buckets=4,
-                               **overrides)
+    """Finite-difference spot check on a few tensors under configs that
+    take other paths through the model: a frozen encoder, distances
+    clipped so that most pairs share a tuple, four heads, an all-rows layer
+    under the sentence-rows last layer, and entity elements dropped at the
+    cap."""
+    config = tiny_model_config(**{
+        "d_model": 16, "n_heads": 2, "d_ffn": 24, "n_token_buckets": 8,
+        "n_entity_buckets": 4, **overrides})
     model = FusionModel.build(config)
     docs = small_docs(2, n_sentences=(3, 3))
     contexts = [model.prepare(doc) for doc in docs]

@@ -193,8 +193,7 @@ def test_compact_dtypes_hold_their_range():
 
 @pytest.mark.parametrize("overrides", [
     {"n_layers": 2, "dropout_rate": 0.2},
-    {"max_relative_distance": 3, "share_uv": True,
-     "position_activation": "relu", "pooling": "first_sentence"},
+    {"max_relative_distance": 3},
 ])
 def test_memoized_contexts_give_bit_identical_results(overrides):
     """Logits, loss and gradients with dropout on are exactly those of
