@@ -3,9 +3,10 @@ reverse-mode gradients.
 
 Every parameter, activation, gradient, mask and optimizer state is of the
 config's dtype: float32 by default, float64 on request (the tests' oracles
-and finite-difference checks run at float64). Initial parameters and dropout
-draws come from float64 streams and are cast once, so a float32 model starts
-from the rounded initial values of the float64 one and drops the same units.
+and finite-difference checks run at float64). Initial parameters come from a
+float64 stream and are cast once, so a float32 model starts from the rounded
+initial values of the float64 one; dropout keeps a unit by an integer
+comparison (see DropoutStream), so both drop the same units.
 Parameters live in a flat name -> array dict so the optimizer,
 checkpointing, and finite-difference checks can enumerate them uniformly; a
 layer stores its heads stacked, laid out as HeadParams says. Checkpoints
@@ -75,7 +76,9 @@ document's rows score only its own block, so a chunk's position products,
 grow linearly in B. A padded slot sees only itself, no real row sees a
 padded one and no pair maps to a padded tuple, so padding never changes a
 real row and gets exactly zero gradient. forward_context runs one context
-as a chunk of one.
+as a chunk of one. In training, a chunk builds every layer's dropout masks
+at once from one draw per document, keyed by its position in the batch and
+laid out as DropoutStream says, so no mask depends on the chunk.
 
 Activations are bounded per chunk, not per batch: one chunk's cache is
 alive at a time, and it holds about B * (S + E) rows of activations per
@@ -111,6 +114,7 @@ import numpy as np
 from ..documents import Document
 from ..flat import ElementKind, FlatSequence, apply_variant, linearize
 from ..graph import build_graph
+from ..keyed import DROPOUT, KeyedStream
 from ..labels import CoherenceLabel
 from ..relations import load_registry
 from ..variants import Variant
@@ -128,9 +132,9 @@ N_CLASSES = len(CoherenceLabel)
 
 # Padded rows (documents in a chunk x its longest document) one chunk may
 # hold: PAD_VALUE_BUDGET / d_model, at most PAD_ROW_BUDGET; 96 at the
-# default d_model 256. Layer caches grow with rows x d_model, so this bounds
+# default d_model 256, 192 at 128 and the cap at 64 and below. Layer caches grow with rows x d_model, so this bounds
 # a chunk's memory; a document longer than half the rows runs alone.
-PAD_ROW_BUDGET = 192
+PAD_ROW_BUDGET = 384
 PAD_VALUE_BUDGET = 96 * 256
 
 
@@ -404,8 +408,8 @@ def _query_rows(a: np.ndarray, n: int, rows: int) -> np.ndarray:
 
 
 def head_scores(x: np.ndarray, pe: np.ndarray, vis: Visibility,
-                heads: HeadParams, scale: float):
-    """Scaled four-term scores q_i.k_j + q_i.r_ij + u.k_j + v.r_ij of every
+                heads: HeadParams):
+    """Four-term scores q_i.k_j + q_i.r_ij + u.k_j + v.r_ij of every
     head on the keys each query row sees, before the mask, for a chunk laid
     out as vis describes: layer input x (B * n, d_model) and the position
     embeddings pe (B * U, d_model) of its documents' U-tuple blocks.
@@ -413,7 +417,8 @@ def head_scores(x: np.ndarray, pe: np.ndarray, vis: Visibility,
     Each score is (q_i + u).k_j + (q_i + v).r_ij, and both terms are batched
     products read per pair: sentence rows' from their products with all n
     keys and their block's U tuples, edge rows' from their products with
-    all n keys and its first n_edge_tuples tuples. Returns (sentence scores
+    all n keys and its first n_edge_tuples tuples, scaled by 1 / sqrt(d_head)
+    with d_head read from heads.u. Returns (sentence scores
     (B, H, S, n), edge scores (B, H, E_q, 3) on (itself, start, end),
     (q, k, r)) with q (B * vis.n_queries, H * d_head) on the query rows,
     k (B * n, H * d_head) and r (B * U, H * d_head); E_q is E, or 0 when
@@ -421,7 +426,8 @@ def head_scores(x: np.ndarray, pe: np.ndarray, vis: Visibility,
     """
     n_docs, _, n_sent, n = vis.mask.shape
     rows = vis.n_queries
-    n_heads = len(heads.u)
+    n_heads, d_head = heads.u.shape
+    scale = 1.0 / math.sqrt(d_head)
     q = _query_rows(x, n, rows) @ heads.W_q
     k = x @ heads.W_k
     r = pe @ heads.W_r
@@ -451,12 +457,12 @@ def _edge_block(w: np.ndarray, vis: Visibility, n: int) -> np.ndarray:
 
 
 def head_forward(x: np.ndarray, pe: np.ndarray, vis: Visibility,
-                 heads: HeadParams, scale: float):
+                 heads: HeadParams):
     """Every head's attention output on the query rows, concatenated to
     (B * vis.n_queries, H * d_head), and the cache head_backward reads:
     vis, the projections and the attention probabilities of the sentence
     rows (B, H, S, n) and edge query rows (B, H, E_q, 3)."""
-    s, se, (q, k, r) = head_scores(x, pe, vis, heads, scale)
+    s, se, (q, k, r) = head_scores(x, pe, vis, heads)
     n_heads, n_sent, n = s.shape[1:]
     rows = vis.n_queries
     # every sentence row sees itself, so no row of the mask is empty
@@ -484,8 +490,8 @@ def _softmax_backward(dprobs: np.ndarray, probs: np.ndarray,
 
 
 def head_backward(dout: np.ndarray, cache: tuple, x: np.ndarray,
-                  pe: np.ndarray, heads: HeadParams, scale: float,
-                  dx: np.ndarray, dpe: np.ndarray) -> HeadParams:
+                  pe: np.ndarray, heads: HeadParams, dx: np.ndarray,
+                  dpe: np.ndarray) -> HeadParams:
     """Reverse of head_forward for the output gradient dout
     (B * n_queries, H * d_head).
 
@@ -499,6 +505,7 @@ def head_backward(dout: np.ndarray, cache: tuple, x: np.ndarray,
     n_docs, n_heads, n_sent, n = probs.shape
     rows = vis.n_queries
     n_tuples, n_et = len(r) // n_docs, vis.n_edge_tuples
+    scale = 1.0 / math.sqrt(heads.u.shape[1])
     q4 = _split_heads(q, rows, n_heads)
     qu = q4 + heads.u[:, None, :]
     qv = q4 + heads.v[:, None, :]
@@ -631,11 +638,23 @@ def chunk_order(lengths: list[int], d_model: int) -> list[list[int]]:
 
 
 class DropoutStream:
-    """Counter-based deterministic dropout masks.
+    """Counter-based deterministic dropout masks of one training step.
 
-    Every mask is generated by a Philox generator keyed by the training seed
-    and countered by (epoch, step, doc_index, layer/sublayer slot), so masks
-    depend only on those coordinates, never on draw order.
+    Document b's masks for every layer of the step come from one draw: the
+    Philox stream keyed by (seed, keyed.DROPOUT) at counter (0, epoch, step,
+    b), so they depend only on those coordinates, never on chunking or draw
+    order. The draw's units are laid out, with L the model's layers, n the
+    document's rows and S its sentence rows, each row d_model units and
+    rows in slot order:
+
+        layers 0 to L - 2: attention, then FFN, n rows each;
+        layer L - 1:       attention, then FFN, S rows each.
+
+    Its raw 64-bit words split into two 32-bit lanes, the low half first
+    (by arithmetic, so on any platform), lane i for unit i; a unit is kept
+    iff its lane >= threshold = round(rate * 2^32), so P(drop) is within
+    2^-33 of rate. The lanes are integers, so a float32 and a float64
+    model drop the same units.
     """
 
     def __init__(self, seed: int, rate: float, epoch: int = 0, step: int = 0):
@@ -643,37 +662,36 @@ class DropoutStream:
         self.rate = rate
         self.epoch = epoch
         self.step = step
-        # one Philox instance, re-aimed per mask by restoring one state
-        # whose counter is written in place; the stream for a (key, counter)
-        # pair is identical to constructing a fresh generator, just without
-        # the per-mask setup cost
-        self._bitgen = np.random.Philox(key=seed & 0xFFFFFFFFFFFFFFFF)
-        self._state = self._bitgen.state
-        self._counter = self._state["state"]["counter"]
-        self._generator = np.random.Generator(self._bitgen)
+        self._streams = KeyedStream(seed, DROPOUT)
 
     def at(self, epoch: int, step: int) -> "DropoutStream":
         return DropoutStream(self.seed, self.rate, epoch, step)
 
-    def draw(self, doc_index: int, slot: int, out: np.ndarray) -> None:
-        """Fill the C-contiguous float64 array out with the uniform draws
-        behind the mask at (doc_index, slot) of that shape. The draws are
-        float64 whatever the model's dtype, so a float32 and a float64 model
-        drop the same units."""
-        self._counter[:] = (self.epoch, self.step, doc_index, slot)
-        self._bitgen.state = self._state
-        self._generator.random(out=out)
+    @property
+    def threshold(self) -> int:
+        """The least lane a kept unit has: round(rate * 2^32)."""
+        return round(self.rate * 2 ** 32)
 
     @property
     def scale(self) -> float:
         """What a kept unit is multiplied by: 1 / (1 - rate)."""
         return 1.0 / (1.0 - self.rate)
 
-    def mask(self, doc_index: int, slot: int, shape: tuple[int, ...]) -> np.ndarray:
-        """Inverted-dropout mask at (doc_index, slot): 0 or scale."""
-        draws = np.empty(shape)
-        self.draw(doc_index, slot, draws)
-        return (draws >= self.rate) * self.scale
+    def words(self, doc_index: int, n_words: int) -> np.ndarray:
+        """The first n_words raw 64-bit words of document doc_index's draw."""
+        return self._streams.at(self.epoch, self.step,
+                                doc_index).random_raw(n_words)
+
+
+def keep_lanes(words: np.ndarray, threshold: int) -> np.ndarray:
+    """Keep bits of the 2 * len(words) 32-bit lanes of raw 64-bit words,
+    the low half of each word first: lane >= threshold."""
+    keep = np.empty((len(words), 2), dtype=bool)
+    # the cast keeps the low half (modulo 2^32), and a word's high half is
+    # >= threshold iff the word is >= threshold * 2^32
+    np.greater_equal(words.astype(np.uint32), threshold, out=keep[:, 0])
+    np.greater_equal(words, threshold << 32, out=keep[:, 1])
+    return keep.ravel()
 
 
 def _cross_entropy(label_probs: np.ndarray) -> np.float64:
@@ -743,10 +761,6 @@ class FusionModel:
         """A layer's head parameters, the stored arrays themselves."""
         return HeadParams(*(self.params[f"layer{layer}/{field}"]
                             for field in _HEAD_FIELDS))
-
-    @property
-    def score_scale(self) -> float:
-        return 1.0 / math.sqrt(self.config.d_head)
 
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {name: np.zeros_like(arr) for name, arr in self.params.items()}
@@ -914,8 +928,9 @@ class FusionModel:
 
     def _forward_chunk(self, contexts: list[SequenceContext], train_mode: bool,
                        dropout: DropoutStream | None, doc_indices: list[int]):
-        """forward_context over a list: pack, embed, run the layers, pool
-        the mean of each document's sentence outputs."""
+        """forward_context over a list: pack, embed, draw every layer's
+        dropout masks at once, run the layers, pool the mean of each
+        document's sentence outputs."""
         cfg = self.config
         use = (dropout if train_mode and dropout is not None
                and cfg.dropout_rate > 0.0 else None)
@@ -929,17 +944,15 @@ class FusionModel:
         feats, pe = position_embedding(self.position_table, pos_rows,
                                        self.params["pos/W_p"])
 
+        keep = [None] * cfg.n_layers if use is None else self._dropout_keep(
+            use, doc_indices, contexts, n_sent, n)
         # the classifier pools only sentence rows, so the last layer runs
         # only those as queries
         layer_caches = []
         for l in range(cfg.n_layers):
             if l == cfg.n_layers - 1:
                 vis = vis.sentence_queries()
-            keep = None if use is None else (
-                self._dropout_keep(use, doc_indices, contexts, vis, 2 * l),
-                self._dropout_keep(use, doc_indices, contexts, vis,
-                                   2 * l + 1))
-            x, layer_cache = self._forward_layer(x, pe, vis, l, keep)
+            x, layer_cache = self._forward_layer(x, pe, vis, l, keep[l])
             if not np.isfinite(x).all():
                 bad = np.unique(np.nonzero(~np.isfinite(x))[0]
                                 // vis.n_queries)
@@ -967,25 +980,39 @@ class FusionModel:
         return logits, pooled
 
     def _dropout_keep(self, dropout: DropoutStream, doc_indices: list[int],
-                      contexts: list[SequenceContext], vis: Visibility,
-                      slot: int) -> np.ndarray:
-        """(B * vis.n_queries, d_model) inverted-dropout mask in the
-        model's dtype, 0 or dropout.scale: each document's own (length,
-        d_model) mask, keyed by its batch position, with row t on the
-        document's slot t, and 0 on the padding. With sentence queries only,
-        a document draws just its S sentence rows, the first S * d_model
-        draws of its mask."""
-        n_sent, rows = vis.mask.shape[2], vis.n_queries
-        draws = np.zeros((len(contexts), rows, self.config.d_model))
-        for b, (doc_index, ctx) in enumerate(zip(doc_indices, contexts)):
-            s = len(ctx.sentences)
-            m = s if rows == n_sent else len(ctx.seq)
-            dropout.draw(doc_index, slot, draws[b, :m])
-            if s < n_sent < rows:  # move the edge rows to the edge slots
-                draws[b, n_sent:n_sent + m - s] = draws[b, s:m]
-                draws[b, s:n_sent] = 0.0
-        return np.where(draws >= dropout.rate, dropout.scale, 0.0).astype(
-            self.dtype, copy=False).reshape(-1, self.config.d_model)
+                      contexts: list[SequenceContext], n_sent: int,
+                      n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Every layer's (attention, FFN) inverted-dropout masks for a chunk
+        laid out in n rows per document (sentences from row 0, edges from
+        row n_sent), in the model's dtype: 0 or dropout.scale, and 0 on the
+        padding. A layer but the last gets (B * n, d_model) masks, the last
+        (B * n_sent, d_model). Document b's are its one draw at
+        doc_indices[b], laid out as DropoutStream says."""
+        inner, d = self.config.n_layers - 1, self.config.d_model
+        n_docs = len(contexts)
+        sizes = [2 * d * (inner * len(ctx.seq) + len(ctx.sentences))
+                 for ctx in contexts]
+        # sizes are even: a document's units fill its words' lanes
+        bits = keep_lanes(np.concatenate(
+            [dropout.words(i, size // 2)
+             for i, size in zip(doc_indices, sizes)]), dropout.threshold)
+        keep = np.zeros(2 * n_docs * d * (inner * n + n_sent), dtype=bool)
+        split = 2 * n_docs * d * inner * n
+        body = keep[:split].reshape(inner, 2, n_docs, n, d)
+        last = keep[split:].reshape(2, n_docs, n_sent, d)
+        start = 0
+        for b, (ctx, size) in enumerate(zip(contexts, sizes)):
+            s, m = len(ctx.sentences), len(ctx.seq)
+            own = bits[start:start + size]
+            start += size
+            blocks = own[:2 * d * inner * m].reshape(inner, 2, m, d)
+            body[:, :, b, :s] = blocks[:, :, :s]
+            body[:, :, b, n_sent:n_sent + m - s] = blocks[:, :, s:]
+            last[:, b, :s] = own[2 * d * inner * m:].reshape(2, s, d)
+        keep = np.multiply(keep, dropout.scale, dtype=self.dtype)
+        return ([tuple(layer) for layer in
+                 keep[:split].reshape(inner, 2, n_docs * n, d)]
+                + [tuple(keep[split:].reshape(2, n_docs * n_sent, d))])
 
     def _forward_layer(self, x: np.ndarray, pe: np.ndarray, vis: Visibility,
                        layer: int, keep: tuple | None):
@@ -993,8 +1020,7 @@ class FusionModel:
         vis.n_queries query rows per document out; keep is None or the
         (attention, FFN) dropout masks."""
         p = self.params
-        concat, head_cache = head_forward(x, pe, vis, self.layer_heads(layer),
-                                          self.score_scale)
+        concat, head_cache = head_forward(x, pe, vis, self.layer_heads(layer))
 
         attn = concat @ p[f"layer{layer}/W_o"] + p[f"layer{layer}/b_o"]
         if keep is not None:
@@ -1093,8 +1119,7 @@ class FusionModel:
                 n_docs, rows, -1)
 
         dheads = head_backward(dconcat, cache["heads"], cache["x_in"], pe,
-                               self.layer_heads(layer), self.score_scale,
-                               dx, dpe)
+                               self.layer_heads(layer), dx, dpe)
         for field in _HEAD_FIELDS:
             grads[f"layer{layer}/{field}"] += getattr(dheads, field)
         return dx

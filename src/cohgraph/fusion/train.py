@@ -1,4 +1,4 @@
-"""Deterministic training loop: seeded shuffles, counter-based dropout,
+"""Deterministic training loop: keyed shuffles, counter-based dropout,
 sequential gradient reduction, AdamW updates in sorted parameter order.
 
 Two runs with identical data and seeds produce bit-identical parameters.
@@ -12,12 +12,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..documents import Document
+from ..keyed import SHUFFLE, KeyedStream
 from ..labels import CoherenceLabel
 from .config import ModelConfig, TrainConfig
 from .model import ContractError, DropoutStream, FusionModel, NumericalError
 from .optim import AdamW
-
-_SHUFFLE_TAG = 1 << 62  # Philox counter slot reserved for shuffles
 
 
 class TrainingDivergedError(RuntimeError):
@@ -40,9 +39,10 @@ class EpochMetrics:
 
 
 def _epoch_order(n: int, seed: int, epoch: int) -> np.ndarray:
-    bitgen = np.random.Philox(key=seed & 0xFFFFFFFFFFFFFFFF,
-                              counter=[epoch, _SHUFFLE_TAG, 0, 0])
-    return np.random.Generator(bitgen).permutation(n)
+    """The epoch's batch order: a permutation drawn from the Philox stream
+    keyed by (seed, keyed.SHUFFLE) at the epoch."""
+    stream = KeyedStream(seed, SHUFFLE).at(epoch)
+    return np.random.Generator(stream).permutation(n)
 
 
 def train(dataset: list[Document], model_config: ModelConfig,

@@ -8,7 +8,10 @@ with an (n * n, d) position embedding per pair, that the model's
 global-local kernel replaced; dense_layout spreads that kernel's per-pair
 values over the (n, n) grid the dense kernel uses. all_rows_forward is the
 model's forward with the last layer run on every row, as it was before that
-layer ran its sentence rows only. adamw_step is AdamW.step as it was
+layer ran its sentence rows only. dropout_blocks is one document's dropout
+draw laid out as DropoutStream documents it, from a fresh Philox generator
+with its lanes split one word at a time, and chunk_dropout_keep pads those
+blocks into a chunk's masks. adamw_step is AdamW.step as it was
 written with a temporary per operation. masked_softmax is the checked
 softmax of scores under an additive mask, which the model's kernel forms
 as softmax(scores + mask) without the checks.
@@ -22,6 +25,7 @@ from cohgraph.flat import ElementKind, FlatElement
 from cohgraph.fusion.masking import softmax
 from cohgraph.fusion.model import HeadParams, chunk_visibility
 from cohgraph.fusion.positions import position_embedding, sinusoid
+from cohgraph.keyed import DROPOUT
 
 
 class FullyMaskedRowError(AssertionError):
@@ -160,13 +164,61 @@ def dense_layout(ctx, sentence_block, edge_block, fill):
     return out
 
 
+def dropout_blocks(stream, doc_index, ctx, n_layers, d_model):
+    """One document's keep bits for every layer of stream's step: per layer
+    an (attention, FFN) pair of bool arrays over its own rows in slot order,
+    (n, d_model) on every layer but the last and (S, d_model) on the last,
+    read in that order from its draw: the Philox stream keyed by (seed,
+    DROPOUT) at counter (0, epoch, step, doc_index), each raw word's low
+    32 bits, then its high 32 bits, compared with round(rate * 2^32)."""
+    rows = [len(ctx.seq)] * (n_layers - 1) + [len(ctx.sentences)]
+    size = 2 * d_model * sum(rows)
+    words = np.random.Philox(
+        key=np.array([stream.seed % 2 ** 64, DROPOUT], dtype=np.uint64),
+        counter=[0, stream.epoch, stream.step, doc_index]).random_raw(size // 2)
+    lanes = [int(word) >> shift & 0xFFFFFFFF
+             for word in words for shift in (0, 32)]
+    keep = np.array(lanes) >= round(stream.rate * 2 ** 32)
+    blocks, start = [], 0
+    for r in rows:
+        block = keep[start:start + 2 * r * d_model].reshape(2, r, d_model)
+        blocks.append((block[0], block[1]))
+        start += 2 * r * d_model
+    return blocks
+
+
+def chunk_dropout_keep(model, stream, doc_indices, contexts):
+    """Each layer's (attention, FFN) masks for contexts run as one chunk in
+    all_rows_forward: document b's dropout_blocks at doc_indices[b] times
+    stream.scale in the model's dtype, its sentence rows from row 0 and its
+    edge rows from row S, the chunk's most sentences, and 0 on the padding.
+    The last layer's block covers the sentence rows only, so its masks are
+    0 on the edge rows too, which the classifier never reads."""
+    cfg = model.config
+    n_sent = max(len(ctx.sentences) for ctx in contexts)
+    n = n_sent + max(len(ctx.edge_keys) for ctx in contexts)
+    blocks = [dropout_blocks(stream, i, ctx, cfg.n_layers, cfg.d_model)
+              for i, ctx in zip(doc_indices, contexts)]
+    masks = []
+    for layer in range(cfg.n_layers):
+        keep = np.zeros((2, len(contexts), n, cfg.d_model))
+        for b, ctx in enumerate(contexts):
+            s = len(ctx.sentences)
+            own = np.stack(blocks[b][layer])
+            keep[:, b, :s] = own[:, :s]
+            keep[:, b, n_sent:n_sent + len(own[0]) - s] = own[:, s:]
+        keep = (keep * stream.scale).astype(model.dtype)
+        masks.append(tuple(keep.reshape(2, -1, cfg.d_model)))
+    return masks
+
+
 def all_rows_forward(model, contexts, dropout=None, doc_indices=None):
     """(logits, pooled, cache) of model on contexts run as one chunk, with
     every layer, the last too, run on all n rows of each document and the
     sentence rows averaged out of them by (B, n) weights. The cache is laid
     out as forward_context's, so backward_from_logits reads it. dropout, if
     given, is the training stream; document b's masks are keyed by
-    doc_indices[b] (default b)."""
+    doc_indices[b] (default b), as chunk_dropout_keep lays them out."""
     cfg = model.config
     vis, pos_rows = chunk_visibility(contexts, cfg.n_heads)
     n_docs, _, n_sent, n = vis.mask.shape
@@ -178,12 +230,11 @@ def all_rows_forward(model, contexts, dropout=None, doc_indices=None):
     x, embed_index = model._embed(contexts, n_sent, n)
     feats, pe = position_embedding(model.position_table, pos_rows,
                                    model.params["pos/W_p"])
+    keep = [None] * cfg.n_layers if dropout is None else chunk_dropout_keep(
+        model, dropout, doc_indices, contexts)
     layers = []
     for layer in range(cfg.n_layers):
-        keep = None if dropout is None else tuple(
-            model._dropout_keep(dropout, doc_indices, contexts, vis, slot)
-            for slot in (2 * layer, 2 * layer + 1))
-        x, layer_cache = model._forward_layer(x, pe, vis, layer, keep)
+        x, layer_cache = model._forward_layer(x, pe, vis, layer, keep[layer])
         layers.append(layer_cache)
     pooled = (pool[:, None, :] @ x.reshape(n_docs, n, -1))[:, 0, :]
     logits = pooled @ model.params["clf/W"] + model.params["clf/b"]

@@ -38,10 +38,10 @@ def _kernel_inputs(seq, W_p):
     return ctx, pe, vis
 
 
-def _dense_scores(ctx, x, pe, vis, head, scale):
+def _dense_scores(ctx, x, pe, vis, head):
     """One head's kernel scores on the pairs each row sees, as an (n, n)
     array in sequence order, NaN elsewhere; x is in sequence order."""
-    s, se, _ = head_scores(x[slot_order(ctx.seq)], pe, vis, head, scale)
+    s, se, _ = head_scores(x[slot_order(ctx.seq)], pe, vis, head)
     return dense_layout(ctx, s[0, 0], se[0, 0], np.nan)
 
 
@@ -73,8 +73,7 @@ def test_all_zero_parameters_give_zero_scores():
                       u=np.zeros((1, D)), v=np.zeros((1, D)))
     rng = np.random.default_rng(1)
     ctx, pe, vis = _kernel_inputs(seq, _W_p())
-    s, se, _ = head_scores(rng.normal(size=(len(seq), D)), pe, vis, head,
-                           SCALE)
+    s, se, _ = head_scores(rng.normal(size=(len(seq), D)), pe, vis, head)
     assert se.shape == (1, 1, 1, 3)
     np.testing.assert_array_equal(s, np.zeros_like(s))
     np.testing.assert_array_equal(se, np.zeros_like(se))
@@ -88,7 +87,7 @@ def test_identity_projections_reduce_to_content_attention():
     rng = np.random.default_rng(2)
     emb = rng.normal(size=(len(seq), D))
     ctx, pe, vis = _kernel_inputs(seq, _W_p())
-    got = _dense_scores(ctx, emb, pe, vis, head, SCALE)
+    got = _dense_scores(ctx, emb, pe, vis, head)
     np.testing.assert_allclose(got, _on_visible(seq, (emb @ emb.T) / np.sqrt(D)),
                                rtol=0, atol=1e-15)
 
@@ -104,7 +103,7 @@ def test_five_element_sequence_matches_term_oracle():
     for trial in range(5):
         head = _random_head(rng)
         emb = rng.normal(size=(5, D))
-        got = _dense_scores(ctx, emb, pe, vis, head, SCALE)
+        got = _dense_scores(ctx, emb, pe, vis, head)
         want = oracle_scores(seq, emb, head_slice(head, 0), pair_embedding,
                              SCALE)
         np.testing.assert_allclose(got, _on_visible(seq, want), rtol=0,
@@ -112,14 +111,25 @@ def test_five_element_sequence_matches_term_oracle():
 
 
 def test_explicit_scale_override():
+    """The term oracle's scale is a parameter: at 1.0 its scores are the
+    unscaled terms, and the kernel, which always scales by 1 / sqrt(d_head),
+    matches them divided by sqrt(d_head)."""
     seq = _demo_sequence()
     rng = np.random.default_rng(6)
     head = _random_head(rng)
     emb = rng.normal(size=(5, D))
-    ctx, pe, vis = _kernel_inputs(seq, _W_p(seed=7))
-    unscaled = _dense_scores(ctx, emb, pe, vis, head, 1.0)
-    scaled = _dense_scores(ctx, emb, pe, vis, head, SCALE)
+    W_p = _W_p(seed=7)
+    ctx, pe, vis = _kernel_inputs(seq, W_p)
+    pair_embedding = lambda a, b: oracle_pair_embedding(a, b, W_p,
+                                                        MAX_DISTANCE)
+    unscaled = oracle_scores(seq, emb, head_slice(head, 0), pair_embedding,
+                             1.0)
+    scaled = oracle_scores(seq, emb, head_slice(head, 0), pair_embedding,
+                           SCALE)
     np.testing.assert_allclose(scaled, unscaled / np.sqrt(D), atol=1e-15)
+    np.testing.assert_allclose(_dense_scores(ctx, emb, pe, vis, head),
+                               _on_visible(seq, unscaled / np.sqrt(D)),
+                               rtol=0, atol=1e-12)
 
 
 def test_trained_path_probabilities_match_oracle():
@@ -181,7 +191,7 @@ def test_head_kernel_matches_dense_oracle():
     profile = SynthProfile(name="oracle", n_sentences=(4, 7),
                            tokens_per_sentence=(3, 5), domain_tags=("synthA",))
     docs = [make_demo_document()] + synth_generate(3, seed=9, profile=profile)
-    scale = model.score_scale
+    scale = 1.0 / np.sqrt(cfg.d_head)
     n_heads, d_head = cfg.n_heads, cfg.d_head
     rng = np.random.default_rng(21)
     for doc in docs:
@@ -208,13 +218,12 @@ def test_head_kernel_matches_dense_oracle():
         for layer, layer_cache in enumerate(cache["layers"]):
             x = layer_cache["x_in"]
             heads = model.layer_heads(layer)
-            got_s, got_se, _ = head_scores(x, pe, vis, heads, scale)
-            out, head_cache = head_forward(x, pe, vis, heads, scale)
+            got_s, got_se, _ = head_scores(x, pe, vis, heads)
+            out, head_cache = head_forward(x, pe, vis, heads)
             dout = rng.normal(size=out.shape)
             dx = np.zeros_like(x)
             dpe = np.zeros_like(pe)
-            grads = head_backward(dout, head_cache, x, pe, heads, scale,
-                                  dx, dpe)
+            grads = head_backward(dout, head_cache, x, pe, heads, dx, dpe)
             x, out, dout, dx = x[to_seq], out[to_seq], dout[to_seq], dx[to_seq]
             want_dx = np.zeros_like(x)
             want_dpe = np.zeros_like(pe)
@@ -267,12 +276,11 @@ def test_sentence_queries_match_the_sentence_rows_of_all_rows():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(n_docs * n, cfg.d_model))
     heads = model.layer_heads(0)
-    scale = model.score_scale
     queries = vis.sentence_queries()
     assert (vis.n_queries, queries.n_queries) == (n, n_sent)
 
-    out, cache = head_forward(x, pe, vis, heads, scale)
-    out_s, cache_s = head_forward(x, pe, queries, heads, scale)
+    out, cache = head_forward(x, pe, vis, heads)
+    out_s, cache_s = head_forward(x, pe, queries, heads)
     sentence_rows = lambda a: a.reshape(n_docs, n, -1)[:, :n_sent].reshape(
         n_docs * n_sent, -1)
     assert out_s.shape == (n_docs * n_sent, out.shape[1])
@@ -283,9 +291,9 @@ def test_sentence_queries_match_the_sentence_rows_of_all_rows():
     dout.reshape(n_docs, n, -1)[:, :n_sent] = dout_s.reshape(n_docs, n_sent,
                                                              -1)
     dx, dpe = np.zeros_like(x), np.zeros_like(pe)
-    grads = head_backward(dout, cache, x, pe, heads, scale, dx, dpe)
+    grads = head_backward(dout, cache, x, pe, heads, dx, dpe)
     dx_s, dpe_s = np.zeros_like(x), np.zeros_like(pe)
-    grads_s = head_backward(dout_s, cache_s, x, pe, heads, scale, dx_s, dpe_s)
+    grads_s = head_backward(dout_s, cache_s, x, pe, heads, dx_s, dpe_s)
     for field in ("W_q", "W_k", "W_r", "W_v", "u", "v"):
         _assert_rel_close(getattr(grads_s, field), getattr(grads, field))
     _assert_rel_close(dx_s, dx)

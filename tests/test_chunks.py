@@ -128,6 +128,29 @@ def test_chunks_match_one_document_at_a_time(overrides, budget, monkeypatch):
         one_at_a_time(model, contexts, None)[0], rel=1e-10)
 
 
+def test_dropout_masks_do_not_depend_on_the_chunk():
+    """Each document's dropout masks in a padded chunk are its masks run
+    alone under the same batch position, on its own rows: its sentence
+    rows, then (but on the last layer) its edge rows; padding is 0."""
+    model = FusionModel.build(tiny_model_config(n_layers=3, dropout_rate=0.3))
+    contexts = [model.prepare(doc) for doc in mixed_docs()]
+    stream = DropoutStream(2, 0.3).at(4, 1)
+    doc_indices = [5, 0, 3, 1, 4, 2]
+    vis = chunk_visibility(contexts, model.config.n_heads)[0]
+    n_docs, _, n_sent, n = vis.mask.shape
+    keep = model._dropout_keep(stream, doc_indices, contexts, n_sent, n)
+    for b, (doc_index, ctx) in enumerate(zip(doc_indices, contexts)):
+        s, e = len(ctx.sentences), len(ctx.edge_keys)
+        alone = model._dropout_keep(stream, [doc_index], [ctx], s, s + e)
+        for pair, own in zip(keep, alone):
+            for got, want in zip(pair, own):
+                got = got.reshape(n_docs, -1, model.config.d_model)[b]
+                edges = got[n_sent:n_sent + e] if len(got) == n else got[:0]
+                np.testing.assert_array_equal(
+                    np.concatenate([got[:s], edges]), want)
+                assert 0 < np.count_nonzero(got) == np.count_nonzero(want)
+
+
 def test_padding_is_inert_and_receives_zero_gradient():
     """Each document of a chunk has its S_b sentences in the chunk's first
     S slots and its E_b edges in the E after them. Real queries give padded
@@ -204,7 +227,7 @@ def test_position_path_runs_on_per_document_tuple_blocks(monkeypatch):
     rng = np.random.default_rng(2)
     x = rng.normal(size=(n_docs * n, model.config.d_model))
     heads = model.layer_heads(0)
-    out, cache = head_forward(x, pe, vis, heads, model.score_scale)
+    out, cache = head_forward(x, pe, vis, heads)
     sizes = []
     bincount = np.bincount
 
@@ -215,7 +238,7 @@ def test_position_path_runs_on_per_document_tuple_blocks(monkeypatch):
 
     monkeypatch.setattr(np, "bincount", spy)
     head_backward(rng.normal(size=out.shape), cache, x, pe, heads,
-                  model.score_scale, np.zeros_like(x), np.zeros_like(pe))
+                  np.zeros_like(x), np.zeros_like(pe))
     assert sizes == [n_docs * n_heads * n_sent * n_tuples,
                      n_docs * n_heads * n_edge * n_et]
 
@@ -240,10 +263,10 @@ def test_padded_tuple_rows_are_inert():
     x = rng.normal(size=(len(contexts) * n, model.config.d_model))
     for layer, queries in ((0, vis), (1, vis.sentence_queries())):
         heads = model.layer_heads(layer)
-        out, cache = head_forward(x, pe, queries, heads, model.score_scale)
+        out, cache = head_forward(x, pe, queries, heads)
         dpe = np.zeros_like(pe)
         head_backward(rng.normal(size=out.shape), cache, x, pe, heads,
-                      model.score_scale, np.zeros_like(x), dpe)
+                      np.zeros_like(x), dpe)
         assert (dpe[padded] == 0.0).all() and dpe[~padded].any()
 
     def run(pad_with):

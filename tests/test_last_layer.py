@@ -1,6 +1,7 @@
 """The last fusion layer runs its sentence rows only, the rows the classifier
-pools: logits, pooled vectors, gradients and dropout masks against the
-forward that runs every row of every layer."""
+pools: logits, pooled vectors and gradients against the forward that runs
+every row of every layer, and its dropout masks against the last block of
+each document's draw."""
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from cohgraph.synth import SynthProfile, synth_generate
 from cohgraph.variants import Variant
 
 from conftest import make_demo_document, tiny_model_config
-from oracles import all_rows_forward
+from oracles import all_rows_forward, chunk_dropout_keep, dropout_blocks
 
 # the first and third documents keep their edges, the second has none
 VARIANTS = (Variant.FULL, Variant.TEXT_ONLY, Variant.TEXT_REL)
@@ -86,30 +87,41 @@ def test_last_layer_computes_sentence_rows_only():
     assert cache["pool"].shape == (len(contexts), n_sent)
 
 
-@pytest.mark.parametrize("slot", [0, 1, 2, 3])
+@pytest.mark.parametrize("earlier_layers", [0, 1, 2, 3])
 def test_last_layer_dropout_masks_are_the_sentence_rows_of_all_rows_masks(
-        slot):
-    """Each document's last-layer mask is its all-rows mask on its sentence
-    rows, the first S * d_model draws of its Philox stream."""
-    model = FusionModel.build(tiny_model_config(dropout_rate=0.3))
+        earlier_layers):
+    """The last layer's (attention, FFN) masks are the sentence rows of the
+    masks the all-rows forward uses, and each document's are the last block
+    of its draw, S_b rows each, on its S_b sentence rows of the chunk's S,
+    zero on the padding; every earlier layer's masks are the all-rows
+    ones."""
+    n_layers = earlier_layers + 1
+    model = FusionModel.build(tiny_model_config(n_layers=n_layers,
+                                                dropout_rate=0.3))
     contexts = mixed_chunk(model)
     stream = DropoutStream(11, 0.3).at(2, 5)
     doc_indices = [3, 1, 8]
     vis = chunk_visibility(contexts, model.config.n_heads)[0]
     n_docs, _, n_sent, n = vis.mask.shape
     d = model.config.d_model
-    sentence_keep = model._dropout_keep(
-        stream, doc_indices, contexts, vis.sentence_queries(), slot)
-    all_keep = model._dropout_keep(stream, doc_indices, contexts, vis, slot)
-    assert sentence_keep.shape == (n_docs * n_sent, d)
-    np.testing.assert_array_equal(sentence_keep.reshape(n_docs, n_sent, d),
-                                  all_keep.reshape(n_docs, n, d)[:, :n_sent])
-    for b, (doc_index, ctx) in enumerate(zip(doc_indices, contexts)):
-        s = len(ctx.sentences)
-        own = stream.mask(doc_index, slot, (len(ctx.seq), d))
+    keep = model._dropout_keep(stream, doc_indices, contexts, n_sent, n)
+    all_rows = chunk_dropout_keep(model, stream, doc_indices, contexts)
+    assert len(keep) == len(all_rows) == n_layers
+    for got_pair, want_pair in zip(keep[:-1], all_rows[:-1]):
+        for got, want in zip(got_pair, want_pair):
+            np.testing.assert_array_equal(got, want)
+    for sublayer, (last, want) in enumerate(zip(keep[-1], all_rows[-1])):
+        assert last.shape == (n_docs * n_sent, d)
+        last = last.reshape(n_docs, n_sent, d)
         np.testing.assert_array_equal(
-            sentence_keep.reshape(n_docs, n_sent, d)[b, :s], own[:s])
-        assert not sentence_keep.reshape(n_docs, n_sent, d)[b, s:].any()
+            last, want.reshape(n_docs, n, d)[:, :n_sent])
+        for b, (doc_index, ctx) in enumerate(zip(doc_indices, contexts)):
+            s = len(ctx.sentences)
+            block = dropout_blocks(stream, doc_index, ctx, n_layers,
+                                   d)[-1][sublayer]
+            assert block.shape == (s, d)
+            np.testing.assert_array_equal(last[b, :s], block * stream.scale)
+            assert not last[b, s:].any()
 
 
 def test_nonfinite_last_layer_names_the_second_document_of_its_chunk():

@@ -17,13 +17,14 @@ from cohgraph.fusion.encoder import HashBucketSentenceEncoder, stable_bucket
 from cohgraph.fusion.model import (ContractError, DropoutStream, FusionModel,
                                    NumericalError, _softplus, _softplus_grad,
                                    chunk_visibility, expected_param_shapes,
-                                   layer_norm_forward)
+                                   keep_lanes, layer_norm_forward)
+from cohgraph.keyed import DROPOUT
 from cohgraph.labels import CoherenceLabel
 from cohgraph.synth import SynthProfile, synth_generate
 from cohgraph.variants import Variant
 
 from conftest import make_demo_document, tiny_model_config
-from oracles import head_slice
+from oracles import dropout_blocks, head_slice
 
 
 def small_docs(n=3, seed=2, n_sentences=(3, 4)):
@@ -378,44 +379,119 @@ class TestLossAndGrad:
             assert rel < 1e-6, f"{name}: rel error {rel:.2e}"
 
 
+def _doc_keep(model, stream, ctx, doc_index=0):
+    """The dropout masks of ctx run as a chunk of one, keyed by doc_index."""
+    n_sent = len(ctx.sentences)
+    return model._dropout_keep(stream, [doc_index], [ctx], n_sent,
+                               n_sent + len(ctx.edge_keys))
+
+
 class TestDropoutStream:
+    """One draw per document and step, keyed by (seed, DROPOUT) and
+    countered by (0, epoch, step, doc_index), laid out as DropoutStream
+    documents, its lanes compared with round(rate * 2^32)."""
+
     def test_same_coordinates_same_mask(self):
+        model = FusionModel.build(tiny_model_config(n_layers=2,
+                                                    dropout_rate=0.5))
+        ctx = model.prepare(make_demo_document())
         stream = DropoutStream(seed=3, rate=0.5, epoch=2, step=4)
-        a = stream.mask(1, 0, (5, 6))
-        b = stream.mask(1, 0, (5, 6))
-        np.testing.assert_array_equal(a, b)
+        a = _doc_keep(model, stream, ctx, 1)
+        _doc_keep(model, stream, ctx, 2)
+        b = _doc_keep(model, stream, ctx, 1)
+        for got, want in zip(a, b):
+            np.testing.assert_array_equal(np.stack(got), np.stack(want))
 
     def test_distinct_coordinates_differ(self):
         stream = DropoutStream(seed=3, rate=0.5, epoch=2, step=4)
-        a = stream.mask(1, 0, (5, 6))
-        assert not np.array_equal(a, stream.mask(2, 0, (5, 6)))
-        assert not np.array_equal(a, stream.mask(1, 1, (5, 6)))
-        assert not np.array_equal(a, stream.at(3, 4).mask(1, 0, (5, 6)))
+        a = stream.words(1, 30)
+        assert not np.array_equal(a, stream.words(2, 30))
+        assert not np.array_equal(a, stream.at(2, 5).words(1, 30))
+        assert not np.array_equal(a, stream.at(3, 4).words(1, 30))
+        assert not np.array_equal(a, DropoutStream(4, 0.5, 2, 4).words(1, 30))
 
     @pytest.mark.parametrize("seed, coords, shape", [
-        (0, (0, 0, 0, 0), (19, 32)),
-        (3, (2, 4, 1, 3), (5, 6)),
-        (12345, (7, 0, 31, 1), (140, 16)),
-        (2 ** 40 + 5, (1, 9, 2, 0), (1, 1)),
+        (0, (0, 0, 0), (19, 32)),
+        (3, (2, 4, 1), (5, 6)),
+        (12345, (7, 0, 31), (140, 16)),
+        (2 ** 40 + 5, (1, 9, 2), (1, 1)),
     ])
     def test_draws_are_a_fresh_philox_stream_per_coordinate(self, seed,
                                                             coords, shape):
-        """draw is the stream of a Philox generator keyed by the seed and
-        countered by (epoch, step, doc_index, slot), whatever was drawn
-        before."""
-        epoch, step, doc_index, slot = coords
+        """A document's words are the stream of a Philox generator keyed by
+        (seed, DROPOUT) and countered by (0, epoch, step, doc_index),
+        whatever was drawn before, for draws of shape's size."""
+        epoch, step, doc_index = coords
+        size = int(np.prod(shape))
         stream = DropoutStream(seed, 0.5, epoch, step)
-        stream.draw(doc_index + 1, slot, np.empty((3, 4)))
-        got = np.empty(shape)
-        stream.draw(doc_index, slot, got)
-        want = np.random.Generator(np.random.Philox(
-            key=seed, counter=[epoch, step, doc_index, slot])).random(shape)
-        np.testing.assert_array_equal(got, want)
+        stream.words(doc_index + 1, 12)
+        want = np.random.Philox(
+            key=np.array([seed, DROPOUT], dtype=np.uint64),
+            counter=[0, epoch, step, doc_index]).random_raw(size)
+        np.testing.assert_array_equal(stream.words(doc_index, size), want)
+
+    def test_lane_order_is_pinned_by_a_hand_computed_word(self):
+        """The first word of seed 7's draw for document 2 at (0, 0) is
+        0xDD247B60_2C96C896: its low lane 0x2C96C896 is under the
+        threshold of rate 0.3 (1,288,490,189) and its high lane 0xDD247B60
+        is not, so the first unit is dropped and the second kept."""
+        stream = DropoutStream(7, 0.3)
+        word = 0xDD247B602C96C896
+        assert stream.words(2, 1)[0] == word
+        assert stream.threshold == 1_288_490_189
+        assert word & 0xFFFFFFFF == 0x2C96C896 < stream.threshold
+        assert word >> 32 == 0xDD247B60 >= stream.threshold
+        np.testing.assert_array_equal(
+            keep_lanes(np.array([word], dtype=np.uint64), stream.threshold),
+            [False, True])
+        model = FusionModel.build(tiny_model_config(dropout_rate=0.3))
+        attention = _doc_keep(model, stream, model.prepare(
+            make_demo_document()), 2)[0][0]
+        np.testing.assert_array_equal(attention[0, :2], [0.0, stream.scale])
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 3])
+    def test_a_documents_masks_are_its_documented_blocks(self, n_layers):
+        """Run alone, a document's masks are the layout oracle's blocks of
+        its draw, its S sentence rows then its E edge rows on every layer
+        but the last and its sentence rows on the last, at either dtype."""
+        stream = DropoutStream(5, 0.4).at(3, 1)
+        for dtype in ("float64", "float32"):
+            config = tiny_model_config(n_layers=n_layers, dropout_rate=0.4,
+                                       dtype=dtype)
+            model = FusionModel.build(config)
+            ctx = model.prepare(make_demo_document())
+            assert len(ctx.edge_keys) > 0
+            keep = _doc_keep(model, stream, ctx, 6)
+            blocks = dropout_blocks(stream, 6, ctx, n_layers,
+                                    config.d_model)
+            for got, want in zip(keep, blocks):
+                for sublayer in range(2):
+                    assert got[sublayer].dtype == np.dtype(dtype)
+                    np.testing.assert_array_equal(
+                        got[sublayer] == 0.0, ~want[sublayer])
+                    assert set(np.unique(got[sublayer])) <= {
+                        0.0, np.dtype(dtype).type(stream.scale)}
+
+    def test_dropped_fraction_is_within_a_binomial_bound_of_rate(self):
+        """P(drop) = threshold / 2^32 is within 2^-33 of rate, and 2^21
+        lanes drop a fraction within five binomial deviations of it."""
+        for rate in (1e-9, 0.1, 0.25, 1 / 3, 0.5, 0.9):
+            assert abs(DropoutStream(0, rate).threshold / 2 ** 32
+                       - rate) <= 2 ** -33
+        for rate in (0.1, 0.5):
+            stream = DropoutStream(11, rate)
+            n = 2 ** 21
+            dropped = 1.0 - keep_lanes(stream.words(0, n // 2),
+                                       stream.threshold).mean()
+            assert abs(dropped - rate) <= 5 * np.sqrt(rate * (1 - rate) / n)
 
     def test_inverted_scaling(self):
-        stream = DropoutStream(seed=0, rate=0.25)
-        mask = stream.mask(0, 0, (100, 100))
-        assert set(np.unique(mask)) <= {0.0, 1.0 / 0.75}
+        model = FusionModel.build(tiny_model_config(n_layers=2,
+                                                    dropout_rate=0.25))
+        keep = _doc_keep(model, DropoutStream(seed=0, rate=0.25),
+                         model.prepare(make_demo_document()))
+        for pair in keep:
+            assert set(np.unique(np.stack(pair))) == {0.0, 1.0 / 0.75}
 
     def test_train_forward_uses_dropout(self):
         model = FusionModel.build(tiny_model_config(dropout_rate=0.5))
@@ -596,6 +672,19 @@ class TestCheckpoint:
 FIXTURES = Path(__file__).parent / "fixtures"
 V1_CHECKPOINT = FIXTURES / "v1-d8.ckpt"
 V2_CHECKPOINT = FIXTURES / "v2-d8.ckpt"
+# written from the same commands as v1-d8.ckpt and v2-d8.ckpt, in
+# tests/fixtures, by the code whose dropout and shuffle streams come from
+# cohgraph.keyed:
+#
+#     cohgraph synth corpus.jsonl --n-docs 12 --seed 5
+#     cohgraph train corpus.jsonl v3-d8.ckpt --config v1-d8.config.json \
+#         --seed 7
+#     cohgraph train corpus.jsonl v3-d8-textrel.ckpt \
+#         --config v1-d8.config.json --seed 7 --variant TextRel
+#
+# The format 1 and 2 fixtures pin their readers; these pin the training.
+RETRAINED = FIXTURES / "v3-d8.ckpt"
+RETRAINED_TEXT_REL = FIXTURES / "v3-d8-textrel.ckpt"
 
 
 def _raw_tensors(data: bytes) -> dict[str, np.ndarray]:
@@ -640,8 +729,10 @@ class TestFormat1Checkpoint:
             np.testing.assert_array_equal(got, arr)
 
     def test_retraining_matches_the_fixture(self, tmp_path):
-        """The fixture's commands rerun here give its parameters within
-        1e-12 relative: bits across BLAS builds are not promised."""
+        """The fixture's commands rerun here give the parameters of
+        v3-d8.ckpt, written from them with the keyed dropout and shuffle
+        streams, within 1e-12 relative: bits across BLAS builds are not
+        promised. v1-d8.ckpt was trained with earlier streams."""
         runner = CliRunner()
         corpus, path = tmp_path / "corpus.jsonl", tmp_path / "v2.ckpt"
         for args in (["synth", str(corpus), "--n-docs", "12", "--seed", "5"],
@@ -649,9 +740,10 @@ class TestFormat1Checkpoint:
                       str(FIXTURES / "v1-d8.config.json"), "--seed", "7"]):
             result = runner.invoke(cli_main, args)
             assert result.exit_code == 0, result.output
-        want, got = FusionModel.load(V1_CHECKPOINT), FusionModel.load(path)
-        assert got.config == want.config
-        assert got.variant is Variant.FULL
+        want, got = FusionModel.load(RETRAINED), FusionModel.load(path)
+        assert got.config == want.config == FusionModel.load(
+            V1_CHECKPOINT).config
+        assert got.variant is want.variant is Variant.FULL
         for name, arr in want.params.items():
             np.testing.assert_allclose(got.params[name], arr, rtol=0,
                                        atol=1e-12 * np.abs(arr).max())
@@ -713,8 +805,10 @@ class TestFormat2Checkpoint:
 
     def test_retraining_at_float64_matches_the_fixture(self, tmp_path):
         """The fixture's commands rerun (the config file now asks for
-        float64) give its parameters within 1e-12 relative: bits across
-        BLAS builds are not promised."""
+        float64) give the parameters of v3-d8-textrel.ckpt, written from
+        them with the keyed dropout and shuffle streams, within 1e-12
+        relative: bits across BLAS builds are not promised. v2-d8.ckpt was
+        trained with earlier streams."""
         runner = CliRunner()
         corpus, path = tmp_path / "corpus.jsonl", tmp_path / "v3.ckpt"
         for args in (["synth", str(corpus), "--n-docs", "12", "--seed", "5"],
@@ -723,9 +817,11 @@ class TestFormat2Checkpoint:
                       "--variant", "TextRel"]):
             result = runner.invoke(cli_main, args)
             assert result.exit_code == 0, result.output
-        want, got = FusionModel.load(V2_CHECKPOINT), FusionModel.load(path)
-        assert got.config == want.config
-        assert got.variant is Variant.TEXT_REL
+        want, got = (FusionModel.load(RETRAINED_TEXT_REL),
+                     FusionModel.load(path))
+        assert got.config == want.config == FusionModel.load(
+            V2_CHECKPOINT).config
+        assert got.variant is want.variant is Variant.TEXT_REL
         for name, arr in want.params.items():
             np.testing.assert_allclose(got.params[name], arr, rtol=0,
                                        atol=1e-12 * np.abs(arr).max())

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from cohgraph.fusion.config import ModelConfig, TrainConfig
-from cohgraph.fusion.model import FusionModel
+from cohgraph.fusion.model import DropoutStream, FusionModel
 from cohgraph.fusion.optim import AdamW
-from cohgraph.fusion.train import FusionClassifier, train
+from cohgraph.fusion.train import FusionClassifier, _epoch_order, train
+from cohgraph.keyed import SHUFFLE, KeyedStream
 from cohgraph.synth import SynthProfile, synth_generate
 from cohgraph.variants import Variant
 
@@ -42,6 +43,45 @@ def test_different_seed_differs():
     a, _ = train(docs, config, TrainConfig(epochs=1, batch_size=8, seed=5))
     b, _ = train(docs, config, TrainConfig(epochs=1, batch_size=8, seed=6))
     assert any(not np.array_equal(a.params[n], b.params[n]) for n in a.params)
+
+
+def _shares_a_shifted_run(x, y, max_shift=8):
+    """Whether one of x, y continues the other after 1 to max_shift values,
+    as array_equal(x[4:], y[:-4]) finds for streams whose coordinate sits
+    in Philox counter word 0."""
+    return any(np.array_equal(a[k:], b[:-k]) for k in range(1, max_shift + 1)
+               for a, b in ((x, y), (y, x)))
+
+
+@pytest.mark.parametrize("epoch", [0, 1, 6])
+def test_neighbouring_epochs_share_no_shifted_run(epoch):
+    """The raw draws behind epoch e's and e + 1's batch orders, and a
+    document's dropout words at epochs e and e + 1 (and at neighbouring
+    steps and documents), are not one stream shifted: the coordinates sit
+    in counter words 1 to 3, and Philox advances word 0 only. A stream
+    with the epoch in word 0 fails the same check."""
+    seed = 5
+    old = lambda e: np.random.Philox(key=seed,
+                                     counter=[e, 0, 3, 0]).random_raw(40)
+    assert _shares_a_shifted_run(old(epoch), old(epoch + 1))
+
+    shuffle = KeyedStream(seed, SHUFFLE)
+    assert not _shares_a_shifted_run(shuffle.at(epoch).random_raw(40),
+                                     shuffle.at(epoch + 1).random_raw(40))
+    for e in (epoch, epoch + 1):
+        want = np.random.Generator(np.random.Philox(
+            key=np.array([seed, SHUFFLE], dtype=np.uint64),
+            counter=[0, e, 0, 0])).permutation(40)
+        np.testing.assert_array_equal(_epoch_order(40, seed, e), want)
+    assert not _shares_a_shifted_run(_epoch_order(40, seed, epoch),
+                                     _epoch_order(40, seed, epoch + 1))
+
+    stream = DropoutStream(seed, 0.1)
+    x = stream.at(epoch, 2).words(3, 40)
+    for y in (stream.at(epoch + 1, 2).words(3, 40),
+              stream.at(epoch, 3).words(3, 40),
+              stream.at(epoch, 2).words(4, 40)):
+        assert not _shares_a_shifted_run(x, y)
 
 
 def test_zero_learning_rate_leaves_parameters_untouched():
