@@ -68,7 +68,7 @@ class _FrontDoor(click.Group):
             exc.exit_code = EXIT_INPUT_ERROR
             raise
         except _NUMERICAL_ERRORS + _INPUT_ERRORS + (MemoryError,) as exc:
-            click.echo(f"error: {exc}", err=True)
+            click.echo(f"error: {str(exc) or type(exc).__name__}", err=True)
             sys.exit(EXIT_NUMERICAL_ERROR if isinstance(exc, _NUMERICAL_ERRORS)
                      else EXIT_INPUT_ERROR)
 
@@ -315,7 +315,7 @@ def cmd_train(corpus_path: str, checkpoint_path: str, metrics_log: str | None,
               required=True, help="Output report JSON path.")
 @click.option("--variant", default=None,
               type=click.Choice([v.value for v in FUSION_VARIANTS]),
-              help="[default: the checkpoint's training variant, or Full]")
+              help="[default: the checkpoint's training variant]")
 @click.option("--expect-d-model", default=None, type=int,
               help="Fail unless the checkpoint was built with this d_model.")
 def cmd_eval(checkpoint_path: str, corpus_path: str, report_path: str,
@@ -323,8 +323,8 @@ def cmd_eval(checkpoint_path: str, corpus_path: str, report_path: str,
     """Evaluate a checkpoint on a labeled corpus and write an EvalReport."""
     model = FusionModel.load(checkpoint_path)
     if variant is None:
-        variant = (model.variant or Variant.FULL).value
-    elif model.variant not in (None, Variant(variant)):
+        variant = model.variant.value
+    elif model.variant is not Variant(variant):
         raise ValueError(f"{checkpoint_path}: checkpoint was trained on "
                          f"variant {model.variant.value}, not {variant}")
     if expect_d_model is not None and model.config.d_model != expect_d_model:

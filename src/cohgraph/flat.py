@@ -100,18 +100,3 @@ def apply_variant(seq: FlatSequence, variant: Variant) -> FlatSequence:
         or (entities if el.kind is ElementKind.ENTITY else relations))
     return FlatSequence(kept, seq.n_sentences)
 
-
-def format_sequence(seq: FlatSequence) -> str:
-    """Debug table: one row per element with its kind, payload, and position."""
-    rows = []
-    for el in seq.elements:
-        if el.kind is ElementKind.SENTENCE:
-            payload = f"s_{el.payload}"
-        elif el.kind is ElementKind.ENTITY:
-            payload = el.payload
-        else:
-            payload = el.payload.render
-        rows.append((el.kind.name.lower(), payload, f"({el.start}, {el.end})"))
-    width = [max(len(r[c]) for r in rows) for c in range(3)] if rows else [0, 0, 0]
-    return "\n".join(
-        f"{r[0]:<{width[0]}}  {r[1]:<{width[1]}}  {r[2]}" for r in rows)

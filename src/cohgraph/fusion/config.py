@@ -15,11 +15,11 @@ from dataclasses import asdict, dataclass, fields
 
 from ..variants import FUSION_VARIANTS, Variant
 
-_PLAIN_TYPES = {"int": int, "bool": bool, "str": str}
+_PLAIN_TYPES = {"int": int, "str": str}
 
 
 def _check_types(config) -> None:
-    """Check each int, float, bool and str field of a config dataclass
+    """Check each int, float and str field of a config dataclass
     against its annotation (a string here, under `from __future__ import
     annotations`); store float fields as floats."""
     for f in fields(config):
@@ -42,12 +42,14 @@ def _at_least(config, minimum: int, *names: str) -> None:
                              f"got {getattr(config, name)}")
 
 
-# Fields that checkpoints of formats 1 to 3 record, at the one value the model
-# has: scores scaled by 1/sqrt(d_head), linear W_p, mean pooling over the
-# sentence outputs, per-head u and v, a softplus FFN and three classes.
+# Fields that checkpoints of formats 2 and 3 record, at the one value the
+# model has: scores scaled by 1/sqrt(d_head), linear W_p, mean pooling over
+# the sentence outputs, per-head u and v, a softplus FFN, three classes and a
+# token table trained with the model.
 RETIRED_FIELDS = {"scale_scores": True, "position_activation": "none",
                   "pooling": "mean_sentences", "share_uv": False,
-                  "ffn_activation": "softplus", "n_classes": 3}
+                  "ffn_activation": "softplus", "n_classes": 3,
+                  "encoder_trainable": True}
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,6 @@ class ModelConfig:
     # element embedding plumbing
     n_token_buckets: int = 1024
     n_entity_buckets: int = 256
-    encoder_trainable: bool = True
     max_elements: int = 512
     # dtype of every parameter, activation, gradient and optimizer state
     dtype: str = "float32"             # "float32" | "float64"

@@ -45,10 +45,11 @@ class SentenceEncoder(Protocol):
     """tokens -> d_model vector, with a prepare step so static per-sentence
     work (hashing, tokenizer lookups) can be done once per document. The
     encode and gradient calls take a list of prepared sentences, so a chunk
-    of documents is encoded in one call."""
+    of documents is encoded in one call. Whatever init_params returns joins
+    the model's parameters and is trained with them; an encoder with nothing
+    to train returns none."""
 
     d_model: int
-    trainable: bool
 
     def init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]: ...
 
@@ -62,41 +63,22 @@ class SentenceEncoder(Protocol):
 
 
 class HashBucketSentenceEncoder:
-    """Mean of per-token hash-bucket embeddings.
-
-    With trainable=True the table lives in the model parameter store under
-    PARAM_NAME and receives gradients; with trainable=False a frozen copy is
-    kept here and init_params contributes nothing.
-    """
+    """Mean of per-token hash-bucket embeddings. The table lives in the
+    model parameter store under PARAM_NAME and receives gradients."""
 
     PARAM_NAME = "encoder/token_embed"
+    INIT_SCALE = 0.5
 
-    def __init__(self, d_model: int, n_buckets: int, trainable: bool = True,
-                 init_scale: float = 0.5, dtype: str = "float64"):
+    def __init__(self, d_model: int, n_buckets: int, dtype: str = "float64"):
         self.d_model = d_model
         self.n_buckets = n_buckets
-        self.trainable = trainable
-        self.init_scale = init_scale
         self.dtype = np.dtype(dtype)
-        self._frozen_table: np.ndarray | None = None
         self.saw_empty = False
 
-    def _make_table(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.normal(0.0, self.init_scale,
-                          (self.n_buckets, self.d_model)).astype(self.dtype)
-
     def init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
-        table = self._make_table(rng)
-        if self.trainable:
-            return {self.PARAM_NAME: table}
-        self._frozen_table = table
-        return {}
-
-    def _table(self, params: dict[str, np.ndarray]) -> np.ndarray:
-        if self.trainable:
-            return params[self.PARAM_NAME]
-        assert self._frozen_table is not None, "encoder used before init_params"
-        return self._frozen_table
+        return {self.PARAM_NAME: rng.normal(
+            0.0, self.INIT_SCALE,
+            (self.n_buckets, self.d_model)).astype(self.dtype)}
 
     def buckets(self, tokens: tuple[str, ...]) -> list[int]:
         return [stable_bucket(t, self.n_buckets) for t in tokens]
@@ -108,7 +90,7 @@ class HashBucketSentenceEncoder:
                         params: dict[str, np.ndarray]) -> np.ndarray:
         """(len(prepared), d_model): the mean token vector of each prepared
         sentence, zero for a sentence without tokens."""
-        table = self._table(params)
+        table = params[self.PARAM_NAME]
         counts = np.array([p.size for p in prepared], dtype=np.int64)
         out = np.zeros((len(prepared), self.d_model), dtype=table.dtype)
         if (counts == 0).any():
@@ -127,7 +109,7 @@ class HashBucketSentenceEncoder:
                                  grads: dict[str, np.ndarray]) -> None:
         """Add the gradient of encode_prepared(prepared) under the output
         gradient dvecs (len(prepared), d_model) into grads."""
-        if not self.trainable or not prepared:
+        if not prepared:
             return
         counts = np.array([p.size for p in prepared], dtype=np.int64)
         weights = np.maximum(counts, 1).astype(dvecs.dtype)

@@ -10,10 +10,10 @@ comparison (see DropoutStream), so both drop the same units.
 Parameters live in a flat name -> array dict so the optimizer,
 checkpointing, and finite-difference checks can enumerate them uniformly; a
 layer stores its heads stacked, laid out as HeadParams says. Checkpoints
-(format 3) record the variant the model was trained under and write each
-tensor in the model's dtype; load reads format 1 and 2 files as float64,
-stacks the per-head tensors of format 1 files and takes their variant as
-unknown. The attention score between elements i and j is
+(format 3) record the fusion variant the model was trained under and write
+each tensor in the model's dtype; load reads format 2 files, which record
+their variant too, as float64, and refuses format 1 files, which record
+none. The attention score between elements i and j is
 
     A_ij = q_i k_j^T + q_i r_ij^T + u k_j^T + v r_ij^T
 
@@ -105,6 +105,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import weakref
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -117,7 +118,7 @@ from ..graph import build_graph
 from ..keyed import DROPOUT, KeyedStream
 from ..labels import CoherenceLabel
 from ..relations import load_registry
-from ..variants import Variant
+from ..variants import FUSION_VARIANTS, Variant
 from .config import ModelConfig
 from .encoder import (HashBucketSentenceEncoder, SentenceEncoder, add_rows_at,
                       stable_bucket)
@@ -136,6 +137,10 @@ N_CLASSES = len(CoherenceLabel)
 # a chunk's memory; a document longer than half the rows runs alone.
 PAD_ROW_BUDGET = 384
 PAD_VALUE_BUDGET = 96 * 256
+
+# Bytes a parameter tensor costs besides its values: the array object, its
+# allocation and its name's dict entry (about 260 measured on small tensors)
+TENSOR_OVERHEAD = 256
 
 
 class NumericalError(RuntimeError):
@@ -266,9 +271,7 @@ def _compact(a: np.ndarray) -> np.ndarray:
 def expected_param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Every parameter name and shape implied by a config (checkpoint contract)."""
     d, d_h, ffn = config.d_model, config.d_head, config.ffn_dim
-    shapes: dict[str, tuple[int, ...]] = {}
-    if config.encoder_trainable:
-        shapes[HashBucketSentenceEncoder.PARAM_NAME] = (config.n_token_buckets, d)
+    shapes = {HashBucketSentenceEncoder.PARAM_NAME: (config.n_token_buckets, d)}
     shapes["embed/entity"] = (config.n_entity_buckets, d)
     shapes["embed/relation"] = (N_RELATION_ROWS, d)
     shapes["pos/W_p"] = (4 * d, d)
@@ -291,23 +294,40 @@ def expected_param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _v1_layout(config: ModelConfig):
-    """Format 1 kept each head's block of a layer's head tensors (its
-    columns of W_q, W_k, W_r, W_v and its row of u, v) as a tensor of its
-    own, layer{l}/head{h}/<field>. Returns the shapes a
-    format 1 file holds and, per stacked name, its heads' names in head
-    order."""
-    d, d_h = config.d_model, config.d_head
-    shapes = expected_param_shapes(config)
-    heads: dict[str, list[str]] = {}
-    for l in range(config.n_layers):
-        for field in _HEAD_FIELDS:
-            names = [f"layer{l}/head{h}/{field}" for h in range(config.n_heads)]
-            heads[f"layer{l}/{field}"] = names
-            del shapes[f"layer{l}/{field}"]
-            shapes.update(dict.fromkeys(
-                names, (d, d_h) if field.startswith("W") else (d_h,)))
-    return shapes, heads
+def check_size(config: ModelConfig) -> int:
+    """The number of config's parameter tensors, counted in closed form with
+    their values: a one-layer model's, its layer counted n_layers times, so
+    nothing is enumerated per layer. Raises ContractError naming the size
+    fields if the parameters with their training state (gradients and two
+    AdamW moments: four copies) and the float64 sinusoid table while it is
+    formed would exceed this machine's physical memory; call it before
+    allocating anything config-sized."""
+    one = expected_param_shapes(replace(config, n_layers=1))
+    layer = [math.prod(shape) for name, shape in one.items()
+             if name.startswith("layer0/")]
+    rest = [math.prod(shape) for name, shape in one.items()
+            if not name.startswith("layer0/")]
+    n_tensors = len(rest) + len(layer) * config.n_layers
+    n_values = sum(rest) + sum(layer) * config.n_layers
+    # forming the float64 sinusoid table peaks at about 2.1 times its bytes
+    # (measured): its angles, sines and cosines exist beside it
+    need = (4 * (n_values * np.dtype(config.dtype).itemsize
+                 + n_tensors * TENSOR_OVERHEAD)
+            + 3 * (2 * config.max_relative_distance + 1) * config.d_model * 8)
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf: no bound
+        return n_tensors
+    if need > physical:
+        fields = ", ".join(f"{name}={getattr(config, name)}" for name in (
+            "d_model", "d_ffn", "n_layers", "n_token_buckets",
+            "n_entity_buckets", "max_relative_distance"))
+        raise ContractError(
+            f"model too large: {fields} need {need / 2 ** 30:.1f} GiB for "
+            f"the parameters with their training state and the position "
+            f"table, more than this machine's {physical / 2 ** 30:.1f} GiB "
+            f"of physical memory")
+    return n_tensors
 
 
 def _init_params(config: ModelConfig,
@@ -651,36 +671,31 @@ class DropoutStream:
         layer L - 1:       attention, then FFN, S rows each.
 
     Its raw 64-bit words split into two 32-bit lanes, the low half first
-    (by arithmetic, so on any platform), lane i for unit i; a unit is kept
-    iff its lane >= threshold = round(rate * 2^32), so P(drop) is within
-    2^-33 of rate. The lanes are integers, so a float32 and a float64
-    model drop the same units.
+    (by arithmetic, so on any platform), lane i for unit i; at the model's
+    config.dropout_rate, a unit is kept iff its lane >= dropout_threshold
+    (rate), so P(drop) is within 2^-33 of rate, and scaled by 1 / (1 -
+    rate). The lanes are integers, so a float32 and a float64 model drop
+    the same units.
     """
 
-    def __init__(self, seed: int, rate: float, epoch: int = 0, step: int = 0):
+    def __init__(self, seed: int, epoch: int = 0, step: int = 0):
         self.seed = seed
-        self.rate = rate
         self.epoch = epoch
         self.step = step
         self._streams = KeyedStream(seed, DROPOUT)
 
     def at(self, epoch: int, step: int) -> "DropoutStream":
-        return DropoutStream(self.seed, self.rate, epoch, step)
-
-    @property
-    def threshold(self) -> int:
-        """The least lane a kept unit has: round(rate * 2^32)."""
-        return round(self.rate * 2 ** 32)
-
-    @property
-    def scale(self) -> float:
-        """What a kept unit is multiplied by: 1 / (1 - rate)."""
-        return 1.0 / (1.0 - self.rate)
+        return DropoutStream(self.seed, epoch, step)
 
     def words(self, doc_index: int, n_words: int) -> np.ndarray:
         """The first n_words raw 64-bit words of document doc_index's draw."""
         return self._streams.at(self.epoch, self.step,
                                 doc_index).random_raw(n_words)
+
+
+def dropout_threshold(rate: float) -> int:
+    """The least lane a unit kept at dropout rate has: round(rate * 2^32)."""
+    return round(rate * 2 ** 32)
 
 
 def keep_lanes(words: np.ndarray, threshold: int) -> np.ndarray:
@@ -707,12 +722,11 @@ def _cross_entropy(label_probs: np.ndarray) -> np.float64:
 
 class FusionModel:
     """Config + parameters + encoder, with forward/backward over documents.
-    variant, which save records, is the variant the model was trained
-    under: None if loaded from a format 1 checkpoint, which records none."""
+    variant, which save records, is the fusion variant the model was
+    trained under."""
 
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray],
-                 encoder: SentenceEncoder,
-                 variant: Variant | None = Variant.FULL):
+                 encoder: SentenceEncoder, variant: Variant = Variant.FULL):
         self.config = config
         self.params = params
         self.encoder = encoder
@@ -729,12 +743,12 @@ class FusionModel:
     @staticmethod
     def _encoder(config: ModelConfig) -> HashBucketSentenceEncoder:
         return HashBucketSentenceEncoder(config.d_model, config.n_token_buckets,
-                                         trainable=config.encoder_trainable,
                                          dtype=config.dtype)
 
     @classmethod
     def build(cls, config: ModelConfig,
               variant: Variant = Variant.FULL) -> "FusionModel":
+        check_size(config)
         encoder = cls._encoder(config)
         return cls(config, _init_params(config, encoder), encoder, variant)
 
@@ -984,18 +998,19 @@ class FusionModel:
                       n: int) -> list[tuple[np.ndarray, np.ndarray]]:
         """Every layer's (attention, FFN) inverted-dropout masks for a chunk
         laid out in n rows per document (sentences from row 0, edges from
-        row n_sent), in the model's dtype: 0 or dropout.scale, and 0 on the
-        padding. A layer but the last gets (B * n, d_model) masks, the last
-        (B * n_sent, d_model). Document b's are its one draw at
+        row n_sent), in the model's dtype: 0 or 1 / (1 - rate) at the
+        config's dropout rate, and 0 on the padding. A layer but the last
+        gets (B * n, d_model) masks, the last (B * n_sent, d_model). Document b's are its one draw at
         doc_indices[b], laid out as DropoutStream says."""
         inner, d = self.config.n_layers - 1, self.config.d_model
+        rate = self.config.dropout_rate
         n_docs = len(contexts)
         sizes = [2 * d * (inner * len(ctx.seq) + len(ctx.sentences))
                  for ctx in contexts]
         # sizes are even: a document's units fill its words' lanes
         bits = keep_lanes(np.concatenate(
             [dropout.words(i, size // 2)
-             for i, size in zip(doc_indices, sizes)]), dropout.threshold)
+             for i, size in zip(doc_indices, sizes)]), dropout_threshold(rate))
         keep = np.zeros(2 * n_docs * d * (inner * n + n_sent), dtype=bool)
         split = 2 * n_docs * d * inner * n
         body = keep[:split].reshape(inner, 2, n_docs, n, d)
@@ -1009,7 +1024,7 @@ class FusionModel:
             body[:, :, b, :s] = blocks[:, :, :s]
             body[:, :, b, n_sent:n_sent + m - s] = blocks[:, :, s:]
             last[:, b, :s] = own[2 * d * inner * m:].reshape(2, s, d)
-        keep = np.multiply(keep, dropout.scale, dtype=self.dtype)
+        keep = np.multiply(keep, 1.0 / (1.0 - rate), dtype=self.dtype)
         return ([tuple(layer) for layer in
                  keep[:split].reshape(inner, 2, n_docs * n, d)]
                 + [tuple(keep[split:].reshape(2, n_docs * n_sent, d))])
@@ -1221,7 +1236,7 @@ class FusionModel:
         header = {
             "format_version": self.FORMAT_VERSION,
             "config": self.config.to_dict(),
-            "variant": None if self.variant is None else self.variant.value,
+            "variant": self.variant.value,
             "tensors": [{"name": name,
                          "shape": list(self.params[name].shape),
                          "dtype": self.config.dtype} for name in names],
@@ -1238,16 +1253,20 @@ class FusionModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "FusionModel":
-        """Read a checkpoint written by save(), or a format 1 or 2 one,
-        whose config records no dtype and whose tensors are float64 (format
-        1's per-head tensors are stacked). A retired config field (see
-        RETIRED_FIELDS) at its one value is dropped; a malformed file, or a
-        retired field at another value, raises ContractError naming the
-        path."""
+        """Read a checkpoint written by save(), or a format 2 one, whose
+        config records no dtype and whose tensors are float64. A retired
+        config field (see RETIRED_FIELDS) at its one value is dropped. A
+        malformed file, a retired field at another value, a variant other
+        than a fusion one, or a config that check_size refuses or whose
+        tensor count is not the header's raises ContractError naming the
+        path, before any tensor is read."""
         with open(path, "rb") as fh:
             if fh.read(len(cls.MAGIC)) != cls.MAGIC:
                 raise ContractError(f"{path}: not a fusion checkpoint")
             size = int.from_bytes(fh.read(8), "big")
+            if size > os.fstat(fh.fileno()).st_size:
+                raise ContractError(f"{path}: header of {size} bytes is "
+                                    f"longer than the file")
             try:
                 header = json.loads(fh.read(size).decode("utf-8"))
             except ValueError as exc:  # invalid UTF-8 or JSON
@@ -1255,26 +1274,37 @@ class FusionModel:
             if not isinstance(header, dict):
                 raise ContractError(f"{path}: header is not a JSON object")
             version = header.get("format_version")
-            if version not in (1, 2, cls.FORMAT_VERSION):
+            if version not in (2, cls.FORMAT_VERSION):
                 raise ContractError(f"{path}: unsupported checkpoint version "
                                     f"{version}")
             try:
                 config = header["config"]
-                if version < 3:
+                if version == 2:
                     config = dict(config, dtype="float64")
                 config = ModelConfig.from_dict(config)
                 table = [(str(t["name"]), tuple(t["shape"]),
                           str(t["dtype"]) if version == 3 else "float64")
                          for t in header["tensors"]]
-                recorded = None if version == 1 else header["variant"]
-                variant = None if recorded is None else Variant(recorded)
+                variant = Variant(header["variant"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ContractError(f"{path}: malformed header: "
                                     f"{type(exc).__name__}: {exc}") from exc
-            expected, heads = (_v1_layout(config) if version == 1 else
-                               (expected_param_shapes(config), {}))
+            if variant not in FUSION_VARIANTS:
+                raise ContractError(
+                    f"{path}: variant {variant.value} is prompt-only; a "
+                    f"fusion model has one of "
+                    f"{', '.join(v.value for v in FUSION_VARIANTS)}")
+            try:
+                n_tensors = check_size(config)
+            except ContractError as exc:
+                raise ContractError(f"{path}: {exc}") from exc
+            listed = len({name for name, _, _ in table})
+            if listed != n_tensors:
+                raise ContractError(f"{path}: header lists {listed} distinct "
+                                    f"tensors, the config has {n_tensors}")
+            expected = expected_param_shapes(config)
             # little-endian, in the config's dtype, which every tensor's
-            # must equal; formats 1 and 2 hold float64 only
+            # must equal; format 2 holds float64 only
             stored = np.dtype(config.dtype).newbyteorder("<")
             params: dict[str, np.ndarray] = {}
             for name, shape, dtype in table:
@@ -1294,17 +1324,6 @@ class FusionModel:
                     raise ContractError(f"{path}: tensor {name} is truncated")
                 params[name] = np.frombuffer(data, dtype=stored).reshape(
                     expected[name]).astype(config.dtype)
-            missing = set(expected) - set(params)
-            if missing:
-                raise ContractError(
-                    f"{path}: checkpoint missing tensors {sorted(missing)}")
             if fh.read(1):
                 raise ContractError(f"{path}: trailing bytes after the last tensor")
-        for name, names in heads.items():
-            stacked = np.stack([params.pop(n) for n in names], axis=-2)
-            params[name] = stacked.reshape(len(stacked), -1)
-        encoder = cls._encoder(config)
-        if not config.encoder_trainable:
-            # regenerate the frozen table exactly as build() would
-            encoder.init_params(np.random.default_rng(np.random.PCG64(config.seed)))
-        return cls(config, params, encoder, variant)
+        return cls(config, params, cls._encoder(config), variant)

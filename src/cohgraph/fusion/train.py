@@ -62,7 +62,7 @@ def train(dataset: list[Document], model_config: ModelConfig,
     optimizer = AdamW(model.params, lr=train_config.lr,
                       weight_decay=train_config.weight_decay,
                       betas=train_config.betas, eps=train_config.eps)
-    base_stream = DropoutStream(train_config.seed, model_config.dropout_rate)
+    base_stream = DropoutStream(train_config.seed)
     # graph/mask/position structure is parameter-independent: build it once
     contexts = [model.prepare(doc, train_config.variant) for doc in dataset]
 

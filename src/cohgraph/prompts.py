@@ -153,9 +153,3 @@ def render_prompt(doc: Document, triples: list[Triple], variant: Variant,
         raise PromptBudgetError(doc.id, len(text), max_chars)
     return PromptDocument(variant=variant, text=text, triples_used=tuple(triples))
 
-
-def prompt_for(doc: Document, graph: CoherenceGraph, variant: Variant,
-               max_chars: int = DEFAULT_MAX_CHARS) -> PromptDocument:
-    """extract -> filter -> render convenience pipeline."""
-    triples = filter_triples(extract_triples(graph), variant)
-    return render_prompt(doc, triples, variant, max_chars)

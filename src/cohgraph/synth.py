@@ -78,10 +78,28 @@ class SynthProfile:
     domain_tags: tuple[str, ...] = ("synthA", "synthB")
 
     def __post_init__(self) -> None:
+        """Refuse, naming the field, what synth_generate cannot generate."""
         if not 0.0 <= self.shared_token_prob <= 1.0:
             raise ValueError("shared_token_prob must be in [0, 1]")
         if not 0.0 <= self.relation_tilt <= 1.0:
             raise ValueError("relation_tilt must be in [0, 1]")
+        for name in ("shared_vocab_size", "label_vocab_size",
+                     "entity_pool_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, "
+                                 f"got {getattr(self, name)}")
+        for name, least in (("n_sentences", 1), ("tokens_per_sentence", 0)):
+            low, high = getattr(self, name)
+            if not least <= low <= high:
+                raise ValueError(f"{name} must be a range (low, high) with "
+                                 f"{least} <= low <= high, got {(low, high)}")
+        if self.n_sentences[1] > self.entity_pool_size:
+            raise ValueError(
+                f"n_sentences up to {self.n_sentences[1]} needs an "
+                f"entity_pool_size of at least that (one entity per "
+                f"sentence), got {self.entity_pool_size}")
+        if not self.domain_tags:
+            raise ValueError("domain_tags must not be empty")
 
 
 PROFILES = {

@@ -1,14 +1,24 @@
-"""Shared fixtures: the four-sentence demo document and toy model configs."""
+"""Shared fixtures: the four-sentence demo document, toy model configs, a
+debug table of a flat sequence, the extract -> filter -> render prompt
+pipeline and the JSON mutations the fuzz tests draw."""
 
 from __future__ import annotations
 
+import copy
+
 import pytest
+from hypothesis import strategies as st
 
 from cohgraph.documents import (AnnotationSet, Document, NounAnnotation,
                                 RelationAnnotation, Sentence, TokenSpan)
+from cohgraph.flat import ElementKind, FlatSequence
 from cohgraph.fusion.config import ModelConfig
+from cohgraph.graph import CoherenceGraph
 from cohgraph.labels import CoherenceLabel
+from cohgraph.prompts import (DEFAULT_MAX_CHARS, PromptDocument,
+                              extract_triples, filter_triples, render_prompt)
 from cohgraph.relations import CauseDirection, RelationKind, load_registry
+from cohgraph.variants import Variant
 
 
 def _sentence(index: int, tokens: list[str]) -> Sentence:
@@ -85,3 +95,61 @@ def tiny_model_config(**overrides) -> ModelConfig:
 @pytest.fixture
 def tiny_config() -> ModelConfig:
     return tiny_model_config()
+
+
+def format_sequence(seq: FlatSequence) -> str:
+    """Debug table: one row per element with its kind, payload, and position."""
+    rows = []
+    for el in seq.elements:
+        if el.kind is ElementKind.SENTENCE:
+            payload = f"s_{el.payload}"
+        elif el.kind is ElementKind.ENTITY:
+            payload = el.payload
+        else:
+            payload = el.payload.render
+        rows.append((el.kind.name.lower(), payload, f"({el.start}, {el.end})"))
+    width = [max(len(r[c]) for r in rows) for c in range(3)] if rows else [0, 0, 0]
+    return "\n".join(
+        f"{r[0]:<{width[0]}}  {r[1]:<{width[1]}}  {r[2]}" for r in rows)
+
+
+def prompt_for(doc: Document, graph: CoherenceGraph, variant: Variant,
+               max_chars: int = DEFAULT_MAX_CHARS) -> PromptDocument:
+    """extract -> filter -> render, as emit-prompts runs it."""
+    triples = filter_triples(extract_triples(graph), variant)
+    return render_prompt(doc, triples, variant, max_chars)
+
+
+# Any JSON value. Integers are small or at least 2^31: a config field at 2^31
+# or more is refused by check_size before anything of its size exists,
+# while a field between the two (say max_relative_distance 10^7) may be a
+# model this machine can hold, and loading it would allocate gigabytes in
+# the test process.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=6)
+    | st.integers(-3, 40) | st.integers(2 ** 31, 2 ** 80),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=5)
+
+
+def json_paths(node, prefix=()):
+    """The path (keys and indices from the root) of every node of a JSON
+    tree, the root's () first."""
+    yield prefix
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from json_paths(child, prefix + (key,))
+
+
+def replaced_at(tree, path, value):
+    """A copy of a JSON tree with the node at path replaced by value."""
+    if not path:
+        return value
+    tree = copy.deepcopy(tree)
+    node = tree
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return tree

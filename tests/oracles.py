@@ -164,21 +164,23 @@ def dense_layout(ctx, sentence_block, edge_block, fill):
     return out
 
 
-def dropout_blocks(stream, doc_index, ctx, n_layers, d_model):
-    """One document's keep bits for every layer of stream's step: per layer
-    an (attention, FFN) pair of bool arrays over its own rows in slot order,
-    (n, d_model) on every layer but the last and (S, d_model) on the last,
-    read in that order from its draw: the Philox stream keyed by (seed,
-    DROPOUT) at counter (0, epoch, step, doc_index), each raw word's low
-    32 bits, then its high 32 bits, compared with round(rate * 2^32)."""
-    rows = [len(ctx.seq)] * (n_layers - 1) + [len(ctx.sentences)]
+def dropout_blocks(stream, doc_index, ctx, config):
+    """One document's keep bits for every layer of stream's step under a
+    model config: per layer an (attention, FFN) pair of bool arrays over its
+    own rows in slot order, (n, d_model) on every layer but the last and
+    (S, d_model) on the last, read in that order from its draw: the Philox
+    stream keyed by (seed, DROPOUT) at counter (0, epoch, step, doc_index),
+    each raw word's low 32 bits, then its high 32 bits, compared with
+    round(config.dropout_rate * 2^32)."""
+    d_model = config.d_model
+    rows = [len(ctx.seq)] * (config.n_layers - 1) + [len(ctx.sentences)]
     size = 2 * d_model * sum(rows)
     words = np.random.Philox(
         key=np.array([stream.seed % 2 ** 64, DROPOUT], dtype=np.uint64),
         counter=[0, stream.epoch, stream.step, doc_index]).random_raw(size // 2)
     lanes = [int(word) >> shift & 0xFFFFFFFF
              for word in words for shift in (0, 32)]
-    keep = np.array(lanes) >= round(stream.rate * 2 ** 32)
+    keep = np.array(lanes) >= round(config.dropout_rate * 2 ** 32)
     blocks, start = [], 0
     for r in rows:
         block = keep[start:start + 2 * r * d_model].reshape(2, r, d_model)
@@ -190,14 +192,14 @@ def dropout_blocks(stream, doc_index, ctx, n_layers, d_model):
 def chunk_dropout_keep(model, stream, doc_indices, contexts):
     """Each layer's (attention, FFN) masks for contexts run as one chunk in
     all_rows_forward: document b's dropout_blocks at doc_indices[b] times
-    stream.scale in the model's dtype, its sentence rows from row 0 and its
+    1 / (1 - rate) in the model's dtype, its sentence rows from row 0 and its
     edge rows from row S, the chunk's most sentences, and 0 on the padding.
     The last layer's block covers the sentence rows only, so its masks are
     0 on the edge rows too, which the classifier never reads."""
     cfg = model.config
     n_sent = max(len(ctx.sentences) for ctx in contexts)
     n = n_sent + max(len(ctx.edge_keys) for ctx in contexts)
-    blocks = [dropout_blocks(stream, i, ctx, cfg.n_layers, cfg.d_model)
+    blocks = [dropout_blocks(stream, i, ctx, cfg)
               for i, ctx in zip(doc_indices, contexts)]
     masks = []
     for layer in range(cfg.n_layers):
@@ -207,7 +209,7 @@ def chunk_dropout_keep(model, stream, doc_indices, contexts):
             own = np.stack(blocks[b][layer])
             keep[:, b, :s] = own[:, :s]
             keep[:, b, n_sent:n_sent + len(own[0]) - s] = own[:, s:]
-        keep = (keep * stream.scale).astype(model.dtype)
+        keep = (keep * (1.0 / (1.0 - cfg.dropout_rate))).astype(model.dtype)
         masks.append(tuple(keep.reshape(2, -1, cfg.d_model)))
     return masks
 

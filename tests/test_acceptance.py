@@ -25,12 +25,12 @@ from cohgraph.graph import build_graph
 from cohgraph.harness import run_cv
 from cohgraph.labels import CoherenceLabel
 from cohgraph.metrics import accuracy, macro_f1, per_label_report
-from cohgraph.prompts import extract_triples, prompt_for
+from cohgraph.prompts import extract_triples
 from cohgraph.relations import RelationKind, load_registry
 from cohgraph.synth import SynthProfile, synth_generate
 from cohgraph.variants import Variant
 
-from conftest import make_demo_document, tiny_model_config
+from conftest import make_demo_document, prompt_for, tiny_model_config
 from oracles import head_slice
 from test_masking import oracle_visible, random_flat_sequence
 

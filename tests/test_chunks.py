@@ -97,7 +97,7 @@ class TestChunkOrder:
 @pytest.mark.parametrize("overrides", [
     {},
     {"n_heads": 4},
-    {"encoder_trainable": False},
+    {"n_token_buckets": 2},
     {"max_elements": 6},
     {"max_relative_distance": 3},
 ])
@@ -113,7 +113,7 @@ def test_chunks_match_one_document_at_a_time(overrides, budget, monkeypatch):
     if budget is not None:
         assert len(chunk_order([len(c.seq) for c in contexts],
                                model.config.d_model)) >= 2
-    for dropout in (DropoutStream(5, 0.2).at(1, 2), None):
+    for dropout in (DropoutStream(5).at(1, 2), None):
         predictions = []
         loss, grads = model.loss_and_grad_contexts(
             contexts, dropout=dropout, out_predictions=predictions)
@@ -134,7 +134,7 @@ def test_dropout_masks_do_not_depend_on_the_chunk():
     rows, then (but on the last layer) its edge rows; padding is 0."""
     model = FusionModel.build(tiny_model_config(n_layers=3, dropout_rate=0.3))
     contexts = [model.prepare(doc) for doc in mixed_docs()]
-    stream = DropoutStream(2, 0.3).at(4, 1)
+    stream = DropoutStream(2).at(4, 1)
     doc_indices = [5, 0, 3, 1, 4, 2]
     vis = chunk_visibility(contexts, model.config.n_heads)[0]
     n_docs, _, n_sent, n = vis.mask.shape

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from cohgraph.variants import Variant
 from conftest import make_demo_document, tiny_model_config
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture
@@ -304,19 +306,41 @@ class TestTrainEval:
         assert not report_path.exists()
 
     @pytest.mark.parametrize("variant", [None, "TextOnly"])
-    def test_eval_format1_checkpoint_takes_any_variant(self, runner,
-                                                       small_corpus, tmp_path,
-                                                       variant):
-        """A format 1 checkpoint records no variant: eval defaults to Full
-        and accepts any --variant."""
+    def test_eval_refuses_a_format1_checkpoint(self, runner, small_corpus,
+                                               tmp_path, variant):
+        """A format 1 checkpoint, which records no variant, is refused in
+        one line naming the path and the version, whatever --variant asks."""
         report_path = tmp_path / "report.json"
         flags = [] if variant is None else ["--variant", variant]
+        ckpt = FIXTURES / "v1-d8.ckpt"
         result = runner.invoke(main, [
-            "eval", str(Path(__file__).parent / "fixtures" / "v1-d8.ckpt"),
-            str(small_corpus), "--report", str(report_path), *flags])
-        assert result.exit_code == 0, result.output
-        assert (json.loads(report_path.read_text())["variant"]
-                == (variant or "Full"))
+            "eval", str(ckpt), str(small_corpus), "--report",
+            str(report_path), *flags])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [
+            f"error: {ckpt}: unsupported checkpoint version 1"]
+        assert not report_path.exists()
+
+    @pytest.mark.parametrize("variant, expect", [
+        ("FullWithExplanation", "variant FullWithExplanation is prompt-only"),
+        (None, "None is not a valid Variant"),
+    ], ids=["prompt-only", "null"])
+    def test_eval_refuses_a_variant_no_fusion_model_has(
+            self, runner, small_corpus, tmp_path, variant, expect):
+        """A format 3 header recording a variant other than a fusion one
+        is refused in one line naming the path and the value."""
+        ckpt = tmp_path / "c.ckpt"
+        FusionModel.build(tiny_model_config(d_model=8, n_heads=2)).save(ckpt)
+        _edit_header(ckpt, lambda h: h.update(variant=variant))
+        report = tmp_path / "r.json"
+        result = runner.invoke(main, ["eval", str(ckpt), str(small_corpus),
+                                      "--report", str(report)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        [line] = result.output.splitlines()
+        assert line.startswith(f"error: {ckpt}: ") and expect in line
+        assert not report.exists()
 
     def test_eval_config_mismatch_fails(self, runner, small_corpus, tmp_path):
         ckpt = tmp_path / "c.ckpt"
@@ -348,7 +372,8 @@ class TestTrainEval:
         assert not report.exists()
 
     @pytest.mark.parametrize("field, value", [("share_uv", True),
-                                              ("pooling", "first_sentence")])
+                                              ("pooling", "first_sentence"),
+                                              ("encoder_trainable", False)])
     def test_eval_of_a_retired_field_at_another_value_exits_1(
             self, runner, small_corpus, tmp_path, field, value):
         """A checkpoint header recording a retired config field at a value
@@ -406,6 +431,20 @@ class TestTrainEval:
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
         assert "error: document 'synth-" in result.output
+
+    def test_a_bare_memory_error_prints_a_line(self, runner, small_corpus,
+                                               tmp_path, monkeypatch):
+        ckpt = tmp_path / "p.ckpt"
+        FusionModel.build(tiny_model_config(d_model=8, n_heads=2)).save(ckpt)
+
+        def predict(self, docs, variant):
+            raise MemoryError
+
+        monkeypatch.setattr(FusionModel, "predict", predict)
+        result = runner.invoke(main, ["eval", str(ckpt), str(small_corpus),
+                                      "--report", str(tmp_path / "r.json")])
+        assert result.exit_code == 1
+        assert result.output.splitlines() == ["error: MemoryError"]
 
     def test_config_file_values_survive_absent_flags(self, runner,
                                                      small_corpus, tmp_path):
@@ -658,7 +697,7 @@ class TestFrontDoor:
          ["train_model"]),
         ("train", ["{corpus}", "{tmp}/t.ckpt", "--metrics-log",
                    "{blocker}/m.jsonl", *TRAIN_FLAGS], ["train_model"]),
-        ("eval", [str(Path(__file__).parent / "fixtures" / "v1-d8.ckpt"),
+        ("eval", [str(FIXTURES / "v3-d8.ckpt"),
                   "{corpus}", "--report", "{blocker}/r.json"], []),
         ("cv", ["{corpus}", "--k", "3", "--report", "{blocker}/r.json",
                 *TRAIN_FLAGS], ["run_cv"]),
@@ -748,3 +787,67 @@ class TestFrontDoor:
         result = runner.invoke(main, [])
         assert result.exit_code == 0, result.output
         assert "Usage:" in result.output and "build-graph" in result.output
+
+
+def _run_capped(args: list[str], cap: int = 2 << 30):
+    """(process, seconds) of `cohgraph args` in a child process whose
+    address space is capped at cap bytes, so a size check that regresses
+    into allocating fails its test instead of exhausting the machine."""
+    pytest.importorskip("resource")
+    script = ("import resource, sys\n"
+              "cap = int(sys.argv[1])\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+              "from cohgraph.cli import main\n"
+              "main(sys.argv[2:], prog_name='cohgraph')\n")
+    src = str(Path(cohgraph.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", script, str(cap), *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    return proc, time.perf_counter() - started
+
+
+class TestSizesBeyondMemory:
+    """A model size this machine cannot hold ends in one error line naming
+    the size fields and the projected GiB, before anything of that size is
+    allocated, within seconds and under a 2 GiB address-space cap."""
+
+    def assert_refused(self, proc, seconds, *expect):
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stdout + proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: ") and "model too large" in line
+        assert "GiB" in line
+        for text in expect:
+            assert text in line
+        assert seconds < 20
+
+    def test_eval_of_a_header_with_2_to_the_70_layers(self, small_corpus,
+                                                      tmp_path):
+        ckpt = tmp_path / "huge.ckpt"
+        FusionModel.build(tiny_model_config(d_model=8, n_heads=2)).save(ckpt)
+        _edit_header(ckpt, lambda h: h["config"].update(n_layers=2 ** 70))
+        proc, seconds = _run_capped(["eval", str(ckpt), str(small_corpus),
+                                     "--report", str(tmp_path / "r.json")])
+        self.assert_refused(proc, seconds, str(ckpt),
+                            f"n_layers={2 ** 70}")
+
+    def test_train_with_ten_million_layers(self, small_corpus, tmp_path):
+        proc, seconds = _run_capped([
+            "train", str(small_corpus), str(tmp_path / "t.ckpt"),
+            "--n-layers", "10000000"])
+        self.assert_refused(proc, seconds, "n_layers=10000000")
+        assert not (tmp_path / "t.ckpt").exists()
+
+    def test_train_with_a_position_table_beyond_memory(self, small_corpus,
+                                                       tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"model": {
+            "d_model": 8, "n_heads": 2, "max_relative_distance": 100000000}}))
+        proc, seconds = _run_capped([
+            "train", str(small_corpus), str(tmp_path / "t.ckpt"),
+            "--config", str(config)])
+        self.assert_refused(proc, seconds, "max_relative_distance=100000000")

@@ -28,12 +28,6 @@ def test_an_int_field_refuses_other_types(field, value):
         ModelConfig(**{field: value})
 
 
-@pytest.mark.parametrize("field", ["encoder_trainable"])
-def test_a_bool_field_refuses_an_int(field):
-    with pytest.raises(ValueError, match=field):
-        ModelConfig(**{field: 1})
-
-
 @pytest.mark.parametrize("config, field", [
     (ModelConfig, "dropout_rate"), (TrainConfig, "lr"),
     (TrainConfig, "weight_decay"), (TrainConfig, "eps")])
@@ -88,7 +82,7 @@ def test_train_ranges(kwargs, match):
 
 
 def test_model_config_has_no_retired_field():
-    assert len(ModelConfig.__dataclass_fields__) == 12
+    assert len(ModelConfig.__dataclass_fields__) == 11
     assert not RETIRED_FIELDS.keys() & ModelConfig().to_dict().keys()
     for name in RETIRED_FIELDS:
         with pytest.raises(TypeError, match=name):

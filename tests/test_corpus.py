@@ -4,6 +4,8 @@ import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohgraph.corpus import (CorpusFormatError, document_from_record,
                              document_to_record, dumps_canonical, read_corpus,
@@ -13,7 +15,7 @@ from cohgraph.labels import CoherenceLabel
 from cohgraph.relations import load_registry
 from cohgraph.synth import PROFILES, synth_generate
 
-from conftest import make_demo_document
+from conftest import JSON_VALUES, json_paths, make_demo_document, replaced_at
 
 
 def test_roundtrip_is_byte_identical(tmp_path):
@@ -200,3 +202,38 @@ def test_parsed_senses_are_the_registry_instances():
     for rel in doc.annotations.relations:
         assert rel.sense is registry.lookup(rel.sense.name, rel.sense.kind)
         assert any(rel.sense is s for s in registry.all_senses())
+
+
+_FUZZ_RECORDS = [document_to_record(doc) for doc in synth_generate(3, seed=4)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_a_mutated_line_ends_in_documents_or_an_error_naming_it(
+        tmp_path_factory, data):
+    """One line of a three-document corpus, with a node of its JSON
+    replaced by any JSON value, one character replaced or the line cut
+    short, reads to its documents or raises CorpusFormatError naming that
+    line (or, for an id a later line repeats, naming it as the first).
+    Characters stay text: a byte that is not UTF-8 is not a line's error."""
+    lines = [dumps_canonical(record) for record in _FUZZ_RECORDS]
+    k = data.draw(st.integers(0, len(lines) - 1), label="line")
+    kind = data.draw(st.sampled_from(["value", "character", "cut"]))
+    if kind == "value":
+        path = data.draw(st.sampled_from(list(json_paths(_FUZZ_RECORDS[k]))))
+        lines[k] = json.dumps(replaced_at(_FUZZ_RECORDS[k], path,
+                                          data.draw(JSON_VALUES)))
+    else:
+        i = data.draw(st.integers(0, len(lines[k]) - 1), label="position")
+        lines[k] = (lines[k][:i] + data.draw(st.characters().filter(
+            lambda c: c not in "\r\n")) + lines[k][i + 1:]
+                    if kind == "character" else lines[k][:i])
+    path = tmp_path_factory.mktemp("fuzz") / "corpus.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        docs = read_corpus(path)
+    except CorpusFormatError as err:
+        assert (err.line_number == k + 1
+                or f"already the id of line {k + 1}" in str(err)), str(err)
+    else:  # a line cut to nothing is a blank line, which the reader skips
+        assert len(docs) == (3 if lines[k].strip() else 2)

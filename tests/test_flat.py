@@ -2,12 +2,11 @@
 
 import numpy as np
 
-from cohgraph.flat import (ElementKind, FlatSequence, apply_variant,
-                           format_sequence, linearize)
+from cohgraph.flat import ElementKind, FlatSequence, apply_variant, linearize
 from cohgraph.graph import build_graph
 from cohgraph.variants import Variant
 
-from conftest import make_demo_document
+from conftest import format_sequence, make_demo_document
 from test_graph import random_document
 
 

@@ -55,7 +55,7 @@ def test_matches_the_all_rows_forward(n_layers, train):
     model = FusionModel.build(tiny_model_config(
         n_layers=n_layers, dropout_rate=0.2))
     contexts = mixed_chunk(model)
-    dropout = DropoutStream(5, 0.2).at(1, 2) if train else None
+    dropout = DropoutStream(5).at(1, 2) if train else None
     doc_indices = [4, 0, 7]
     logits, pooled, cache = model.forward_context(
         contexts, train_mode=train, dropout=dropout, doc_index=doc_indices)
@@ -99,7 +99,7 @@ def test_last_layer_dropout_masks_are_the_sentence_rows_of_all_rows_masks(
     model = FusionModel.build(tiny_model_config(n_layers=n_layers,
                                                 dropout_rate=0.3))
     contexts = mixed_chunk(model)
-    stream = DropoutStream(11, 0.3).at(2, 5)
+    stream = DropoutStream(11).at(2, 5)
     doc_indices = [3, 1, 8]
     vis = chunk_visibility(contexts, model.config.n_heads)[0]
     n_docs, _, n_sent, n = vis.mask.shape
@@ -117,10 +117,11 @@ def test_last_layer_dropout_masks_are_the_sentence_rows_of_all_rows_masks(
             last, want.reshape(n_docs, n, d)[:, :n_sent])
         for b, (doc_index, ctx) in enumerate(zip(doc_indices, contexts)):
             s = len(ctx.sentences)
-            block = dropout_blocks(stream, doc_index, ctx, n_layers,
-                                   d)[-1][sublayer]
+            block = dropout_blocks(stream, doc_index, ctx,
+                                   model.config)[-1][sublayer]
             assert block.shape == (s, d)
-            np.testing.assert_array_equal(last[b, :s], block * stream.scale)
+            np.testing.assert_array_equal(
+                last[b, :s], block * (1.0 / (1.0 - model.config.dropout_rate)))
             assert not last[b, s:].any()
 
 

@@ -206,7 +206,7 @@ def test_memoized_contexts_give_bit_identical_results(overrides):
         memo = [model.prepare(doc, variant) for doc in docs]
         fresh = [model.prepare_sequence(doc, model.sequence_for(doc, variant))
                  for doc in docs]
-        stream = DropoutStream(3, 0.2).at(1, 1)
+        stream = DropoutStream(3).at(1, 1)
         got = model.loss_and_grad_contexts(memo, dropout=stream)
         want = model.loss_and_grad_contexts(fresh, dropout=stream)
         assert got[0] == want[0]

@@ -8,11 +8,10 @@ import pytest
 from cohgraph.flat import ElementKind, linearize
 from cohgraph.graph import build_graph
 from cohgraph.prompts import (PromptBudgetError, PromptStructureError, Triple,
-                              extract_triples, filter_triples, prompt_for,
-                              render_prompt)
+                              extract_triples, filter_triples, render_prompt)
 from cohgraph.variants import Variant
 
-from conftest import make_demo_document
+from conftest import make_demo_document, prompt_for
 from test_graph import random_document
 
 GOLDEN_DIR = Path(__file__).parent / "golden"

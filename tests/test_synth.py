@@ -174,3 +174,33 @@ def test_profiles_registry():
         synth_generate(0, seed=0)
     with pytest.raises(ValueError):
         SynthProfile(name="bad", shared_token_prob=1.5)
+
+
+@pytest.mark.parametrize("fields, expect", [
+    ({"n_sentences": (401, 401)}, "entity_pool_size"),
+    ({"n_sentences": (8, 5)}, "n_sentences"),
+    ({"tokens_per_sentence": (9, 6)}, "tokens_per_sentence"),
+    ({"entity_pool_size": 0}, "entity_pool_size"),
+    ({"n_sentences": (0, 0)}, "n_sentences"),
+    ({"shared_vocab_size": 0}, "shared_vocab_size"),
+    ({"label_vocab_size": 0}, "label_vocab_size"),
+    ({"domain_tags": ()}, "domain_tags"),
+], ids=["more-sentences-than-entities", "sentences-reversed",
+        "tokens-reversed", "no-entities", "no-sentences", "no-shared-words",
+        "no-label-words", "no-domains"])
+def test_a_profile_it_cannot_generate_is_refused_naming_the_field(fields,
+                                                                 expect):
+    with pytest.raises(ValueError, match=expect):
+        SynthProfile(name="bad", **fields)
+
+
+def test_the_widest_profiles_it_accepts_generate():
+    """The edges of each range the profile checks generate documents."""
+    for profile in (SynthProfile(name="edge", n_sentences=(400, 400)),
+                    SynthProfile(name="edge", n_sentences=(1, 1),
+                                 tokens_per_sentence=(0, 0),
+                                 entity_pool_size=1, shared_vocab_size=1,
+                                 label_vocab_size=1, domain_tags=("d",))):
+        docs = synth_generate(3, seed=1, profile=profile)
+        assert [len(doc.sentences) for doc in docs] == [
+            profile.n_sentences[0]] * 3

@@ -76,7 +76,7 @@ def test_neighbouring_epochs_share_no_shifted_run(epoch):
     assert not _shares_a_shifted_run(_epoch_order(40, seed, epoch),
                                      _epoch_order(40, seed, epoch + 1))
 
-    stream = DropoutStream(seed, 0.1)
+    stream = DropoutStream(seed)
     x = stream.at(epoch, 2).words(3, 40)
     for y in (stream.at(epoch + 1, 2).words(3, 40),
               stream.at(epoch, 3).words(3, 40),
