@@ -19,9 +19,12 @@ back out and re-parsing it is byte-stable.
 A missing or null `annotations` is empty. Any other malformed field, such as
 a non-object `annotations` or a non-array `tokens`, `nouns`, `coref_links`
 or `relations`, raises CorpusFormatError naming the field and the line.
-Parsed documents share immutable objects: every relation sense is the
-registry's own instance, and equal token spans of one document are one
-TokenSpan.
+Parsed documents share immutable objects. Every relation sense is the
+registry's own instance. Strings and spans are shared by the read: it keeps
+one table of the values parsed so far, so equal tokens, noun surfaces and
+domain tags anywhere in the corpus are one str, and equal token spans are
+one TokenSpan. Sentence texts and document ids, which rarely repeat, are not
+shared. The table is a dict that lives only as long as the read.
 """
 
 from __future__ import annotations
@@ -78,29 +81,40 @@ def _direction(value) -> CauseDirection:
         return CauseDirection(value)
 
 
-def document_from_record(record: dict, line_number: int = 0) -> Document:
+class _Shared(dict):
+    """The values one read has parsed, each held once: a str maps to
+    itself and a (start, end) pair of int to its TokenSpan. A lookup adds
+    a missing key, and a hit never leaves C."""
+
+    def __missing__(self, key):
+        value = self[key] = TokenSpan(*key) if type(key) is tuple else key
+        return value
+
+
+def document_from_record(record: dict, line_number: int = 0,
+                         shared: _Shared | None = None) -> Document:
     """Build and validate a Document from one decoded JSON record, in one
-    pass that shares senses and spans as the module docstring says."""
+    pass that shares senses, strings and spans as the module docstring says.
+    shared is the read's table; without one, values are shared within this
+    document."""
     registry = load_registry()
-    spans: dict[tuple[int, int], TokenSpan] = {}
+    # every str key has passed through str, so 1 and true read as "1" and
+    # "True" and never meet as keys
+    one = (_Shared() if shared is None else shared).__getitem__
 
     def span(raw) -> TokenSpan:
-        key = (int(raw[0]), int(raw[1]))
-        shared = spans.get(key)
-        if shared is None:
-            shared = spans[key] = TokenSpan(*key)
-        return shared
+        return one((int(raw[0]), int(raw[1])))
 
     try:
         sentences = tuple(
             Sentence(k + 1, str(s["text"]),
-                     tuple(map(str, _checked(s["tokens"], list,
-                                             "'tokens' of sentence", k + 1))))
+                     tuple(map(one, map(str, _checked(
+                         s["tokens"], list, "'tokens' of sentence", k + 1)))))
             for k, s in enumerate(record["sentences"]))
         ann = record.get("annotations")
         ann = {} if ann is None else _checked(ann, dict, "'annotations'")
         nouns = tuple(
-            NounAnnotation(int(i), span(raw), str(surface))
+            NounAnnotation(int(i), span(raw), one(str(surface)))
             for i, raw, surface in _checked(ann.get("nouns", []), list,
                                             "'annotations.nouns'"))
         corefs = tuple(
@@ -119,7 +133,7 @@ def document_from_record(record: dict, line_number: int = 0) -> Document:
             id=str(record["id"]),
             sentences=sentences,
             label=_parse_label(record.get("label")),
-            domain_tag=str(record.get("domain_tag", "")),
+            domain_tag=one(str(record.get("domain_tag", ""))),
             annotations=AnnotationSet(nouns, corefs, tuple(relations)),
         )
         return doc.validate()
@@ -170,10 +184,21 @@ def dumps_canonical(record: dict) -> str:
 
 def iter_corpus(path: str | Path) -> Iterator[Document]:
     """Yield validated documents; raises CorpusFormatError with line numbers,
-    also for an id that an earlier line holds."""
+    also for an id that an earlier line holds or a byte that is not UTF-8."""
     id_lines: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    shared = _Shared()
+    # surrogateescape turns a byte that is not UTF-8 into a lone surrogate,
+    # which cannot encode, so the line that holds it is the one refused
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_number, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    byte = ord(line[exc.start]) - 0xDC00
+                    raise CorpusFormatError(
+                        line_number, f"byte {byte:#04x} at char {exc.start} "
+                        f"is not UTF-8") from exc
             line = line.strip()
             if not line:
                 continue
@@ -183,7 +208,7 @@ def iter_corpus(path: str | Path) -> Iterator[Document]:
                 raise CorpusFormatError(line_number, f"invalid JSON: {exc}") from exc
             if not isinstance(record, dict):
                 raise CorpusFormatError(line_number, "record is not a JSON object")
-            doc = document_from_record(record, line_number)
+            doc = document_from_record(record, line_number, shared)
             first = id_lines.setdefault(doc.id, line_number)
             if first != line_number:
                 raise CorpusFormatError(line_number, f"document id {doc.id!r} "

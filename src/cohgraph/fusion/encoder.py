@@ -78,7 +78,7 @@ class HashBucketSentenceEncoder:
     def init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
         return {self.PARAM_NAME: rng.normal(
             0.0, self.INIT_SCALE,
-            (self.n_buckets, self.d_model)).astype(self.dtype)}
+            (self.n_buckets, self.d_model)).astype(self.dtype, copy=False)}
 
     def buckets(self, tokens: tuple[str, ...]) -> list[int]:
         return [stable_bucket(t, self.n_buckets) for t in tokens]

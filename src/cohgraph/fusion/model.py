@@ -332,39 +332,46 @@ def check_size(config: ModelConfig) -> int:
 
 def _init_params(config: ModelConfig,
                  encoder: SentenceEncoder) -> dict[str, np.ndarray]:
-    """Initial parameters, drawn in float64 and cast once to config.dtype."""
+    """Initial parameters, each drawn in float64 and cast to config.dtype as
+    it is drawn, so no more than one float64 draw is held at a time."""
     rng = np.random.default_rng(np.random.PCG64(config.seed))
+    dtype = np.dtype(config.dtype)
     d, d_h, ffn = config.d_model, config.d_head, config.ffn_dim
+
+    def normal(scale, shape) -> np.ndarray:
+        return rng.normal(0.0, scale, shape).astype(dtype, copy=False)
+
     params: dict[str, np.ndarray] = {}
     params.update(encoder.init_params(rng))
-    params["embed/entity"] = rng.normal(0.0, 0.5, (config.n_entity_buckets, d))
-    params["embed/relation"] = rng.normal(0.0, 0.5, (N_RELATION_ROWS, d))
-    params["pos/W_p"] = rng.normal(0.0, 1.0 / np.sqrt(4 * d), (4 * d, d))
+    params["embed/entity"] = normal(0.5, (config.n_entity_buckets, d))
+    params["embed/relation"] = normal(0.5, (N_RELATION_ROWS, d))
+    params["pos/W_p"] = normal(1.0 / np.sqrt(4 * d), (4 * d, d))
     shapes = expected_param_shapes(config)
     for l in range(config.n_layers):
         for field in _HEAD_FIELDS:
-            params[f"layer{l}/{field}"] = np.empty(shapes[f"layer{l}/{field}"])
-        # head by head, each head's block into its columns (u, v: its row)
+            params[f"layer{l}/{field}"] = np.empty(shapes[f"layer{l}/{field}"],
+                                                   dtype=dtype)
+        # head by head, each head's block into its columns (u, v: its row);
+        # assigning a float64 draw rounds it as astype does
         for h in range(config.n_heads):
             for w in ("W_q", "W_k", "W_r", "W_v"):
                 params[f"layer{l}/{w}"][:, h * d_h:(h + 1) * d_h] = rng.normal(
                     0.0, 1.0 / np.sqrt(d), (d, d_h))
             params[f"layer{l}/u"][h] = rng.normal(0.0, 0.1, (d_h,))
             params[f"layer{l}/v"][h] = rng.normal(0.0, 0.1, (d_h,))
-        params[f"layer{l}/W_o"] = rng.normal(0.0, 1.0 / np.sqrt(d), (d, d))
-        params[f"layer{l}/b_o"] = np.zeros(d)
-        params[f"layer{l}/ln1/gamma"] = np.ones(d)
-        params[f"layer{l}/ln1/beta"] = np.zeros(d)
-        params[f"layer{l}/ffn/W1"] = rng.normal(0.0, 1.0 / np.sqrt(d), (d, ffn))
-        params[f"layer{l}/ffn/b1"] = np.zeros(ffn)
-        params[f"layer{l}/ffn/W2"] = rng.normal(0.0, 1.0 / np.sqrt(ffn), (ffn, d))
-        params[f"layer{l}/ffn/b2"] = np.zeros(d)
-        params[f"layer{l}/ln2/gamma"] = np.ones(d)
-        params[f"layer{l}/ln2/beta"] = np.zeros(d)
-    params["clf/W"] = rng.normal(0.0, 1.0 / np.sqrt(d), (d, N_CLASSES))
-    params["clf/b"] = np.zeros(N_CLASSES)
-    return {name: np.ascontiguousarray(arr, dtype=config.dtype)
-            for name, arr in params.items()}
+        params[f"layer{l}/W_o"] = normal(1.0 / np.sqrt(d), (d, d))
+        params[f"layer{l}/b_o"] = np.zeros(d, dtype)
+        params[f"layer{l}/ln1/gamma"] = np.ones(d, dtype)
+        params[f"layer{l}/ln1/beta"] = np.zeros(d, dtype)
+        params[f"layer{l}/ffn/W1"] = normal(1.0 / np.sqrt(d), (d, ffn))
+        params[f"layer{l}/ffn/b1"] = np.zeros(ffn, dtype)
+        params[f"layer{l}/ffn/W2"] = normal(1.0 / np.sqrt(ffn), (ffn, d))
+        params[f"layer{l}/ffn/b2"] = np.zeros(d, dtype)
+        params[f"layer{l}/ln2/gamma"] = np.ones(d, dtype)
+        params[f"layer{l}/ln2/beta"] = np.zeros(d, dtype)
+    params["clf/W"] = normal(1.0 / np.sqrt(d), (d, N_CLASSES))
+    params["clf/b"] = np.zeros(N_CLASSES, dtype)
+    return params
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -204,6 +205,67 @@ def test_parsed_senses_are_the_registry_instances():
         assert any(rel.sense is s for s in registry.all_senses())
 
 
+def test_a_read_holds_each_distinct_token_surface_tag_and_span_once(
+        tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(synth_generate(40, seed=6), path)
+    docs = read_corpus(path)
+    strings: dict[str, str] = {}
+    spans: dict = {}
+    occurrences = 0
+    for doc in docs:
+        values = [doc.domain_tag]
+        for sent in doc.sentences:
+            values.extend(sent.tokens)
+        for noun in doc.annotations.nouns:
+            values.append(noun.surface)
+            assert spans.setdefault(noun.span, noun.span) is noun.span
+        for a, b in doc.annotations.coref_links:
+            assert spans.setdefault(a.span, a.span) is a.span
+            assert spans.setdefault(b.span, b.span) is b.span
+        for value in values:
+            assert strings.setdefault(value, value) is value
+        occurrences += len(values)
+    # values repeat across documents, so the checks above bite
+    assert 4 * len(strings) < occurrences
+    assert len({id(d.annotations.nouns[0].span) for d in docs}) < len(docs)
+
+
+def test_a_read_keeps_at_most_two_bytes_per_corpus_byte(tmp_path):
+    """Sharing strings and spans halves what a parsed corpus holds: 3.1
+    bytes per corpus byte with a str per token occurrence, 1.5 shared."""
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(synth_generate(300, seed=1, profile="balanced"), path)
+    tracemalloc.start()
+    try:
+        docs = read_corpus(path)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(docs) == 300
+    assert kept <= 2 * path.stat().st_size
+
+
+def test_a_record_alone_parses_as_in_a_read_and_shares_within_itself(
+        tmp_path):
+    generated = synth_generate(12, seed=3)
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(generated, path)
+    alone = [document_from_record(document_to_record(doc))
+             for doc in generated]
+    assert alone == read_corpus(path) == generated
+    tokens = {}
+    for sent in alone[0].sentences:
+        for token in sent.tokens:
+            assert tokens.setdefault(token, token) is token
+    # values pass through str first: 1 and true read as their text and do
+    # not meet as keys of the table
+    record = document_to_record(make_demo_document())
+    record["sentences"][0]["tokens"][:3] = [1, True, "1"]
+    tokens = document_from_record(record).sentences[0].tokens
+    assert tokens[:3] == ("1", "True", "1") and tokens[0] is tokens[2]
+
+
 _FUZZ_RECORDS = [document_to_record(doc) for doc in synth_generate(3, seed=4)]
 
 
@@ -213,27 +275,35 @@ def test_a_mutated_line_ends_in_documents_or_an_error_naming_it(
         tmp_path_factory, data):
     """One line of a three-document corpus, with a node of its JSON
     replaced by any JSON value, one character replaced or the line cut
-    short, reads to its documents or raises CorpusFormatError naming that
-    line (or, for an id a later line repeats, naming it as the first).
-    Characters stay text: a byte that is not UTF-8 is not a line's error."""
+    short, or one of its bytes replaced by a byte that is never UTF-8,
+    reads to its documents or raises CorpusFormatError naming that line
+    (or, for an id a later line repeats, naming it as the first)."""
     lines = [dumps_canonical(record) for record in _FUZZ_RECORDS]
     k = data.draw(st.integers(0, len(lines) - 1), label="line")
-    kind = data.draw(st.sampled_from(["value", "character", "cut"]))
+    kind = data.draw(st.sampled_from(["value", "character", "cut", "byte"]))
     if kind == "value":
         path = data.draw(st.sampled_from(list(json_paths(_FUZZ_RECORDS[k]))))
         lines[k] = json.dumps(replaced_at(_FUZZ_RECORDS[k], path,
                                           data.draw(JSON_VALUES)))
     else:
         i = data.draw(st.integers(0, len(lines[k]) - 1), label="position")
-        lines[k] = (lines[k][:i] + data.draw(st.characters().filter(
-            lambda c: c not in "\r\n")) + lines[k][i + 1:]
-                    if kind == "character" else lines[k][:i])
+        if kind == "character":
+            lines[k] = lines[k][:i] + data.draw(st.characters().filter(
+                lambda c: c not in "\r\n")) + lines[k][i + 1:]
+        elif kind == "byte":  # the lines are ASCII: one character, one byte
+            bad = data.draw(st.sampled_from([0xC0, 0xC1, *range(0xF5, 0x100)]))
+            lines[k] = lines[k][:i] + chr(0xDC00 + bad) + lines[k][i + 1:]
+        else:
+            lines[k] = lines[k][:i]
     path = tmp_path_factory.mktemp("fuzz") / "corpus.jsonl"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # surrogateescape writes the escaped byte back as itself
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8",
+                                                      "surrogateescape"))
     try:
         docs = read_corpus(path)
     except CorpusFormatError as err:
         assert (err.line_number == k + 1
                 or f"already the id of line {k + 1}" in str(err)), str(err)
     else:  # a line cut to nothing is a blank line, which the reader skips
+        assert kind != "byte"
         assert len(docs) == (3 if lines[k].strip() else 2)
