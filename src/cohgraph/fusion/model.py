@@ -66,19 +66,20 @@ document no fit has seen is prepared with its chunk.
 
 Documents run through the layers in chunks: chunk_order walks a batch in
 stable ascending length order and closes a chunk before B documents padded
-to the longest one would exceed its row budget (see PAD_ROW_BUDGET). A
-chunk pads each document's sentences, edges and distance tuples (a block
-per document, as its context lays them out) to its most sentences S, edges
-E and tuples U, and is one call per projection, block, softmax, FFN and
-LayerNorm of each layer, with documents and heads as batch axes. A
-document's rows score only its own block, so a chunk's position products,
-(B, H, S, U) and (B, H, E, M) with M the most edge tuples of a document,
-grow linearly in B. A padded slot sees only itself, no real row sees a
-padded one and no pair maps to a padded tuple, so padding never changes a
-real row and gets exactly zero gradient. forward_context runs one context
-as a chunk of one. In training, a chunk builds every layer's dropout masks
-at once from one draw per document, keyed by its position in the batch and
-laid out as DropoutStream says, so no mask depends on the chunk.
+to its most sentences plus most edges would exceed its row budget (see
+PAD_ROW_BUDGET). A chunk pads each document's sentences, edges and
+distance tuples (a block per document, as its context lays them out) to
+its most sentences S, edges E and tuples U, and is one call per
+projection, block, softmax, FFN and LayerNorm of each layer, with
+documents and heads as batch axes. A document's rows score only its own
+block, so a chunk's position products, (B, H, S, U) and (B, H, E, M) with
+M the most edge tuples of a document, grow linearly in B. A padded slot
+sees only itself, no real row sees a padded one and no pair maps to a
+padded tuple, so padding never changes a real row and gets exactly zero
+gradient. forward_context runs one context as a chunk of one. In
+training, a chunk builds every layer's dropout masks at once from one draw
+per document, keyed by its position in the batch and laid out as
+DropoutStream says, so no mask depends on the chunk.
 
 Activations are bounded per chunk, not per batch: one chunk's cache is
 alive at a time, and it holds about B * (S + E) rows of activations per
@@ -131,7 +132,7 @@ LN_EPS = 1e-5
 N_RELATION_ROWS = 30  # 15 explicit + 15 implicit senses, canonical order
 N_CLASSES = len(CoherenceLabel)
 
-# Padded rows (documents in a chunk x its longest document) one chunk may
+# Padded rows (documents in a chunk x its most S plus most E) one chunk may
 # hold: PAD_VALUE_BUDGET / d_model, at most PAD_ROW_BUDGET; 96 at the
 # default d_model 256, 192 at 128 and the cap at 64 and below. Layer caches grow with rows x d_model, so this bounds
 # a chunk's memory; a document longer than half the rows runs alone.
@@ -645,19 +646,37 @@ def chunk_visibility(contexts: list[SequenceContext], n_heads: int,
         n_edge_tuples=n_et), pos_rows
 
 
-def chunk_order(lengths: list[int], d_model: int) -> list[list[int]]:
-    """Split batch positions into chunks: greedily, in stable ascending
-    length order, closing a chunk before its document count times its
-    longest length would exceed the row budget at d_model (see
-    PAD_ROW_BUDGET). A document longer than half of it runs alone."""
+def chunk_order(shapes: list[tuple[int, int]],
+                d_model: int) -> list[list[int]]:
+    """Split batch positions, given each document's (S, E) sentences and
+    edges, into chunks: greedily, in stable ascending length S + E order,
+    closing a chunk before its document count times its most S plus most
+    E, the rows chunk_visibility pads it to, would exceed the row budget
+    at d_model (see PAD_ROW_BUDGET). A document longer than half of it
+    runs alone."""
     budget = min(PAD_ROW_BUDGET, PAD_VALUE_BUDGET // d_model)
     chunks: list[list[int]] = []
-    for i in sorted(range(len(lengths)), key=lengths.__getitem__):
-        if chunks and (len(chunks[-1]) + 1) * lengths[i] <= budget:
+    most_s = most_e = 0
+    for i in sorted(range(len(shapes)), key=lambda i: sum(shapes[i])):
+        s, e = shapes[i]
+        if chunks and ((len(chunks[-1]) + 1)
+                       * (max(most_s, s) + max(most_e, e)) <= budget):
             chunks[-1].append(i)
+            most_s, most_e = max(most_s, s), max(most_e, e)
         else:
             chunks.append([i])
+            most_s, most_e = s, e
     return chunks
+
+
+def _context_shapes(contexts: list[SequenceContext]) -> list[tuple[int, int]]:
+    return [(len(ctx.sentences), len(ctx.edge_pos)) for ctx in contexts]
+
+
+def _sequence_shape(seq: FlatSequence) -> tuple[int, int]:
+    """(S, E) of a sequence not yet prepared, counted as prepare lays it out."""
+    n_sent = sum(el.kind is ElementKind.SENTENCE for el in seq.elements)
+    return n_sent, len(seq) - n_sent
 
 
 # ---------------------------------------------------------------------------
@@ -1173,7 +1192,7 @@ class FusionModel:
         total = 0.0
         predictions = np.empty(len(contexts), dtype=np.int64)
         train_mode = dropout is not None
-        for chunk in chunk_order([len(ctx.seq) for ctx in contexts],
+        for chunk in chunk_order(_context_shapes(contexts),
                                  self.config.d_model):
             logits, _, cache = self.forward_context(
                 [contexts[i] for i in chunk], train_mode=train_mode,
@@ -1198,7 +1217,7 @@ class FusionModel:
         """Eval-mode mean cross-entropy over prepared contexts (no gradients)."""
         labels = self._labels(contexts)
         total = 0.0
-        for chunk in chunk_order([len(ctx.seq) for ctx in contexts],
+        for chunk in chunk_order(_context_shapes(contexts),
                                  self.config.d_model):
             logits, _, _ = self.forward_context([contexts[i] for i in chunk])
             total += _cross_entropy(
@@ -1216,7 +1235,7 @@ class FusionModel:
         seqs = [self.sequence_for(doc, variant) if ctx is None else ctx.seq
                 for doc, ctx in zip(docs, kept)]
         out = [0] * len(docs)
-        for chunk in chunk_order([len(seq) for seq in seqs],
+        for chunk in chunk_order([_sequence_shape(seq) for seq in seqs],
                                  self.config.d_model):
             try:
                 logits, _, _ = self.forward_context(

@@ -7,6 +7,14 @@ Cause renders directionally when the annotation carries a direction flag
 effect) and as plain "cause" otherwise. Only i < j triples exist, ordered by
 (i, j, entity before relation, label) to follow reading order.
 
+Documents share each distinct Triple, as graphs share relation edges: a
+table of at most 4,096 triples (an lru_cache with typed keys around the
+constructor, about 1.6 MiB when full with four-digit sentence indices and
+the longest label, about 390 bytes a triple) builds a triple on a miss,
+with its checks, and returns that same triple on a hit. render_prompt
+keeps the sentence section of the last document it rendered, so a
+document's consecutive variants format its sentences once.
+
 Prompt wording is canonical to this repository; the golden files under
 tests/golden are the byte-exact contract.
 """
@@ -14,6 +22,7 @@ tests/golden are the byte-exact contract.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .documents import Document
 from .graph import CoherenceGraph, RelationEdge
@@ -60,6 +69,10 @@ class Triple:
         return self.text
 
 
+# typed keys, as for relation edges in graph.py
+_shared_triple = lru_cache(maxsize=4096, typed=True)(Triple)
+
+
 def relation_label(edge: RelationEdge) -> str:
     """Directional lowercase render of a relation edge's sense."""
     if edge.sense.name == "Cause" and edge.direction is not None:
@@ -77,11 +90,13 @@ def extract_triples(graph: CoherenceGraph) -> list[Triple]:
     rows = [(e.i, e.j, False, ENTITY_LABEL) for e in graph.entity_edges]
     rows += [(e.i, e.j, True, relation_label(e)) for e in graph.relation_edges]
     rows.sort()
-    return [Triple(i, label, j) for i, j, _, label in rows]
+    return [_shared_triple(i, label, j) for i, j, _, label in rows]
 
 
 def filter_triples(triples: list[Triple], variant: Variant) -> list[Triple]:
     entities, relations = variant.keeps_entities, variant.keeps_relations
+    if entities and relations:
+        return list(triples)
     return [t for t in triples
             if (entities if t.label == ENTITY_LABEL else relations)]
 
@@ -126,21 +141,38 @@ _QUERY = ("Question: Is the coherence of this document low, medium, or high?\n"
 _EXPLANATION_REQUEST = "Then provide a brief explanation for your judgment."
 
 
+# The last document rendered and its "Sentences:" section, so its
+# consecutive variants format the section once. One tuple, read and
+# replaced whole, so a thread never pairs one document with another's.
+_last_sentences: tuple[Document | None, str] = (None, "")
+
+
+def _sentence_section(doc: Document) -> str:
+    global _last_sentences
+    last_doc, section = _last_sentences
+    if last_doc is not doc:
+        section = "\n".join(["Sentences:"] + [f"s_{s.index}: {s.text}"
+                                              for s in doc.sentences])
+        _last_sentences = (doc, section)
+    return section
+
+
 def render_prompt(doc: Document, triples: list[Triple], variant: Variant,
                   max_chars: int = DEFAULT_MAX_CHARS) -> PromptDocument:
     """Deterministic prompt text for one document under one variant."""
     n = len(doc.sentences)
     entities, relations = variant.keeps_entities, variant.keeps_relations
+    admits_all = entities and relations
     for t in triples:
         if not 1 <= t.i < t.j <= n:
             raise PromptStructureError(
                 f"triple {t.text} references sentences outside [1, {n}]")
-        if not (entities if t.label == ENTITY_LABEL else relations):
+        if not (admits_all
+                or (entities if t.label == ENTITY_LABEL else relations)):
             raise PromptStructureError(
                 f"triple {t.text} is not allowed under variant {variant.value}")
 
-    parts = [_HEADERS[variant], "", "Sentences:"]
-    parts += [f"s_{s.index}: {s.text}" for s in doc.sentences]
+    parts = [_HEADERS[variant], "", _sentence_section(doc)]
     if variant is not Variant.TEXT_ONLY:
         parts += ["", "Connections:"]
         parts += [t.text for t in triples]
@@ -152,4 +184,3 @@ def render_prompt(doc: Document, triples: list[Triple], variant: Variant,
     if len(text) > max_chars:
         raise PromptBudgetError(doc.id, len(text), max_chars)
     return PromptDocument(variant=variant, text=text, triples_used=tuple(triples))
-

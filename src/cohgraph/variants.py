@@ -6,25 +6,29 @@ import enum
 
 
 class Variant(enum.Enum):
-    TEXT_ONLY = "TextOnly"
-    TEXT_ENTY = "TextEnty"
-    TEXT_REL = "TextRel"
-    FULL = "Full"
-    FULL_WITH_EXPLANATION = "FullWithExplanation"
+    """Each member's value is its name in files and on the command line;
+    keeps_entities and keeps_relations are constants of the member."""
+
+    # value, keeps_entities, keeps_relations
+    TEXT_ONLY = ("TextOnly", False, False)
+    TEXT_ENTY = ("TextEnty", True, False)
+    TEXT_REL = ("TextRel", False, True)
+    FULL = ("Full", True, True)
+    FULL_WITH_EXPLANATION = ("FullWithExplanation", True, True)
+
+    keeps_entities: bool
+    keeps_relations: bool
+
+    def __new__(cls, value: str, keeps_entities: bool, keeps_relations: bool):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.keeps_entities = keeps_entities
+        member.keeps_relations = keeps_relations
+        return member
 
     # Members are singletons that compare by identity, so the identity hash
     # agrees with equality; it runs in C where Enum's hashes the name.
     __hash__ = object.__hash__
-
-    @property
-    def keeps_entities(self) -> bool:
-        return self in (Variant.TEXT_ENTY, Variant.FULL,
-                        Variant.FULL_WITH_EXPLANATION)
-
-    @property
-    def keeps_relations(self) -> bool:
-        return self in (Variant.TEXT_REL, Variant.FULL,
-                        Variant.FULL_WITH_EXPLANATION)
 
 
 # Variants a fusion model can train/evaluate under (explanation is prompt-only).

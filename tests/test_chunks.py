@@ -14,7 +14,7 @@ from cohgraph.fusion.model import (DropoutStream, FusionModel, chunk_order,
                                    head_forward)
 from cohgraph.fusion.positions import position_embedding
 from cohgraph.synth import SynthProfile, synth_generate
-from cohgraph.variants import Variant
+from cohgraph.variants import FUSION_VARIANTS, Variant
 
 from conftest import make_demo_document, tiny_model_config
 
@@ -54,18 +54,41 @@ def one_at_a_time(model, contexts, dropout):
 DEFAULT_D_MODEL = ModelConfig().d_model
 
 
+def sentences_only(lengths):
+    """(S, E) shapes of documents of that many sentences and no edges."""
+    return [(n, 0) for n in lengths]
+
+
 class TestChunkOrder:
     def test_greedy_in_stable_length_order_under_the_budget(self,
                                                            monkeypatch):
         monkeypatch.setattr(fusion_model, "PAD_ROW_BUDGET", 20)
         # ascending, ties in batch order; 4 x 5 rows fill the first chunk
-        assert chunk_order([5, 3, 5, 9, 3, 4, 40], DEFAULT_D_MODEL) == [
-            [1, 4, 5, 0], [2, 3], [6]]
+        assert chunk_order(sentences_only([5, 3, 5, 9, 3, 4, 40]),
+                           DEFAULT_D_MODEL) == [[1, 4, 5, 0], [2, 3], [6]]
+
+    def test_a_chunk_closes_on_its_most_sentences_plus_most_edges(
+            self, monkeypatch):
+        """Two documents of 8 and 10 rows pad to 8 + 8 rows each when one
+        sets the most sentences and the other the most edges."""
+        monkeypatch.setattr(fusion_model, "PAD_ROW_BUDGET", 20)
+        assert chunk_order([(8, 0), (2, 8)], DEFAULT_D_MODEL) == [[0], [1]]
+        assert chunk_order([(8, 0), (8, 2)], DEFAULT_D_MODEL) == [[0, 1]]
+
+    @pytest.mark.parametrize("variant", list(FUSION_VARIANTS))
+    def test_predict_counts_the_shapes_prepare_lays_out(self, variant):
+        """predict chunks unprepared sequences by the (S, E) that their
+        contexts will have."""
+        model = FusionModel.build(tiny_model_config(max_elements=6))
+        docs = mixed_docs()
+        assert [fusion_model._sequence_shape(model.sequence_for(doc, variant))
+                for doc in docs] == fusion_model._context_shapes(
+                    [model.prepare(doc, variant) for doc in docs])
 
     def test_documents_over_half_the_budget_run_alone(self, monkeypatch):
         monkeypatch.setattr(fusion_model, "PAD_ROW_BUDGET", 20)
         lengths = [11, 4, 12, 30, 4, 10, 5]
-        chunks = chunk_order(lengths, DEFAULT_D_MODEL)
+        chunks = chunk_order(sentences_only(lengths), DEFAULT_D_MODEL)
         assert sorted(i for chunk in chunks for i in chunk) == list(range(7))
         for chunk in chunks:
             if any(lengths[i] > 10 for i in chunk):
@@ -76,13 +99,13 @@ class TestChunkOrder:
         """At the default budget every document of more than 48 elements is
         a chunk of its own, with the shapes it has alone."""
         lengths = list(range(49, 149))
-        assert chunk_order(lengths, DEFAULT_D_MODEL) == [
+        assert chunk_order(sentences_only(lengths), DEFAULT_D_MODEL) == [
             [i] for i in range(len(lengths))]
 
     def test_row_budget_follows_d_model(self, monkeypatch):
         """A chunk holds PAD_VALUE_BUDGET // d_model rows, at most
         PAD_ROW_BUDGET: 96 at d_model 256, 48 at 512, and the cap at 32."""
-        sizes = lambda d_model: [len(c) for c in chunk_order([16] * 64,
+        sizes = lambda d_model: [len(c) for c in chunk_order([(10, 6)] * 64,
                                                              d_model)]
         assert sizes(256) == [6] * 10 + [4]
         assert sizes(512) == [3] * 21 + [1]
@@ -92,6 +115,25 @@ class TestChunkOrder:
         monkeypatch.setattr(fusion_model, "PAD_ROW_BUDGET", 1024)
         assert sizes(32) == [48, 16]       # 768 rows of 32 values
         assert sizes(128) == [12] * 5 + [4]
+
+
+@pytest.mark.parametrize("d_model", [8, 32, 256])
+@settings(max_examples=200, deadline=None)
+@given(shapes=st.lists(st.tuples(st.integers(1, 60), st.integers(0, 120)),
+                       min_size=1, max_size=40))
+def test_no_chunk_pads_past_the_row_budget(d_model, shapes):
+    """Every chunk of two or more documents pads to at most the row budget
+    at d_model, and the chunks hold each batch position once, in stable
+    ascending length order."""
+    budget = min(fusion_model.PAD_ROW_BUDGET,
+                 fusion_model.PAD_VALUE_BUDGET // d_model)
+    chunks = chunk_order(shapes, d_model)
+    for chunk in chunks:
+        rows = len(chunk) * (max(shapes[i][0] for i in chunk)
+                             + max(shapes[i][1] for i in chunk))
+        assert len(chunk) == 1 or rows <= budget
+    order = [i for chunk in chunks for i in chunk]
+    assert order == sorted(range(len(shapes)), key=lambda i: sum(shapes[i]))
 
 
 @pytest.mark.parametrize("overrides", [
@@ -111,7 +153,7 @@ def test_chunks_match_one_document_at_a_time(overrides, budget, monkeypatch):
                                                 **overrides))
     contexts = [model.prepare(doc) for doc in mixed_docs()]
     if budget is not None:
-        assert len(chunk_order([len(c.seq) for c in contexts],
+        assert len(chunk_order(fusion_model._context_shapes(contexts),
                                model.config.d_model)) >= 2
     for dropout in (DropoutStream(5).at(1, 2), None):
         predictions = []
@@ -325,7 +367,8 @@ def test_gradients_match_finite_differences_across_chunks(monkeypatch):
                                n_token_buckets=8, n_entity_buckets=4)
     model = FusionModel.build(config)
     contexts = [model.prepare(doc) for doc in mixed_docs(4, seed=11)]
-    chunks = chunk_order([len(c.seq) for c in contexts], config.d_model)
+    chunks = chunk_order(fusion_model._context_shapes(contexts),
+                         config.d_model)
     assert len(chunks) >= 2 and max(len(chunk) for chunk in chunks) >= 2
     _, grads = model.loss_and_grad_contexts(contexts)
     eps = 1e-5

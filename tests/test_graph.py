@@ -1,15 +1,18 @@
 """Graph construction against brute-force oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cohgraph.documents import (AnnotationSet, Document, Mention,
                                 NounAnnotation, RelationAnnotation, Sentence,
                                 TokenSpan)
+from cohgraph import graph as graph_module
 from cohgraph.graph import (EdgeSource, EntityEdge, GraphStructureError,
-                            build_graph, extract_entity_edges,
+                            RelationEdge, build_graph, extract_entity_edges,
                             extract_relation_edges, graph_to_record)
-from cohgraph.relations import RelationKind, load_registry
+from cohgraph.relations import CauseDirection, RelationKind, load_registry
 
 from conftest import make_demo_document
 
@@ -212,3 +215,42 @@ def test_entity_edge_invariants():
         EntityEdge(2, 2, "x", EdgeSource.SHARED_NOUN)
     with pytest.raises(GraphStructureError):
         EntityEdge(1, 2, "", EdgeSource.SHARED_NOUN)
+
+
+class TestSharedRelationEdges:
+    def test_graphs_share_an_edge_that_is_a_fresh_one(self):
+        """Two reads of one document hold the same edge objects, and each
+        equals, hashes and reprs as an edge built now, and stays frozen."""
+        first = build_graph(make_demo_document()).sorted_relation_edges()
+        second = build_graph(make_demo_document()).sorted_relation_edges()
+        assert all(a is b for a, b in zip(first, second))
+        for edge in first:
+            fresh = RelationEdge(edge.i, edge.sense, edge.direction)
+            assert fresh is not edge
+            assert (edge == fresh and hash(edge) == hash(fresh)
+                    and repr(edge) == repr(fresh))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                edge.i = 2
+
+    def test_a_shared_edge_keeps_its_argument_types(self):
+        """1 and True are equal keys; the table keeps them apart, so each
+        edge holds exactly what its constructor was given."""
+        cause = load_registry().lookup("Cause", RelationKind.IMPLICIT)
+        one = graph_module._shared_relation_edge(1, cause, None)
+        true = graph_module._shared_relation_edge(True, cause, None)
+        assert type(one.i) is int and type(true.i) is bool
+        assert repr(true) == repr(RelationEdge(True, cause, None))
+
+    def test_the_table_stays_within_its_bound(self):
+        table = graph_module._shared_relation_edge
+        bound = table.cache_info().maxsize
+        assert bound == 4096
+        cause = load_registry().lookup("Cause", RelationKind.EXPLICIT)
+        for i in range(1, bound + 200):
+            for direction in (None, CauseDirection.REASON):
+                table(i, cause, direction)
+        assert table.cache_info().currsize == bound
+        # a recent edge is still shared, an evicted one is built again
+        assert table(bound + 199, cause, None) is table(bound + 199, cause,
+                                                        None)
+        assert table(1, cause, None) == RelationEdge(1, cause, None)

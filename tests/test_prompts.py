@@ -1,10 +1,14 @@
 """Triple extraction and prompt rendering, including the golden contract."""
 
+import dataclasses
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cohgraph import prompts
 from cohgraph.flat import ElementKind, linearize
 from cohgraph.graph import build_graph
 from cohgraph.prompts import (PromptBudgetError, PromptStructureError, Triple,
@@ -144,3 +148,155 @@ class TestRenderPrompt:
             prompt_for(doc, graph, Variant.FULL, max_chars=100)
         assert err.value.doc_id == doc.id
         assert err.value.budget == 100
+
+
+class TestSharedTriples:
+    def test_documents_share_a_triple_that_is_a_fresh_one(self):
+        """Two reads of one document hold the same triple objects, and each
+        equals, hashes and reprs as a triple built now, renders the same
+        text and stays frozen."""
+        first = extract_triples(build_graph(make_demo_document()))
+        second = extract_triples(build_graph(make_demo_document()))
+        assert all(a is b for a, b in zip(first, second))
+        for t in first:
+            fresh = Triple(t.i, t.label, t.j)
+            assert fresh is not t
+            assert (t == fresh and hash(t) == hash(fresh)
+                    and repr(t) == repr(fresh) and t.text == fresh.text)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                t.label = "entity"
+
+    def test_a_miss_runs_the_constructor_checks(self):
+        with pytest.raises(PromptStructureError, match="requires i < j"):
+            prompts._shared_triple(3, "entity", 3)
+        # an int and an equal bool are kept apart, as a fresh triple would
+        assert prompts._shared_triple(True, "entity", 2).text == \
+            "(s_True, entity, s_2)"
+
+    def test_the_table_stays_within_its_bound(self):
+        table = prompts._shared_triple
+        bound = table.cache_info().maxsize
+        assert bound == 4096
+        for j in range(2, bound + 200):
+            table(1, "entity", j)
+        assert table.cache_info().currsize == bound
+
+
+# the labels each variant admits in a prompt's connections
+ADMITTED = {
+    Variant.TEXT_ONLY: (),
+    Variant.TEXT_ENTY: ("entity",),
+    Variant.TEXT_REL: ("reason",),
+    Variant.FULL: ("entity", "reason"),
+    Variant.FULL_WITH_EXPLANATION: ("entity", "reason"),
+}
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_each_render_error_fires_under_every_variant(variant):
+    """Out-of-range and disallowed triples and an over-budget prompt raise
+    under every variant with the same messages, the first bad triple
+    first."""
+    doc = make_demo_document()
+    for label in ("entity", "reason"):
+        with pytest.raises(PromptStructureError) as err:
+            render_prompt(doc, [Triple(1, label, 9)], variant)
+        assert str(err.value) == (f"triple (s_1, {label}, s_9) references "
+                                  f"sentences outside [1, 4]")
+        triples = [Triple(1, label, 2), Triple(2, "entity", 9)]
+        with pytest.raises(PromptStructureError) as err:
+            render_prompt(doc, triples, variant)
+        assert str(err.value) == (
+            "triple (s_2, entity, s_9) references sentences outside [1, 4]"
+            if label in ADMITTED[variant] else
+            f"triple (s_1, {label}, s_2) is not allowed under variant "
+            f"{variant.value}")
+    length = len(render_prompt(doc, [], variant).text)
+    with pytest.raises(PromptBudgetError) as err:
+        render_prompt(doc, [], variant, max_chars=100)
+    assert str(err.value) == (f"prompt for document 'demo-0001' is {length} "
+                              f"characters, over the 100-character budget")
+
+
+def _sentence_lines(text: str) -> list[str]:
+    lines = text.split("\n")
+    start = lines.index("Sentences:") + 1
+    return lines[start:lines.index("", start)]
+
+
+def test_interleaved_renders_show_each_documents_sentences():
+    """Rendering two documents' variants in turn gives each prompt its own
+    document's sentences and the text of rendering that document's
+    variants together."""
+    docs = [make_demo_document(),
+            random_document(np.random.default_rng(8), "other")]
+    together = {doc.id: [prompt_for(doc, build_graph(doc), v).text
+                         for v in Variant] for doc in docs}
+    for doc in docs:
+        for text in together[doc.id]:
+            assert _sentence_lines(text) == [f"s_{s.index}: {s.text}"
+                                             for s in doc.sentences]
+    for k, variant in reversed(list(enumerate(Variant))):
+        for doc in docs:
+            assert prompt_for(doc, build_graph(doc), variant).text == \
+                together[doc.id][k]
+
+
+def test_a_render_inside_another_leaves_each_its_own_sentences():
+    """Document b rendered while a's sentences are being formatted, where a
+    thread switch could run it, leaves every later render of either
+    document with its own sentences."""
+    a = make_demo_document()
+    b = random_document(np.random.default_rng(8), "other")
+    want = {doc.id: prompt_for(doc, build_graph(doc), Variant.FULL).text
+            for doc in (a, b)}
+    inner = []
+
+    class SwitchingSentences(tuple):
+        def __iter__(self):
+            items = super().__iter__()
+            yield next(items)
+            inner.append(prompt_for(b, build_graph(b), Variant.FULL).text)
+            yield from items
+
+    switching = dataclasses.replace(a, sentences=SwitchingSentences(a.sentences))
+    a_triples = extract_triples(build_graph(a))
+    for _ in range(2):
+        assert render_prompt(switching, a_triples, Variant.FULL).text == \
+            want[a.id]
+        assert prompt_for(b, build_graph(b), Variant.FULL).text == want[b.id]
+    assert inner == [want[b.id]] * 2
+
+
+def test_threads_rendering_different_documents_keep_their_own_sentences():
+    """Four threads, each rendering its own document's variants with a
+    short switch interval, get that document's prompts every time."""
+    rng = np.random.default_rng(9)
+    docs = [make_demo_document()] + [random_document(rng, f"thread-{k}")
+                                     for k in range(3)]
+    want = {doc.id: [prompt_for(doc, build_graph(doc), v).text
+                     for v in Variant] for doc in docs}
+    mixed = []
+    start = threading.Barrier(len(docs))
+
+    def render_many(doc):
+        graph = build_graph(doc)
+        start.wait()
+        for _ in range(200):
+            for k, variant in enumerate(Variant):
+                if prompt_for(doc, graph, variant).text != want[doc.id][k]:
+                    mixed.append((doc.id, variant))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=render_many, args=(doc,))
+                   for doc in docs]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mixed == []
