@@ -3,9 +3,9 @@
 The shipped encoder is a deterministic toy: each token maps to a hash bucket
 of a seeded embedding table and the sentence vector is the mean of its token
 vectors (average pooling). The interface is small on purpose so a pretrained
-encoder can be slotted in later: anything with the same four methods works.
+encoder can be slotted in later: anything with the same three methods works.
 Sentence vectors and gradients are in the dtype of the token table, which
-is drawn in float64 and cast once to the encoder's dtype.
+the model initialises with its other parameters.
 """
 
 from __future__ import annotations
@@ -45,13 +45,12 @@ class SentenceEncoder(Protocol):
     """tokens -> d_model vector, with a prepare step so static per-sentence
     work (hashing, tokenizer lookups) can be done once per document. The
     encode and gradient calls take a list of prepared sentences, so a chunk
-    of documents is encoded in one call. Whatever init_params returns joins
-    the model's parameters and is trained with them; an encoder with nothing
-    to train returns none."""
+    of documents is encoded in one call. The parameters it reads and
+    accumulates gradients into are the model's: the model names, shapes
+    and initialises them (expected_param_shapes) and trains them with the
+    rest."""
 
     d_model: int
-
-    def init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]: ...
 
     def prepare(self, tokens: tuple[str, ...]): ...
 
@@ -67,18 +66,11 @@ class HashBucketSentenceEncoder:
     model parameter store under PARAM_NAME and receives gradients."""
 
     PARAM_NAME = "encoder/token_embed"
-    INIT_SCALE = 0.5
 
-    def __init__(self, d_model: int, n_buckets: int, dtype: str = "float64"):
+    def __init__(self, d_model: int, n_buckets: int):
         self.d_model = d_model
         self.n_buckets = n_buckets
-        self.dtype = np.dtype(dtype)
         self.saw_empty = False
-
-    def init_params(self, rng: np.random.Generator) -> dict[str, np.ndarray]:
-        return {self.PARAM_NAME: rng.normal(
-            0.0, self.INIT_SCALE,
-            (self.n_buckets, self.d_model)).astype(self.dtype, copy=False)}
 
     def buckets(self, tokens: tuple[str, ...]) -> list[int]:
         return [stable_bucket(t, self.n_buckets) for t in tokens]

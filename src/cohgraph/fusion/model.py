@@ -3,10 +3,12 @@ reverse-mode gradients.
 
 Every parameter, activation, gradient, mask and optimizer state is of the
 config's dtype: float32 by default, float64 on request (the tests' oracles
-and finite-difference checks run at float64). Initial parameters come from a
-float64 stream and are cast once, so a float32 model starts from the rounded
-initial values of the float64 one; dropout keeps a unit by an integer
-comparison (see DropoutStream), so both drop the same units.
+and finite-difference checks run at float64). Each random initial tensor is
+drawn whole in float64 from its own keyed stream (see _init_params; keyed
+is the program's one source of random numbers) and cast once, so a float32
+model starts from the rounded initial values of the float64 one; dropout
+keeps a unit by an integer comparison (see DropoutStream), so both drop
+the same units.
 Parameters live in a flat name -> array dict so the optimizer,
 checkpointing, and finite-difference checks can enumerate them uniformly; a
 layer stores its heads stacked, laid out as HeadParams says. Checkpoints
@@ -116,7 +118,7 @@ import numpy as np
 from ..documents import Document
 from ..flat import ElementKind, FlatSequence, apply_variant, linearize
 from ..graph import build_graph
-from ..keyed import DROPOUT, KeyedStream
+from ..keyed import DROPOUT, INIT, KeyedStream
 from ..labels import CoherenceLabel
 from ..relations import load_registry
 from ..variants import FUSION_VARIANTS, Variant
@@ -331,47 +333,38 @@ def check_size(config: ModelConfig) -> int:
     return n_tensors
 
 
-def _init_params(config: ModelConfig,
-                 encoder: SentenceEncoder) -> dict[str, np.ndarray]:
-    """Initial parameters, each drawn in float64 and cast to config.dtype as
-    it is drawn, so no more than one float64 draw is held at a time."""
-    rng = np.random.default_rng(np.random.PCG64(config.seed))
+# The randomly initialised fields: a field's index here is its coordinate in
+# the INIT stream, so a new one goes at the end. Each is a normal draw with
+# the scale in _INIT_SCALES, else 1 / sqrt(fan-in), its first dimension.
+_INIT_FIELDS = (HashBucketSentenceEncoder.PARAM_NAME, "embed/entity",
+                "embed/relation", "pos/W_p", "clf/W", *_HEAD_FIELDS, "W_o",
+                "ffn/W1", "ffn/W2")
+_INIT_SCALES = {HashBucketSentenceEncoder.PARAM_NAME: 0.5,
+                "embed/entity": 0.5, "embed/relation": 0.5, "u": 0.1, "v": 0.1}
+
+
+def _init_params(config: ModelConfig) -> dict[str, np.ndarray]:
+    """Initial parameters: each random tensor drawn whole, in float64, from
+    the keyed stream of (seed, keyed.INIT) at (layer + 1, its field), layer
+    0 outside a layer, so its value depends on its own shape alone, and
+    cast once to config.dtype, so no more than one float64 draw is held at
+    a time. Biases and betas are zeros and gammas ones."""
+    streams = KeyedStream(config.seed, INIT)
     dtype = np.dtype(config.dtype)
-    d, d_h, ffn = config.d_model, config.d_head, config.ffn_dim
-
-    def normal(scale, shape) -> np.ndarray:
-        return rng.normal(0.0, scale, shape).astype(dtype, copy=False)
-
     params: dict[str, np.ndarray] = {}
-    params.update(encoder.init_params(rng))
-    params["embed/entity"] = normal(0.5, (config.n_entity_buckets, d))
-    params["embed/relation"] = normal(0.5, (N_RELATION_ROWS, d))
-    params["pos/W_p"] = normal(1.0 / np.sqrt(4 * d), (4 * d, d))
-    shapes = expected_param_shapes(config)
-    for l in range(config.n_layers):
-        for field in _HEAD_FIELDS:
-            params[f"layer{l}/{field}"] = np.empty(shapes[f"layer{l}/{field}"],
-                                                   dtype=dtype)
-        # head by head, each head's block into its columns (u, v: its row);
-        # assigning a float64 draw rounds it as astype does
-        for h in range(config.n_heads):
-            for w in ("W_q", "W_k", "W_r", "W_v"):
-                params[f"layer{l}/{w}"][:, h * d_h:(h + 1) * d_h] = rng.normal(
-                    0.0, 1.0 / np.sqrt(d), (d, d_h))
-            params[f"layer{l}/u"][h] = rng.normal(0.0, 0.1, (d_h,))
-            params[f"layer{l}/v"][h] = rng.normal(0.0, 0.1, (d_h,))
-        params[f"layer{l}/W_o"] = normal(1.0 / np.sqrt(d), (d, d))
-        params[f"layer{l}/b_o"] = np.zeros(d, dtype)
-        params[f"layer{l}/ln1/gamma"] = np.ones(d, dtype)
-        params[f"layer{l}/ln1/beta"] = np.zeros(d, dtype)
-        params[f"layer{l}/ffn/W1"] = normal(1.0 / np.sqrt(d), (d, ffn))
-        params[f"layer{l}/ffn/b1"] = np.zeros(ffn, dtype)
-        params[f"layer{l}/ffn/W2"] = normal(1.0 / np.sqrt(ffn), (ffn, d))
-        params[f"layer{l}/ffn/b2"] = np.zeros(d, dtype)
-        params[f"layer{l}/ln2/gamma"] = np.ones(d, dtype)
-        params[f"layer{l}/ln2/beta"] = np.zeros(d, dtype)
-    params["clf/W"] = normal(1.0 / np.sqrt(d), (d, N_CLASSES))
-    params["clf/b"] = np.zeros(N_CLASSES, dtype)
+    for name, shape in expected_param_shapes(config).items():
+        head, _, rest = name.partition("/")
+        layer, field = ((int(head[5:]) + 1, rest) if head.startswith("layer")
+                        else (0, name))
+        if field in _INIT_FIELDS:
+            rng = np.random.Generator(
+                streams.at(layer, _INIT_FIELDS.index(field)))
+            scale = _INIT_SCALES.get(field, 1.0 / np.sqrt(shape[0]))
+            params[name] = rng.normal(0.0, scale, shape).astype(dtype,
+                                                                copy=False)
+        else:
+            params[name] = (np.ones if field.endswith("gamma")
+                            else np.zeros)(shape, dtype)
     return params
 
 
@@ -768,15 +761,15 @@ class FusionModel:
 
     @staticmethod
     def _encoder(config: ModelConfig) -> HashBucketSentenceEncoder:
-        return HashBucketSentenceEncoder(config.d_model, config.n_token_buckets,
-                                         dtype=config.dtype)
+        return HashBucketSentenceEncoder(config.d_model,
+                                         config.n_token_buckets)
 
     @classmethod
     def build(cls, config: ModelConfig,
               variant: Variant = Variant.FULL) -> "FusionModel":
         check_size(config)
         encoder = cls._encoder(config)
-        return cls(config, _init_params(config, encoder), encoder, variant)
+        return cls(config, _init_params(config), encoder, variant)
 
     def _validate_shapes(self) -> None:
         expected = expected_param_shapes(self.config)

@@ -26,23 +26,11 @@ import numpy as np
 from ..flat import FlatSequence
 
 
-def sinusoid(distance: int, d_model: int) -> np.ndarray:
-    """Fixed sinusoid encoding of a signed distance.
-
-    Component 2k is sin(distance / 10000^(2k/d_model)) and component 2k+1 the
-    matching cosine.
-    """
-    out = np.empty(d_model, dtype=np.float64)
-    k = np.arange(0, d_model, 2)
-    angles = distance / np.power(10000.0, k / d_model)
-    out[0::2] = np.sin(angles)
-    out[1::2] = np.cos(angles)[:out[1::2].shape[0]]
-    return out
-
-
 def sinusoid_table(max_distance: int, d_model: int) -> np.ndarray:
-    """Rows for every clipped distance: row r is sinusoid(r - max_distance,
-    d_model), formed for all rows at once."""
+    """The fixed sinusoid encodings of every clipped distance, formed for
+    all rows at once: row r encodes distance r - max_distance, component 2k
+    is sin(distance / 10000^(2k/d_model)) and component 2k+1 the matching
+    cosine."""
     table = np.empty((2 * max_distance + 1, d_model), dtype=np.float64)
     distances = np.arange(-max_distance, max_distance + 1, dtype=np.float64)
     k = np.arange(0, d_model, 2)

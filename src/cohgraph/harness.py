@@ -2,7 +2,8 @@
 
 Fold assignment is a deterministic function of (sorted doc ids, k, seed):
 documents are grouped by label (stratified mode), each group is shuffled by
-a seed-keyed counter-based generator, and a single global round-robin counter
+the keyed stream of (seed, keyed.FOLDS) at its salt (its label + 1, or 0
+for the one unstratified group), and a single global round-robin counter
 deals documents to folds, so fold sizes differ by at most one overall and
 per-label histograms deviate by at most one per class.
 """
@@ -15,6 +16,7 @@ from typing import Callable, Protocol
 import numpy as np
 
 from .documents import Document
+from .keyed import FOLDS, KeyedStream
 from .labels import CoherenceLabel
 from .metrics import EvalReport, per_label_report
 
@@ -36,9 +38,8 @@ class FoldPlan:
 
 
 def _group_shuffle(ids: list[str], seed: int, salt: int) -> list[str]:
-    bitgen = np.random.Philox(key=seed & 0xFFFFFFFFFFFFFFFF,
-                              counter=[salt, 0, 0, 0])
-    order = np.random.Generator(bitgen).permutation(len(ids))
+    stream = KeyedStream(seed, FOLDS).at(salt)
+    order = np.random.Generator(stream).permutation(len(ids))
     return [ids[i] for i in order]
 
 

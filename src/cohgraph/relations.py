@@ -12,7 +12,7 @@ all_senses() return those instances, so parsed documents share them.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 class RelationKind(enum.Enum):
@@ -45,11 +45,12 @@ class RelationSense:
 
     name: str
     kind: RelationKind
+    # the lowercase presentation form prompt rendering uses, formed once;
+    # not part of equality, hashing or repr
+    render: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def render(self) -> str:
-        """Lowercase presentation form used by prompt rendering."""
-        return self.name.lower()
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "render", self.name.lower())
 
 
 # (name, training-corpus fraction); table order is the canonical order.

@@ -18,8 +18,8 @@ Construction per document (labels cycle low/medium/high):
   NoRel-heavy, medium uses the prior unchanged. The high and low tilts are
   exactly opposite and labels are assigned round-robin, so the corpus-wide
   sense marginal matches the registry prior. A sense is one uniform draw
-  on the document's own Philox stream against the cumulative distribution
-  of its (kind, label), the computation `Generator.choice(n, p=...)` does.
+  on the document's own stream against the cumulative distribution of its
+  (kind, label), the computation `Generator.choice(n, p=...)` does.
 * Text channel. Remaining tokens come from a shared vocabulary with
   probability `shared_token_prob`, otherwise from a small per-label
   vocabulary, making the text signal real but strictly weaker than the graph
@@ -28,9 +28,11 @@ Construction per document (labels cycle low/medium/high):
 Vocabularies are domain-prefixed, so text features do not transfer across
 domain tags while the graph signals do.
 
-Every document draws from its own Philox stream, keyed by the seed with the
-document index in the counter, so corpora are byte-stable for a seed and
-profile; tests/test_synth.py pins them by sha256 digests.
+Document d draws from the keyed stream of (seed, keyed.SYNTH) at (d), so
+no two documents of a corpus share a run of draws and corpora are
+byte-stable for a seed and profile; tests/test_synth.py pins them by sha256
+digests. keyed.py's table lists every purpose and its coordinates: no
+module draws random numbers any other way.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ import numpy as np
 
 from .documents import (AnnotationSet, Document, Mention, NounAnnotation,
                         RelationAnnotation, Sentence, TokenSpan)
+from .keyed import SYNTH, KeyedStream
 from .labels import CoherenceLabel
 from .relations import CauseDirection, RelationKind, RelationSense, load_registry
 
@@ -155,12 +158,6 @@ def _sense_sampler(tilt: float) -> _SenseSampler:
     return _SenseSampler(tilt)
 
 
-def _doc_rng(seed: int, doc_index: int) -> np.random.Generator:
-    bitgen = np.random.Philox(key=seed & 0xFFFFFFFFFFFFFFFF,
-                              counter=[doc_index, 0, 0, 1])
-    return np.random.Generator(bitgen)
-
-
 def synth_generate(n_docs: int, seed: int,
                    profile: SynthProfile | str = "balanced") -> list[Document]:
     """Generate a deterministic labeled corpus; same inputs, same documents."""
@@ -182,12 +179,13 @@ def synth_generate(n_docs: int, seed: int,
     n_tok_low, n_tok_high = profile.tokens_per_sentence
     p_shared = profile.shared_token_prob
     noun_span, pronoun_span = TokenSpan(0, 1), TokenSpan(1, 2)
+    streams = KeyedStream(seed, SYNTH)
 
     docs = []
     for index in range(n_docs):
         label = labels[index % 3]
         domain = profile.domain_tags[(index // 3) % len(profile.domain_tags)]
-        rng = _doc_rng(seed, index)
+        rng = np.random.Generator(streams.at(index))
         random, integers = rng.random, rng.integers
         n_sent = int(integers(profile.n_sentences[0],
                               profile.n_sentences[1] + 1))

@@ -1,11 +1,13 @@
 """Shared fixtures: the four-sentence demo document, toy model configs, a
 debug table of a flat sequence, the extract -> filter -> render prompt
-pipeline and the JSON mutations the fuzz tests draw."""
+pipeline, the JSON mutations the fuzz tests draw, and the checks that two
+random streams are not one stream shifted."""
 
 from __future__ import annotations
 
 import copy
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -153,3 +155,26 @@ def replaced_at(tree, path, value):
         node = node[key]
     node[path[-1]] = value
     return tree
+
+
+def _shares_a_shifted_run(x, y, max_shift=8):
+    """Whether one of x, y continues the other after 1 to max_shift values,
+    as array_equal(x[4:], y[:-4]) finds for streams whose coordinate sits
+    in Philox counter word 0."""
+    return any(np.array_equal(a[k:], b[:-k]) for k in range(1, max_shift + 1)
+               for a, b in ((x, y), (y, x)))
+
+
+@pytest.fixture
+def generator_streams(monkeypatch):
+    """The first 40 raw words of the bit generator behind each numpy
+    Generator made while the test runs, in order: what the code under test
+    draws from, read from a copy so its draws do not move."""
+    streams, make = [], np.random.Generator
+
+    def recording(bitgen):
+        streams.append(copy.deepcopy(bitgen).random_raw(40))
+        return make(bitgen)
+
+    monkeypatch.setattr(np.random, "Generator", recording)
+    return streams

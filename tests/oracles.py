@@ -1,11 +1,12 @@
 """Reference implementations the fusion model's fast paths are checked against.
 
 The named-distance and score oracles are written term by term from the
-definitions, one element pair at a time, and share no code with the model
-beyond the scalar `sinusoid` formula (which has its own reference-value
-test). The dense head kernel is the attention head over all n * n pairs,
-with an (n * n, d) position embedding per pair, that the model's
-global-local kernel replaced; dense_layout spreads that kernel's per-pair
+definitions, one element pair at a time, and share no code with the model:
+`sinusoid` is the per-distance formula (with its own reference-value test)
+that the model's `sinusoid_table` forms for all distances at once. The
+dense head kernel is the attention head over all n * n pairs, with an
+(n * n, d) position embedding per pair, that the model's global-local
+kernel replaced; dense_layout spreads that kernel's per-pair
 values over the (n, n) grid the dense kernel uses. all_rows_forward is the
 model's forward with the last layer run on every row, as it was before that
 layer ran its sentence rows only. dropout_blocks is one document's dropout
@@ -24,7 +25,7 @@ import numpy as np
 from cohgraph.flat import ElementKind, FlatElement
 from cohgraph.fusion.masking import softmax
 from cohgraph.fusion.model import HeadParams, chunk_visibility
-from cohgraph.fusion.positions import position_embedding, sinusoid
+from cohgraph.fusion.positions import position_embedding
 from cohgraph.keyed import DROPOUT
 
 
@@ -57,6 +58,20 @@ def head_slice(heads: HeadParams, h: int) -> HeadParams:
     return HeadParams(W_q=heads.W_q[:, cols], W_k=heads.W_k[:, cols],
                       W_r=heads.W_r[:, cols], W_v=heads.W_v[:, cols],
                       u=heads.u[h], v=heads.v[h])
+
+
+def sinusoid(distance: int, d_model: int) -> np.ndarray:
+    """Fixed sinusoid encoding of a signed distance.
+
+    Component 2k is sin(distance / 10000^(2k/d_model)) and component 2k+1 the
+    matching cosine.
+    """
+    out = np.empty(d_model, dtype=np.float64)
+    k = np.arange(0, d_model, 2)
+    angles = distance / np.power(10000.0, k / d_model)
+    out[0::2] = np.sin(angles)
+    out[1::2] = np.cos(angles)[:out[1::2].shape[0]]
+    return out
 
 
 def named_distances(a: FlatElement, b: FlatElement,

@@ -8,8 +8,11 @@ import pytest
 
 from cohgraph.documents import AnnotationSet, Document, Sentence
 from cohgraph.harness import cross_domain, kfold, run_cv
+from cohgraph.keyed import FOLDS, KeyedStream
 from cohgraph.labels import CoherenceLabel
 from cohgraph.synth import SynthProfile, synth_generate
+
+from conftest import _shares_a_shifted_run
 
 L, M, H = CoherenceLabel.LOW, CoherenceLabel.MEDIUM, CoherenceLabel.HIGH
 
@@ -82,6 +85,21 @@ class TestKFold:
             for label, total in global_counts.items():
                 lo, hi = total // k, -(-total // k)
                 assert lo <= fold_counts.get(label, 0) <= hi
+
+    def test_label_groups_share_no_shifted_run(self, generator_streams):
+        """The label groups' fold shuffles draw from the keyed stream of
+        (seed, FOLDS) at salts 1, 2 and 3, so no two groups draw one
+        stream shifted."""
+        docs = tiny_corpus(30)
+        made = len(generator_streams)
+        kfold(docs, k=3, seed=5)
+        groups = generator_streams[made:]
+        assert len(groups) == 3
+        for salt, words in enumerate(groups, start=1):
+            np.testing.assert_array_equal(
+                words, KeyedStream(5, FOLDS).at(salt).random_raw(40))
+        for a, b in ((0, 1), (1, 2), (0, 2)):
+            assert not _shares_a_shifted_run(groups[a], groups[b])
 
     def test_size_bounds(self):
         docs = tiny_corpus(5)

@@ -45,7 +45,8 @@ def encode(enc, tokens, params):
 class TestSentenceEncoder:
     def _encoder(self):
         enc = HashBucketSentenceEncoder(8, 16)
-        params = enc.init_params(np.random.default_rng(0))
+        params = {enc.PARAM_NAME: np.random.default_rng(0).normal(
+            0.0, 0.5, (16, 8))}
         return enc, params
 
     def test_deterministic_for_identical_tokens(self):
@@ -732,9 +733,9 @@ FIXTURES = Path(__file__).parent / "fixtures"
 V1_CHECKPOINT = FIXTURES / "v1-d8.ckpt"
 V2_CHECKPOINT = FIXTURES / "v2-d8.ckpt"
 # written from the same commands as v1-d8.ckpt and v2-d8.ckpt, in
-# tests/fixtures, by the code whose dropout and shuffle streams come from
-# cohgraph.keyed (v1-d8.config.json is the config file v1-d8.ckpt was
-# trained from):
+# tests/fixtures, by the code whose every draw (the corpus, the initial
+# parameters, dropout and the shuffle) comes from cohgraph.keyed
+# (v1-d8.config.json is the config file v1-d8.ckpt was trained from):
 #
 #     cohgraph synth corpus.jsonl --n-docs 12 --seed 5
 #     cohgraph train corpus.jsonl v3-d8.ckpt --config v1-d8.config.json \
@@ -779,9 +780,8 @@ class TestFormat3Checkpoint:
 
     def test_retraining_matches_the_fixture(self, tmp_path):
         """The fixture's commands rerun here give the parameters of
-        v3-d8.ckpt, written from them with the keyed dropout and shuffle
-        streams, within 1e-12 relative: bits across BLAS builds are not
-        promised."""
+        v3-d8.ckpt, written from them with every draw keyed, within 1e-12
+        relative: bits across BLAS builds are not promised."""
         runner = CliRunner()
         corpus, path = tmp_path / "corpus.jsonl", tmp_path / "v2.ckpt"
         for args in (["synth", str(corpus), "--n-docs", "12", "--seed", "5"],
@@ -833,9 +833,9 @@ class TestFormat2Checkpoint:
     def test_retraining_at_float64_matches_the_fixture(self, tmp_path):
         """The fixture's commands rerun (the config file now asks for
         float64) give the parameters of v3-d8-textrel.ckpt, written from
-        them with the keyed dropout and shuffle streams, within 1e-12
-        relative: bits across BLAS builds are not promised. v2-d8.ckpt was
-        trained with earlier streams."""
+        them with every draw keyed, within 1e-12 relative: bits across BLAS
+        builds are not promised. v2-d8.ckpt was trained with earlier
+        streams."""
         runner = CliRunner()
         corpus, path = tmp_path / "corpus.jsonl", tmp_path / "v3.ckpt"
         for args in (["synth", str(corpus), "--n-docs", "12", "--seed", "5"],
@@ -865,6 +865,36 @@ def test_param_count_is_config_deterministic():
     assert shapes_a["layer0/u"] == shapes_a["layer0/v"] == (config.n_heads,
                                                              config.d_head)
     assert not any("/head" in name for name in shapes_a)
+
+
+@pytest.mark.parametrize("field, table", [
+    ("n_token_buckets", HashBucketSentenceEncoder.PARAM_NAME),
+    ("n_entity_buckets", "embed/entity"),
+])
+def test_a_tables_size_changes_no_other_initial_tensor(field, table):
+    """Each initial tensor is drawn from a stream keyed by its own layer
+    and field, so doubling one table's rows re-draws that table alone."""
+    config = tiny_model_config(n_layers=2)
+    before = FusionModel.build(config).params
+    after = FusionModel.build(tiny_model_config(
+        n_layers=2, **{field: 2 * getattr(config, field)})).params
+    assert after.keys() == before.keys()
+    assert [name for name, arr in before.items()
+            if not np.array_equal(after[name], arr)] == [table]
+
+
+def test_a_second_layer_changes_no_initial_tensor_of_the_first():
+    """Going from one layer to two adds layer 1's tensors and leaves every
+    tensor the one-layer model has, layer 0's and the rest, as it was;
+    layer 1 draws values of its own."""
+    one = FusionModel.build(tiny_model_config(n_layers=1)).params
+    two = FusionModel.build(tiny_model_config(n_layers=2)).params
+    assert one.keys() < two.keys()
+    for name, arr in one.items():
+        np.testing.assert_array_equal(two[name], arr, err_msg=name)
+    for field in ("W_q", "u", "ffn/W1"):
+        assert not np.array_equal(two[f"layer1/{field}"],
+                                  two[f"layer0/{field}"])
 
 
 @pytest.mark.parametrize("overrides", [

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from cohgraph.flat import ElementKind, FlatElement, FlatSequence
 from cohgraph.fusion.positions import (distance_indices, position_embedding,
-                                       sinusoid, sinusoid_table,
-                                       unique_distance_rows)
+                                       sinusoid_table, unique_distance_rows)
 
-from oracles import named_distances, oracle_pair_embedding, oracle_pair_features
+from oracles import (named_distances, oracle_pair_embedding,
+                     oracle_pair_features, sinusoid)
 
 # Reference evaluation of the sinusoid formula for distance 3, d_model 8,
 # computed independently at 30-digit precision and rounded to float64.

@@ -10,8 +10,11 @@ from cohgraph.corpus import document_to_record, dumps_canonical, write_corpus
 from cohgraph.graph import build_graph
 from cohgraph.labels import CoherenceLabel
 from cohgraph.relations import RelationKind, load_registry
-from cohgraph.synth import (PROFILES, SynthProfile, _doc_rng, _SenseSampler,
+from cohgraph.keyed import SYNTH, KeyedStream
+from cohgraph.synth import (PROFILES, SynthProfile, _SenseSampler,
                             _sense_sampler, synth_generate)
+
+from conftest import _shares_a_shifted_run
 
 L, M, H = CoherenceLabel.LOW, CoherenceLabel.MEDIUM, CoherenceLabel.HIGH
 
@@ -32,15 +35,15 @@ LONG = SynthProfile(name="long", n_sentences=(40, 40), explicit_prob=1.0,
 
 @pytest.mark.parametrize("n_docs,seed,profile,digest", [
     (60, 0, "balanced",
-     "9e17de4091dad579d77e35a8298735d75ab69bbb6f66a157ed2685511453e8ac"),
+     "59b5e6f87bd02483dee16517deca8f7de8995f850851e52f0622e602897933d7"),
     (60, 7, "balanced",
-     "949a8ff2c70869bd0855218e12cf99e066dace69ebfb5d880d40dd10379f0109"),
+     "d8afc1f3740ee9f1a199f0f2b3e8d3f9cec0d9a18e6316a47b52fa103b0478a9"),
     (60, 1, "separable",
-     "010fdd9cc37b5550c30e69afb8ab7eb1dff3daece6e767d77ffaeb7372d42765"),
+     "2b03e16da8483b2988b6ffbeda3e47bec02c41ea51bbcb416f4e0955e6e8261a"),
     (60, 9, "separable",
-     "04cf1e15e5bf41748a540f964a1aea6cd0fb810e9134969908260d5362e5747e"),
+     "85761f6613c27e04bdb44bfe22a77f4169e3ae2e19a25010a31f9ed1b998dd3e"),
     (6, 3, LONG,
-     "7c715fac3cdec96d71f9d6c495f9208fbe1dee80c9699c26cf9e379009cdb390"),
+     "f64e81b36cedb8650c1f8057c7c7764a2f80b28cd10d923606aebf7b5a52d05a"),
 ], ids=["balanced-0", "balanced-7", "separable-1", "separable-9", "long-3"])
 def test_corpus_bytes_are_pinned(tmp_path, n_docs, seed, profile, digest):
     """Corpora are byte-stable: a change to any draw, its bound or its
@@ -52,14 +55,30 @@ def test_corpus_bytes_are_pinned(tmp_path, n_docs, seed, profile, digest):
 
 def test_sense_draws_match_generator_choice():
     """One uniform draw against the cumulative distribution takes the sense
-    that Generator.choice(n, p=dist) takes on a twin stream."""
+    that Generator.choice(n, p=dist) takes on a twin stream. Each twin
+    comes from a KeyedStream of its own: at() re-aims an object's one
+    generator."""
     sampler = _SenseSampler(1.0)
     for (kind, label), dist in sampler.dists.items():
         senses = sampler.senses[kind]
-        fast, oracle = _doc_rng(11, int(label)), _doc_rng(11, int(label))
+        fast, oracle = (np.random.Generator(KeyedStream(11, SYNTH).at(
+            int(label))) for _ in range(2))
         for _ in range(10_000):
             expected = senses[oracle.choice(len(senses), p=dist)]
             assert sampler.sample(fast, kind, label) is expected, (kind, label)
+
+
+def test_neighbouring_documents_share_no_shifted_run(generator_streams):
+    """Document d draws from the keyed stream of (seed, SYNTH) at (d), so
+    documents d and d + 1 do not draw one stream shifted."""
+    synth_generate(4, seed=5)
+    assert len(generator_streams) == 4
+    for d in range(3):
+        assert not _shares_a_shifted_run(generator_streams[d],
+                                         generator_streams[d + 1])
+    for d, words in enumerate(generator_streams):
+        np.testing.assert_array_equal(
+            words, KeyedStream(5, SYNTH).at(d).random_raw(40))
 
 
 def test_one_sense_sampler_per_tilt_in_a_bounded_cache():

@@ -11,7 +11,7 @@ from cohgraph.keyed import SHUFFLE, KeyedStream
 from cohgraph.synth import SynthProfile, synth_generate
 from cohgraph.variants import Variant
 
-from conftest import tiny_model_config
+from conftest import _shares_a_shifted_run, tiny_model_config
 from oracles import adamw_step
 
 
@@ -43,14 +43,6 @@ def test_different_seed_differs():
     a, _ = train(docs, config, TrainConfig(epochs=1, batch_size=8, seed=5))
     b, _ = train(docs, config, TrainConfig(epochs=1, batch_size=8, seed=6))
     assert any(not np.array_equal(a.params[n], b.params[n]) for n in a.params)
-
-
-def _shares_a_shifted_run(x, y, max_shift=8):
-    """Whether one of x, y continues the other after 1 to max_shift values,
-    as array_equal(x[4:], y[:-4]) finds for streams whose coordinate sits
-    in Philox counter word 0."""
-    return any(np.array_equal(a[k:], b[:-k]) for k in range(1, max_shift + 1)
-               for a, b in ((x, y), (y, x)))
 
 
 @pytest.mark.parametrize("epoch", [0, 1, 6])
