@@ -212,10 +212,7 @@ def cmd_emit_prompts(corpus_path: str, out_dir: str, variants: tuple[str, ...],
     index_entries = []
     failures = 0
     for doc in docs:
-        try:
-            triples = extract_triples(build_graph(doc))
-        except GraphStructureError as exc:
-            raise GraphStructureError(f"document {doc.id}: {exc}") from exc
+        triples = extract_triples(build_graph(doc))
         for variant in chosen:
             try:
                 prompt = render_prompt(doc, filter_triples(triples, variant),

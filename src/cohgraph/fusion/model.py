@@ -61,10 +61,10 @@ row's keys, the distinct distance tuples and each visible pair's tuple,
 token buckets) is independent of the parameters, so it is prepared once
 into a read-only SequenceContext. FusionModel.prepare is the one way in: it
 keeps each context for as long as its document is alive, keyed by the
-document's identity, the variant, the ModelConfig and the encoder's class,
-so every fit, fold and forward call in a process with that config shares
-it, and predict reuses it. predict keeps nothing it prepares itself: a
-document no fit has seen is prepared with its chunk.
+document's identity, the variant and the ModelConfig, so every fit, fold
+and forward call in a process with that config shares it, and predict
+reuses it. predict keeps nothing it prepares itself: a document no fit has
+seen is prepared with its chunk.
 
 Documents run through the layers in chunks: chunk_order walks a batch in
 stable ascending length order and closes a chunk before B documents padded
@@ -95,7 +95,7 @@ budget runs alone, so at the default d_model every document of more than
 
 Kept contexts are bounded per live document instead: while a document of n
 elements, S of them sentences, with U distinct tuples is alive, each
-(variant, config, encoder class) a fit or forward prepared it under holds
+(variant, config) a fit or forward prepared it under holds
 S * n bytes of sentence-row visibility (bool), S * n * itemsize bytes of
 their tuple index (the smallest unsigned dtype holding U - 1: 1 byte up to
 U = 256, 2 up to 65,536) and O(n + U) for the sequence, edge keys and
@@ -107,6 +107,7 @@ drops its contexts.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import os
 import weakref
@@ -123,11 +124,12 @@ from ..labels import CoherenceLabel
 from ..relations import load_registry
 from ..variants import FUSION_VARIANTS, Variant
 from .config import ModelConfig
-from .encoder import (HashBucketSentenceEncoder, SentenceEncoder, add_rows_at,
-                      stable_bucket)
+from .encoder import HashBucketSentenceEncoder, add_rows_at, stable_bucket
 from .masking import MASKED, softmax, visible_matrix
 from .positions import (distance_indices, position_embedding, sinusoid_table,
                         unique_distance_rows)
+
+logger = logging.getLogger(__name__)
 
 LN_EPS = 1e-5
 
@@ -250,7 +252,7 @@ class Visibility:
 
 
 # FusionModel.prepare's kept contexts:
-# id(document) -> {(variant, ModelConfig, encoder class): context}.
+# id(document) -> {(variant, ModelConfig): context}.
 # A weakref.finalize on the document drops its entry when it is collected;
 # the identity is the key because hashing a Document walks its content.
 _CONTEXTS: dict[int, dict[tuple, SequenceContext]] = {}
@@ -703,9 +705,6 @@ class DropoutStream:
         self.step = step
         self._streams = KeyedStream(seed, DROPOUT)
 
-    def at(self, epoch: int, step: int) -> "DropoutStream":
-        return DropoutStream(self.seed, epoch, step)
-
     def words(self, doc_index: int, n_words: int) -> np.ndarray:
         """The first n_words raw 64-bit words of document doc_index's draw."""
         return self._streams.at(self.epoch, self.step,
@@ -740,36 +739,29 @@ def _cross_entropy(label_probs: np.ndarray) -> np.float64:
 
 
 class FusionModel:
-    """Config + parameters + encoder, with forward/backward over documents.
-    variant, which save records, is the fusion variant the model was
-    trained under."""
+    """Config + parameters, with forward/backward over documents. The model
+    owns its sentence encoder, built from the config. variant, which save
+    records, is the fusion variant the model was trained under."""
 
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray],
-                 encoder: SentenceEncoder, variant: Variant = Variant.FULL):
+                 variant: Variant = Variant.FULL):
         self.config = config
         self.params = params
-        self.encoder = encoder
+        self.encoder = HashBucketSentenceEncoder(config.d_model,
+                                                 config.n_token_buckets)
         self.variant = variant
         self.dtype = np.dtype(config.dtype)
         self.registry = load_registry()
         self.position_table = sinusoid_table(
             config.max_relative_distance, config.d_model).astype(
                 self.dtype, copy=False)
-        # prepare's key besides the document and the variant
-        self._setup = (config, type(encoder))
         self._validate_shapes()
-
-    @staticmethod
-    def _encoder(config: ModelConfig) -> HashBucketSentenceEncoder:
-        return HashBucketSentenceEncoder(config.d_model,
-                                         config.n_token_buckets)
 
     @classmethod
     def build(cls, config: ModelConfig,
               variant: Variant = Variant.FULL) -> "FusionModel":
         check_size(config)
-        encoder = cls._encoder(config)
-        return cls(config, _init_params(config), encoder, variant)
+        return cls(config, _init_params(config), variant)
 
     def _validate_shapes(self) -> None:
         expected = expected_param_shapes(self.config)
@@ -810,7 +802,9 @@ class FusionModel:
         """Extract everything parameter-independent from a flat sequence
         (any sequence of doc, such as a permuted one; never memoized).
         Raises ContractError naming the document unless every edge element
-        links two distinct sentences that the sequence holds once each."""
+        links two distinct sentences that the sequence holds once each.
+        Logs one warning naming the document and its sentences without
+        tokens, if any: the encoder gives each a zero vector."""
         if len(seq) == 0:
             raise ContractError(f"document {doc.id!r}: cannot run forward on "
                                 f"an empty sequence")
@@ -831,6 +825,13 @@ class FusionModel:
             lookups[name][0].append(len(edge_rows))
             lookups[name][1].append(row)
             edge_rows.append(pos)
+        empty = [seq.elements[pos].payload
+                 for pos, tokens in zip(sentence_rows, sentences)
+                 if tokens.size == 0]
+        if empty:
+            logger.warning("document %r: sentence(s) %s have no tokens; "
+                           "each is encoded as a zero vector", doc.id,
+                           ", ".join(map(str, empty)))
         slot = {seq.elements[pos].start: s
                 for s, pos in enumerate(sentence_rows)}
         if len(slot) < len(sentence_rows):
@@ -863,8 +864,7 @@ class FusionModel:
         sentence_pos = np.zeros(visible.shape, dtype=np.intp)
         sentence_pos[visible] = visible_pos + len(edge_tuples)
         for tokens in sentences:
-            if isinstance(tokens, np.ndarray):
-                _read_only(tokens)
+            _read_only(tokens)
         return SequenceContext(
             seq=seq,
             visible=_read_only(visible),
@@ -882,14 +882,14 @@ class FusionModel:
 
     def _kept(self, doc: Document, variant: Variant) -> SequenceContext | None:
         entry = _CONTEXTS.get(id(doc))
-        return None if entry is None else entry.get((variant, self._setup))
+        return None if entry is None else entry.get((variant, self.config))
 
     def prepare(self, doc: Document, variant: Variant = Variant.FULL,
                 seq: FlatSequence | None = None) -> SequenceContext:
         """doc's context under variant. A kept context is returned as is.
         Otherwise, without seq, one is prepared and kept: the same object
-        for every model with this config and encoder class, until the
-        document is collected. With seq (doc's sequence_for(variant), built
+        for every model with this config, until the document is
+        collected. With seq (doc's sequence_for(variant), built
         by the caller) it is prepared from seq and not kept."""
         ctx = self._kept(doc, variant)
         if ctx is not None:
@@ -900,7 +900,7 @@ class FusionModel:
         if entry is None:
             entry = _CONTEXTS[id(doc)] = {}
             weakref.finalize(doc, _CONTEXTS.pop, id(doc), None)
-        ctx = entry[(variant, self._setup)] = self.prepare_sequence(
+        ctx = entry[(variant, self.config)] = self.prepare_sequence(
             doc, self.sequence_for(doc, variant))
         return ctx
 
@@ -938,11 +938,12 @@ class FusionModel:
     # -- forward -----------------------------------------------------------
 
     def forward_context(self, contexts: SequenceContext | list[SequenceContext],
-                        train_mode: bool = False,
                         dropout: DropoutStream | None = None,
                         doc_index: int | list[int] | None = None):
         """Forward pass over prepared contexts; returns (logits, pooled,
-        cache).
+        cache). A dropout stream means training: given one, and a config
+        dropout_rate above 0, the layers apply its masks; without one the
+        pass is the eval pass.
 
         Given one SequenceContext, it runs as a chunk of one: logits is
         (N_CLASSES,), pooled (d_model,) and doc_index (default 0) its dropout
@@ -953,20 +954,18 @@ class FusionModel:
         """
         if isinstance(contexts, SequenceContext):
             logits, pooled, cache = self._forward_chunk(
-                [contexts], train_mode, dropout, [doc_index or 0])
+                [contexts], dropout, [doc_index or 0])
             return logits[0], pooled[0], cache
         if doc_index is None:
             doc_index = list(range(len(contexts)))
-        return self._forward_chunk(contexts, train_mode, dropout, doc_index)
+        return self._forward_chunk(contexts, dropout, doc_index)
 
-    def _forward_chunk(self, contexts: list[SequenceContext], train_mode: bool,
+    def _forward_chunk(self, contexts: list[SequenceContext],
                        dropout: DropoutStream | None, doc_indices: list[int]):
         """forward_context over a list: pack, embed, draw every layer's
         dropout masks at once, run the layers, pool the mean of each
         document's sentence outputs."""
         cfg = self.config
-        use = (dropout if train_mode and dropout is not None
-               and cfg.dropout_rate > 0.0 else None)
         vis, pos_rows = chunk_visibility(contexts, cfg.n_heads, self.dtype)
         n_docs, _, n_sent, n = vis.mask.shape
         pool = np.zeros((n_docs, n_sent), self.dtype)
@@ -977,8 +976,9 @@ class FusionModel:
         feats, pe = position_embedding(self.position_table, pos_rows,
                                        self.params["pos/W_p"])
 
-        keep = [None] * cfg.n_layers if use is None else self._dropout_keep(
-            use, doc_indices, contexts, n_sent, n)
+        keep = (self._dropout_keep(dropout, doc_indices, contexts, n_sent, n)
+                if dropout is not None and cfg.dropout_rate > 0.0
+                else [None] * cfg.n_layers)
         # the classifier pools only sentence rows, so the last layer runs
         # only those as queries
         layer_caches = []
@@ -1004,12 +1004,11 @@ class FusionModel:
         }
         return logits, pooled, cache
 
-    def forward(self, doc: Document, train_mode: bool = False,
-                variant: Variant = Variant.FULL,
+    def forward(self, doc: Document, variant: Variant = Variant.FULL,
                 dropout: DropoutStream | None = None, doc_index: int = 0):
         """build graph -> linearize -> filter -> fusion layers -> classifier."""
         logits, pooled, _ = self.forward_context(
-            self.prepare(doc, variant), train_mode, dropout, doc_index)
+            self.prepare(doc, variant), dropout, doc_index)
         return logits, pooled
 
     def _dropout_keep(self, dropout: DropoutStream, doc_indices: list[int],
@@ -1160,15 +1159,6 @@ class FusionModel:
 
     # -- loss --------------------------------------------------------------
 
-    @staticmethod
-    def _labels(contexts: list[SequenceContext]) -> np.ndarray:
-        if not contexts:
-            raise ContractError("empty batch")
-        for ctx in contexts:
-            if ctx.label is None:
-                raise ContractError(f"document {ctx.doc_id!r} is unlabeled")
-        return np.array([ctx.label for ctx in contexts])
-
     def loss_and_grad_contexts(self, contexts: list[SequenceContext],
                                dropout: DropoutStream | None = None,
                                out_predictions: list[int] | None = None):
@@ -1179,17 +1169,21 @@ class FusionModel:
         deterministic function of the batch and independent of any
         external parallelism. Document b's dropout masks are keyed by b.
         The loss is a Python float, summed in float64 at either dtype.
+        Without a dropout stream it is the eval loss.
         """
-        labels = self._labels(contexts)
+        if not contexts:
+            raise ContractError("empty batch")
+        for ctx in contexts:
+            if ctx.label is None:
+                raise ContractError(f"document {ctx.doc_id!r} is unlabeled")
+        labels = np.array([ctx.label for ctx in contexts])
         grads = self.zero_grads()
         total = 0.0
         predictions = np.empty(len(contexts), dtype=np.int64)
-        train_mode = dropout is not None
         for chunk in chunk_order(_context_shapes(contexts),
                                  self.config.d_model):
             logits, _, cache = self.forward_context(
-                [contexts[i] for i in chunk], train_mode=train_mode,
-                dropout=dropout, doc_index=chunk)
+                [contexts[i] for i in chunk], dropout=dropout, doc_index=chunk)
             probs = softmax(logits)
             rows = np.arange(len(chunk))
             total += _cross_entropy(probs[rows, labels[chunk]])
@@ -1205,17 +1199,6 @@ class FusionModel:
         if out_predictions is not None:
             out_predictions.extend(int(pred) for pred in predictions)
         return loss, grads
-
-    def context_loss(self, contexts: list[SequenceContext]) -> float:
-        """Eval-mode mean cross-entropy over prepared contexts (no gradients)."""
-        labels = self._labels(contexts)
-        total = 0.0
-        for chunk in chunk_order(_context_shapes(contexts),
-                                 self.config.d_model):
-            logits, _, _ = self.forward_context([contexts[i] for i in chunk])
-            total += _cross_entropy(
-                softmax(logits)[np.arange(len(chunk)), labels[chunk]])
-        return float(total / len(contexts))
 
     def predict(self, docs: list[Document],
                 variant: Variant = Variant.FULL) -> list[int]:
@@ -1345,4 +1328,4 @@ class FusionModel:
                     expected[name]).astype(config.dtype)
             if fh.read(1):
                 raise ContractError(f"{path}: trailing bytes after the last tensor")
-        return cls(config, params, cls._encoder(config), variant)
+        return cls(config, params, variant)

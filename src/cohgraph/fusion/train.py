@@ -62,7 +62,6 @@ def train(dataset: list[Document], model_config: ModelConfig,
     optimizer = AdamW(model.params, lr=train_config.lr,
                       weight_decay=train_config.weight_decay,
                       betas=train_config.betas, eps=train_config.eps)
-    base_stream = DropoutStream(train_config.seed)
     # graph/mask/position structure is parameter-independent: build it once
     contexts = [model.prepare(doc, train_config.variant) for doc in dataset]
 
@@ -74,7 +73,8 @@ def train(dataset: list[Document], model_config: ModelConfig,
         correct = 0
         for step in range(0, len(order), train_config.batch_size):
             batch = [contexts[i] for i in order[step:step + train_config.batch_size]]
-            stream = base_stream.at(epoch, step // train_config.batch_size)
+            stream = DropoutStream(train_config.seed, epoch,
+                                   step // train_config.batch_size)
             predictions: list[int] = []
             try:
                 loss, grads = model.loss_and_grad_contexts(

@@ -154,14 +154,18 @@ def extract_relation_edges(doc: Document) -> frozenset[RelationEdge]:
 
 
 def build_graph(doc: Document) -> CoherenceGraph:
-    """Construct the full coherence graph for a validated document."""
+    """Construct the full coherence graph for a validated document. A
+    GraphStructureError is raised again as `document <id>: <message>`."""
     doc.validate()
-    return CoherenceGraph(
-        doc_id=doc.id,
-        n_sentences=len(doc.sentences),
-        entity_edges=extract_entity_edges(doc),
-        relation_edges=extract_relation_edges(doc),
-    )
+    try:
+        return CoherenceGraph(
+            doc_id=doc.id,
+            n_sentences=len(doc.sentences),
+            entity_edges=extract_entity_edges(doc),
+            relation_edges=extract_relation_edges(doc),
+        )
+    except GraphStructureError as exc:
+        raise GraphStructureError(f"document {doc.id}: {exc}") from exc
 
 
 def graph_to_record(graph: CoherenceGraph) -> dict:

@@ -12,10 +12,13 @@ model's forward with the last layer run on every row, as it was before that
 layer ran its sentence rows only. dropout_blocks is one document's dropout
 draw laid out as DropoutStream documents it, from a fresh Philox generator
 with its lanes split one word at a time, and chunk_dropout_keep pads those
-blocks into a chunk's masks. adamw_step is AdamW.step as it was
-written with a temporary per operation. masked_softmax is the checked
-softmax of scores under an additive mask, which the model's kernel forms
-as softmax(scores + mask) without the checks.
+blocks into a chunk's masks. eval_loss is the mean cross-entropy of one
+eval forward_context call, the loss the finite-difference checks differ,
+without the backward pass loss_and_grad_contexts pays for. adamw_step is
+AdamW.step as it was written with a temporary per operation.
+masked_softmax is the checked softmax of scores under an additive mask,
+which the model's kernel forms as softmax(scores + mask) without the
+checks.
 """
 
 from __future__ import annotations
@@ -258,6 +261,16 @@ def all_rows_forward(model, contexts, dropout=None, doc_indices=None):
     return logits, pooled, {
         "embed": embed_index, "feats": feats, "pe": pe,
         "layers": layers, "x_out": x, "pool": pool, "pooled": pooled}
+
+
+def eval_loss(model, contexts):
+    """Mean cross-entropy of model over labeled contexts with no dropout,
+    from one forward_context call on them as a single chunk, summed in
+    float64."""
+    logits, _, _ = model.forward_context(list(contexts))
+    labels = [ctx.label for ctx in contexts]
+    probs = softmax(logits)[np.arange(len(labels)), labels]
+    return float(-np.log(probs.astype(np.float64)).sum() / len(labels))
 
 
 def adamw_step(opt, grads):

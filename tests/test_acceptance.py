@@ -31,7 +31,7 @@ from cohgraph.synth import SynthProfile, synth_generate
 from cohgraph.variants import Variant
 
 from conftest import make_demo_document, prompt_for, tiny_model_config
-from oracles import head_slice
+from oracles import eval_loss, head_slice
 from test_masking import oracle_visible, random_flat_sequence
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -128,9 +128,9 @@ def test_c04_gradient_check():
             idx = it.multi_index
             orig = param[idx]
             param[idx] = orig + eps
-            up = model.context_loss(contexts)
+            up = eval_loss(model, contexts)
             param[idx] = orig - eps
-            down = model.context_loss(contexts)
+            down = eval_loss(model, contexts)
             param[idx] = orig
             fd[idx] = (up - down) / (2 * eps)
         fds[name] = fd

@@ -15,6 +15,7 @@ from click.testing import CliRunner
 import cohgraph
 from cohgraph.cli import main
 from cohgraph.corpus import document_to_record, dumps_canonical, write_corpus
+from cohgraph.documents import Mention, Sentence, TokenSpan
 from cohgraph.fusion.model import (ContractError, FusionModel,
                                    NumericalError)
 from cohgraph.synth import SynthProfile, synth_generate
@@ -593,6 +594,44 @@ def test_a_repeated_id_exits_1_naming_both_lines(runner, small_corpus,
         f"error: {corpus}: line {len(lines) + 1}: document id {doc_id!r} is "
         f"already the id of line 3"]
     assert not (tmp_path / "out").exists()
+
+
+def _empty_mention_document():
+    """The demo document with a coreference link whose first mention is
+    one empty token: the reader takes it, and its entity edge has an empty
+    surface."""
+    doc = make_demo_document()
+    tokens = doc.sentences[2].tokens + ("",)
+    sentences = list(doc.sentences)
+    sentences[2] = Sentence(index=3, text=" ".join(tokens), tokens=tokens)
+    link = (Mention(3, TokenSpan(len(tokens) - 1, len(tokens))),
+            Mention(4, TokenSpan(1, 2)))
+    return dataclasses.replace(
+        doc, id="empty-mention", sentences=tuple(sentences),
+        annotations=dataclasses.replace(doc.annotations, coref_links=(link,)))
+
+
+@pytest.mark.parametrize("command", ["build-graph", "emit-prompts", "train",
+                                     "eval"])
+def test_a_graph_error_names_its_document(runner, small_corpus, tmp_path,
+                                          command):
+    """Every command that builds graphs exits 1 with the document's id in
+    front of the graph's message."""
+    corpus = tmp_path / "bad.jsonl"
+    write_corpus([_empty_mention_document()], corpus)
+    out = str(tmp_path / "out")
+    if command == "eval":
+        ckpt = tmp_path / "e.ckpt"
+        assert runner.invoke(main, ["train", str(small_corpus), str(ckpt),
+                                    *TRAIN_FLAGS]).exit_code == 0
+        args = ["eval", str(ckpt), str(corpus), "--report", out]
+    else:
+        args = [command, str(corpus), out,
+                *(TRAIN_FLAGS if command == "train" else [])]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert result.output == ("error: document empty-mention: entity edge has "
+                             "empty surface\n")
 
 
 class TestHelp:

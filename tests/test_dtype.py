@@ -44,7 +44,7 @@ def float64_twin(model: FusionModel) -> FusionModel:
     config = replace(model.config, dtype="float64")
     return FusionModel(config, {name: arr.astype(np.float64)
                                 for name, arr in model.params.items()},
-                       FusionModel._encoder(config), model.variant)
+                       model.variant)
 
 
 def test_float32_is_the_default_and_float64_stays_available():
@@ -87,7 +87,7 @@ def test_float32_logits_and_gradients_match_float64(config, docs):
     assert logits.dtype == np.float32
     assert np.abs(logits - want).max() <= LOGIT_RTOL * np.abs(want).max()
 
-    stream = DropoutStream(3).at(1, 2)
+    stream = DropoutStream(3, 1, 2)
     loss, grads = model.loss_and_grad_contexts(contexts, dropout=stream)
     want_loss, want_grads = twin.loss_and_grad_contexts(twin_contexts,
                                                         dropout=stream)
@@ -133,7 +133,7 @@ def test_no_float64_array_in_a_float32_pass():
     model = FusionModel.build(ModelConfig(**D32))
     contexts = [model.prepare(doc) for doc in synth_generate(6, 2, "balanced")]
     logits, pooled, cache = model.forward_context(
-        contexts, train_mode=True, dropout=DropoutStream(1))
+        contexts, dropout=DropoutStream(1))
     cached = _float_arrays(cache)
     assert len(cached) > 20
     grads = model.zero_grads()

@@ -13,7 +13,8 @@ from cohgraph.synth import SynthProfile, synth_generate
 from cohgraph.variants import Variant
 
 from conftest import make_demo_document, tiny_model_config
-from oracles import all_rows_forward, chunk_dropout_keep, dropout_blocks
+from oracles import (all_rows_forward, chunk_dropout_keep, dropout_blocks,
+                     eval_loss)
 
 # the first and third documents keep their edges, the second has none
 VARIANTS = (Variant.FULL, Variant.TEXT_ONLY, Variant.TEXT_REL)
@@ -55,10 +56,10 @@ def test_matches_the_all_rows_forward(n_layers, train):
     model = FusionModel.build(tiny_model_config(
         n_layers=n_layers, dropout_rate=0.2))
     contexts = mixed_chunk(model)
-    dropout = DropoutStream(5).at(1, 2) if train else None
+    dropout = DropoutStream(5, 1, 2) if train else None
     doc_indices = [4, 0, 7]
     logits, pooled, cache = model.forward_context(
-        contexts, train_mode=train, dropout=dropout, doc_index=doc_indices)
+        contexts, dropout=dropout, doc_index=doc_indices)
     want_logits, want_pooled, want_cache = all_rows_forward(
         model, contexts, dropout, doc_indices)
     _assert_rel_close(logits, want_logits)
@@ -99,7 +100,7 @@ def test_last_layer_dropout_masks_are_the_sentence_rows_of_all_rows_masks(
     model = FusionModel.build(tiny_model_config(n_layers=n_layers,
                                                 dropout_rate=0.3))
     contexts = mixed_chunk(model)
-    stream = DropoutStream(11).at(2, 5)
+    stream = DropoutStream(11, 2, 5)
     doc_indices = [3, 1, 8]
     vis = chunk_visibility(contexts, model.config.n_heads)[0]
     n_docs, _, n_sent, n = vis.mask.shape
@@ -169,9 +170,9 @@ def test_gradients_match_finite_differences_at_two_layers():
             idx = it.multi_index
             orig = p[idx]
             p[idx] = orig + eps
-            up = model.context_loss(contexts)
+            up = eval_loss(model, contexts)
             p[idx] = orig - eps
-            down = model.context_loss(contexts)
+            down = eval_loss(model, contexts)
             p[idx] = orig
             fd[idx] = (up - down) / (2 * eps)
         denom = max(np.linalg.norm(grads[name]), np.linalg.norm(fd), 1e-12)

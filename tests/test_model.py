@@ -28,7 +28,7 @@ from cohgraph.variants import FUSION_VARIANTS, Variant
 
 from conftest import (JSON_VALUES, json_paths, make_demo_document,
                       replaced_at, tiny_model_config)
-from oracles import dropout_blocks
+from oracles import dropout_blocks, eval_loss
 
 
 def small_docs(n=3, seed=2, n_sentences=(3, 4)):
@@ -70,12 +70,10 @@ class TestSentenceEncoder:
                     + len(second) * encode(enc, second, params)) / 5
         np.testing.assert_allclose(whole, combined, atol=1e-15)
 
-    def test_empty_tokens_give_zero_vector_and_flag(self):
+    def test_empty_tokens_give_a_zero_vector(self):
         enc, params = self._encoder()
-        assert not enc.saw_empty
         vec = encode(enc, (), params)
         np.testing.assert_array_equal(vec, np.zeros(8))
-        assert enc.saw_empty
 
 
 class TestFlatScatter:
@@ -335,22 +333,16 @@ class TestLossAndGrad:
         assert any(grads["embed/relation"][row].any() for row in used)
 
     def test_unlabeled_document_is_contract_error(self):
-        model = FusionModel.build(tiny_model_config())
-        doc = small_docs(1)[0]
-        unlabeled = Document(id=doc.id, sentences=doc.sentences, label=None,
-                             annotations=doc.annotations)
-        with pytest.raises(ContractError):
-            model.loss_and_grad_contexts([model.prepare(unlabeled)])
-
-    def test_context_loss_rejects_unlabeled_and_empty_batches(self):
+        """An unlabeled document, named, and an empty batch are refused."""
         model = FusionModel.build(tiny_model_config())
         doc = small_docs(1)[0]
         unlabeled = Document(id="no-label", sentences=doc.sentences,
                              label=None, annotations=doc.annotations)
         with pytest.raises(ContractError, match="no-label"):
-            model.context_loss([model.prepare(doc), model.prepare(unlabeled)])
+            model.loss_and_grad_contexts([model.prepare(doc),
+                                          model.prepare(unlabeled)])
         with pytest.raises(ContractError, match="empty"):
-            model.context_loss([])
+            model.loss_and_grad_contexts([])
 
     def test_gradients_match_finite_differences(self):
         """Hand-written reverse mode vs central differences, norm-wise."""
@@ -369,9 +361,9 @@ class TestLossAndGrad:
                 idx = it.multi_index
                 orig = p[idx]
                 p[idx] = orig + eps
-                up = model.context_loss(contexts)
+                up = eval_loss(model, contexts)
                 p[idx] = orig - eps
-                down = model.context_loss(contexts)
+                down = eval_loss(model, contexts)
                 p[idx] = orig
                 fd[idx] = (up - down) / (2 * eps)
             denom = max(np.linalg.norm(grads[name]), np.linalg.norm(fd), 1e-12)
@@ -407,8 +399,8 @@ class TestDropoutStream:
         stream = DropoutStream(seed=3, epoch=2, step=4)
         a = stream.words(1, 30)
         assert not np.array_equal(a, stream.words(2, 30))
-        assert not np.array_equal(a, stream.at(2, 5).words(1, 30))
-        assert not np.array_equal(a, stream.at(3, 4).words(1, 30))
+        assert not np.array_equal(a, DropoutStream(3, 2, 5).words(1, 30))
+        assert not np.array_equal(a, DropoutStream(3, 3, 4).words(1, 30))
         assert not np.array_equal(a, DropoutStream(4, 2, 4).words(1, 30))
 
     @pytest.mark.parametrize("seed, coords, shape", [
@@ -457,7 +449,7 @@ class TestDropoutStream:
         """Run alone, a document's masks are the layout oracle's blocks of
         its draw, its S sentence rows then its E edge rows on every layer
         but the last and its sentence rows on the last, at either dtype."""
-        stream = DropoutStream(5).at(3, 1)
+        stream = DropoutStream(5, 3, 1)
         for dtype in ("float64", "float32"):
             config = tiny_model_config(n_layers=n_layers, dropout_rate=0.4,
                                        dtype=dtype)
@@ -499,7 +491,7 @@ class TestDropoutStream:
         ctx = model.prepare(small_docs(1)[0])
         eval_logits, _, _ = model.forward_context(ctx)
         train_logits, _, _ = model.forward_context(
-            ctx, train_mode=True, dropout=DropoutStream(9))
+            ctx, dropout=DropoutStream(9))
         assert not np.array_equal(eval_logits, train_logits)
 
 
@@ -722,10 +714,8 @@ class TestCheckpoint:
         params = {name: np.zeros(shape)
                   for name, shape in expected_param_shapes(config).items()}
         params["clf/W"] = np.zeros((2, 2))
-        encoder = HashBucketSentenceEncoder(config.d_model,
-                                            config.n_token_buckets)
         with pytest.raises(ContractError) as err:
-            FusionModel(config, params, encoder)
+            FusionModel(config, params)
         assert "clf/W" in str(err.value)
 
 
@@ -927,9 +917,9 @@ def test_gradcheck_covers_config_branches(overrides):
             idx = it.multi_index
             orig = param[idx]
             param[idx] = orig + eps
-            up = model.context_loss(contexts)
+            up = eval_loss(model, contexts)
             param[idx] = orig - eps
-            down = model.context_loss(contexts)
+            down = eval_loss(model, contexts)
             param[idx] = orig
             fd[idx] = (up - down) / (2 * eps)
         denom = max(np.linalg.norm(grads[name]), np.linalg.norm(fd), 1e-12)

@@ -1,7 +1,7 @@
 """FusionModel.prepare keeps one read-only context per (document, variant,
-config, encoder class) for as long as the document is alive: identity,
-keys, lifetime, sharing across fits, predict keeping nothing of its own,
-and the memory bound the model module states."""
+config) for as long as the document is alive: identity, keys, lifetime,
+sharing across fits, predict keeping nothing of its own, and the memory
+bound the model module states."""
 
 import gc
 import tracemalloc
@@ -14,7 +14,6 @@ import pytest
 from cohgraph.documents import Document
 from cohgraph.fusion import model as fusion_model
 from cohgraph.fusion.config import TrainConfig
-from cohgraph.fusion.encoder import HashBucketSentenceEncoder
 from cohgraph.fusion.model import DropoutStream, FusionModel
 from cohgraph.fusion.train import FusionClassifier
 from cohgraph.harness import run_cv
@@ -26,10 +25,6 @@ from oracles import slot_order
 
 # The O(n + U) part of a context's bound in the fusion.model docstring.
 BYTES_PER_ELEMENT_AND_TUPLE = 192
-
-
-class OtherEncoder(HashBucketSentenceEncoder):
-    """Same buckets, another class: prepare must not share contexts with it."""
 
 
 def context_arrays(ctx):
@@ -82,15 +77,11 @@ def test_each_structural_key_field_gives_its_own_context(overrides):
                           model.prepare_sequence(doc, model.sequence_for(doc)))
 
 
-def test_variant_and_encoder_class_give_their_own_context():
+def test_each_variant_gives_its_own_context():
     doc = make_demo_document()
-    config = tiny_model_config()
-    model = FusionModel.build(config)
+    model = FusionModel.build(tiny_model_config())
     contexts = [model.prepare(doc, variant) for variant in Variant]
     assert len({id(ctx) for ctx in contexts}) == len(Variant)
-    encoder = OtherEncoder(config.d_model, config.n_token_buckets)
-    other = FusionModel(config, model.params, encoder)
-    assert other.prepare(doc) is not model.prepare(doc)
 
 
 def counted_prepare_sequence(monkeypatch):
@@ -206,7 +197,7 @@ def test_memoized_contexts_give_bit_identical_results(overrides):
         memo = [model.prepare(doc, variant) for doc in docs]
         fresh = [model.prepare_sequence(doc, model.sequence_for(doc, variant))
                  for doc in docs]
-        stream = DropoutStream(3).at(1, 1)
+        stream = DropoutStream(3, 1, 1)
         got = model.loss_and_grad_contexts(memo, dropout=stream)
         want = model.loss_and_grad_contexts(fresh, dropout=stream)
         assert got[0] == want[0]
@@ -232,7 +223,7 @@ def test_predict_keeps_nothing_it_prepares(monkeypatch):
     assert model.predict(docs) == first
     assert sorted(calls) == sorted(doc.id for doc in docs[1:])
     assert fusion_model._CONTEXTS[id(docs[0])] == {
-        (Variant.FULL, model._setup): kept}
+        (Variant.FULL, model.config): kept}
 
 
 def test_run_cv_prepares_each_document_once_per_variant_in_training(

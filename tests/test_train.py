@@ -1,8 +1,12 @@
 """Training loop: determinism, null-optimizer behavior, learnability."""
 
+import dataclasses
+import logging
+
 import numpy as np
 import pytest
 
+from cohgraph.documents import Sentence
 from cohgraph.fusion.config import ModelConfig, TrainConfig
 from cohgraph.fusion.model import DropoutStream, FusionModel
 from cohgraph.fusion.optim import AdamW
@@ -37,6 +41,21 @@ def test_same_seed_bitwise_identical():
                                       model_b.params[name])
 
 
+def test_an_empty_sentence_warns_once_naming_its_document(caplog):
+    """Three epochs over a document with a sentence of no tokens log one
+    warning, naming the document and the sentence."""
+    doc, other = train_corpus(2)
+    empty = Sentence(index=len(doc.sentences) + 1, text="", tokens=())
+    doc = dataclasses.replace(doc, id="has-empty",
+                              sentences=doc.sentences + (empty,))
+    with caplog.at_level(logging.WARNING):
+        train([doc, other], tiny_model_config(),
+              TrainConfig(epochs=3, batch_size=2, seed=5))
+    assert [record.getMessage() for record in caplog.records] == [
+        f"document 'has-empty': sentence(s) {empty.index} have no tokens; "
+        f"each is encoded as a zero vector"]
+
+
 def test_different_seed_differs():
     docs = train_corpus()
     config = tiny_model_config()
@@ -68,11 +87,10 @@ def test_neighbouring_epochs_share_no_shifted_run(epoch):
     assert not _shares_a_shifted_run(_epoch_order(40, seed, epoch),
                                      _epoch_order(40, seed, epoch + 1))
 
-    stream = DropoutStream(seed)
-    x = stream.at(epoch, 2).words(3, 40)
-    for y in (stream.at(epoch + 1, 2).words(3, 40),
-              stream.at(epoch, 3).words(3, 40),
-              stream.at(epoch, 2).words(4, 40)):
+    x = DropoutStream(seed, epoch, 2).words(3, 40)
+    for y in (DropoutStream(seed, epoch + 1, 2).words(3, 40),
+              DropoutStream(seed, epoch, 3).words(3, 40),
+              DropoutStream(seed, epoch, 2).words(4, 40)):
         assert not _shares_a_shifted_run(x, y)
 
 
