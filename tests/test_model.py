@@ -333,6 +333,14 @@ class TestLossAndGrad:
         assert any(grads["embed/relation"][row].any() for row in used)
 
     def test_unlabeled_document_is_contract_error(self):
+        model = FusionModel.build(tiny_model_config())
+        doc = small_docs(1)[0]
+        unlabeled = Document(id=doc.id, sentences=doc.sentences, label=None,
+                             annotations=doc.annotations)
+        with pytest.raises(ContractError):
+            model.loss_and_grad_contexts([model.prepare(unlabeled)])
+
+    def test_context_loss_rejects_unlabeled_and_empty_batches(self):
         """An unlabeled document, named, and an empty batch are refused."""
         model = FusionModel.build(tiny_model_config())
         doc = small_docs(1)[0]
