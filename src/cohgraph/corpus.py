@@ -20,11 +20,16 @@ A missing or null `annotations` is empty. Any other malformed field, such as
 a non-object `annotations` or a non-array `tokens`, `nouns`, `coref_links`
 or `relations`, raises CorpusFormatError naming the field and the line.
 Parsed documents share immutable objects. Every relation sense is the
-registry's own instance. Strings and spans are shared by the read: it keeps
-one table of the values parsed so far, so equal tokens, noun surfaces and
-domain tags anywhere in the corpus are one str, and equal token spans are
-one TokenSpan. Sentence texts and document ids, which rarely repeat, are not
-shared. The table is a dict that lives only as long as the read.
+registry's own instance. Everything else that repeats is shared by the read:
+it keeps one table of the values parsed so far, so equal tokens, noun
+surfaces and domain tags anywhere in the corpus are one str, and equal token
+spans, mentions, coreference links (pairs of mentions), noun annotations and
+relation annotations are one object each. A value is built, with all its
+checks, only the first time it appears, so a malformed one is refused each
+time it appears and never enters the table. Sentence texts and document ids,
+which rarely repeat, are not shared. Nothing in the table refers back to
+it, so it is freed as soon as the read returns, without waiting for the
+garbage collector.
 """
 
 from __future__ import annotations
@@ -81,29 +86,67 @@ def _direction(value) -> CauseDirection:
         return CauseDirection(value)
 
 
+def _span(shared, start, end):
+    return TokenSpan(start, end)
+
+
+def _mention(shared, sentence, start, end):
+    return Mention(sentence, shared[_span, start, end])
+
+
+def _link(shared, *ends):
+    return shared[(_mention, *ends[:3])], shared[(_mention, *ends[3:])]
+
+
+class _Nouns(dict):
+    """The nouns at one mention, by their shared surface str."""
+
+    __slots__ = ("mention",)
+
+    def __missing__(self, surface):
+        value = self[surface] = NounAnnotation(
+            self.mention.sentence_index, self.mention.span, surface)
+        return value
+
+
+def _nouns(shared, sentence, start, end):
+    nouns = _Nouns()
+    nouns.mention = shared[_mention, sentence, start, end]
+    return nouns
+
+
+def _relation(shared, sentence, kind, name, direction):
+    return RelationAnnotation(sentence, load_registry().lookup(name, kind),
+                              direction)
+
+
 class _Shared(dict):
-    """The values one read has parsed, each held once: a str maps to
-    itself and a (start, end) pair of int to its TokenSpan. A lookup adds
-    a missing key, and a hit never leaves C."""
+    """The values one read has parsed, each held once. A str maps to
+    itself. Any other key is a tuple of one of the builders above and the
+    converted fields it builds from: ints, and for a relation its sense's
+    kind and name and its direction. Such a key hashes in C, so a hit never
+    leaves C. A miss calls the builder, which looks up in the table the
+    parts its value holds; a builder that raises adds nothing. The nouns at
+    one mention are a _Nouns table, keyed by the shared surface str, so a
+    noun costs the read no key of its own: the mentions nouns sit at are
+    bounded by the sentences' count and length, while distinct nouns grow
+    with the corpus."""
 
     def __missing__(self, key):
-        value = self[key] = TokenSpan(*key) if type(key) is tuple else key
+        value = self[key] = key if type(key) is str else key[0](self, *key[1:])
         return value
 
 
 def document_from_record(record: dict, line_number: int = 0,
                          shared: _Shared | None = None) -> Document:
     """Build and validate a Document from one decoded JSON record, in one
-    pass that shares senses, strings and spans as the module docstring says.
-    shared is the read's table; without one, values are shared within this
-    document."""
+    pass that shares senses, strings and annotations as the module docstring
+    says. shared is the read's table; without one, values are shared within
+    this document."""
     registry = load_registry()
     # every str key has passed through str, so 1 and true read as "1" and
     # "True" and never meet as keys
     one = (_Shared() if shared is None else shared).__getitem__
-
-    def span(raw) -> TokenSpan:
-        return one((int(raw[0]), int(raw[1])))
 
     try:
         sentences = tuple(
@@ -114,11 +157,12 @@ def document_from_record(record: dict, line_number: int = 0,
         ann = record.get("annotations")
         ann = {} if ann is None else _checked(ann, dict, "'annotations'")
         nouns = tuple(
-            NounAnnotation(int(i), span(raw), one(str(surface)))
+            one((_nouns, int(i), int(raw[0]), int(raw[1])))[one(str(surface))]
             for i, raw, surface in _checked(ann.get("nouns", []), list,
                                             "'annotations.nouns'"))
         corefs = tuple(
-            (Mention(int(a[0]), span(a[1])), Mention(int(b[0]), span(b[1])))
+            one((_link, int(a[0]), int(a[1][0]), int(a[1][1]),
+                 int(b[0]), int(b[1][0]), int(b[1][1])))
             for a, b in _checked(ann.get("coref_links", []), list,
                                  "'annotations.coref_links'"))
         relations = []
@@ -128,7 +172,8 @@ def document_from_record(record: dict, line_number: int = 0,
             direction = entry[3] if len(entry) > 3 else None
             sense = registry.lookup_entry(name, kind)
             direction = _direction(direction) if direction else None
-            relations.append(RelationAnnotation(int(i), sense, direction))
+            relations.append(one((_relation, int(i), sense.kind, sense.name,
+                                  direction)))
         doc = Document(
             id=str(record["id"]),
             sentences=sentences,

@@ -61,8 +61,10 @@ row's keys, the distinct distance tuples and each visible pair's tuple,
 token buckets) is independent of the parameters, so it is prepared once
 into a read-only SequenceContext. FusionModel.prepare is the one way in: it
 keeps each context for as long as its document is alive, keyed by the
-document's identity, the variant and the ModelConfig, so every fit, fold
-and forward call in a process with that config shares it, and predict
+document's identity, the variant and the four config fields prepare reads
+(max_elements, max_relative_distance, n_token_buckets, n_entity_buckets),
+so every fit, fold and forward call in a process whose config agrees on
+them shares it, whatever its seed, width, dropout or dtype, and predict
 reuses it. predict keeps nothing it prepares itself: a document no fit has
 seen is prepared with its chunk.
 
@@ -252,10 +254,17 @@ class Visibility:
 
 
 # FusionModel.prepare's kept contexts:
-# id(document) -> {(variant, ModelConfig): context}.
+# id(document) -> {_context_key(variant, config): context}.
 # A weakref.finalize on the document drops its entry when it is collected;
 # the identity is the key because hashing a Document walks its content.
 _CONTEXTS: dict[int, dict[tuple, SequenceContext]] = {}
+
+
+def _context_key(variant: Variant, config: ModelConfig) -> tuple:
+    """The variant and the config fields prepare_sequence and sequence_for
+    read; models that differ only in other fields share contexts."""
+    return (variant, config.max_elements, config.max_relative_distance,
+            config.n_token_buckets, config.n_entity_buckets)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -882,15 +891,17 @@ class FusionModel:
 
     def _kept(self, doc: Document, variant: Variant) -> SequenceContext | None:
         entry = _CONTEXTS.get(id(doc))
-        return None if entry is None else entry.get((variant, self.config))
+        return None if entry is None else entry.get(
+            _context_key(variant, self.config))
 
     def prepare(self, doc: Document, variant: Variant = Variant.FULL,
                 seq: FlatSequence | None = None) -> SequenceContext:
         """doc's context under variant. A kept context is returned as is.
         Otherwise, without seq, one is prepared and kept: the same object
-        for every model with this config, until the document is
-        collected. With seq (doc's sequence_for(variant), built
-        by the caller) it is prepared from seq and not kept."""
+        for every model whose config agrees on the fields _context_key
+        names, until the document is collected. With seq (doc's
+        sequence_for(variant), built by the caller) it is prepared from seq
+        and not kept."""
         ctx = self._kept(doc, variant)
         if ctx is not None:
             return ctx
@@ -900,8 +911,8 @@ class FusionModel:
         if entry is None:
             entry = _CONTEXTS[id(doc)] = {}
             weakref.finalize(doc, _CONTEXTS.pop, id(doc), None)
-        ctx = entry[(variant, self.config)] = self.prepare_sequence(
-            doc, self.sequence_for(doc, variant))
+        ctx = entry[_context_key(variant, self.config)] = (
+            self.prepare_sequence(doc, self.sequence_for(doc, variant)))
         return ctx
 
     # -- embedding ---------------------------------------------------------

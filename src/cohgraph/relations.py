@@ -48,9 +48,19 @@ class RelationSense:
     # the lowercase presentation form prompt rendering uses, formed once;
     # not part of equality, hashing or repr
     render: str = field(init=False, repr=False, compare=False)
+    # the generated hash, hash((name, kind)), computed once
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "render", self.name.lower())
+        object.__setattr__(self, "_hash", hash((self.name, self.kind)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt from its fields: str and kind hashes differ per process
+        return RelationSense, (self.name, self.kind)
 
 
 # (name, training-corpus fraction); table order is the canonical order.

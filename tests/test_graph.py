@@ -1,10 +1,16 @@
 """Graph construction against brute-force oracles."""
 
 import dataclasses
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cohgraph
 from cohgraph.documents import (AnnotationSet, Document, Mention,
                                 NounAnnotation, RelationAnnotation, Sentence,
                                 TokenSpan)
@@ -254,3 +260,39 @@ class TestSharedRelationEdges:
         assert table(bound + 199, cause, None) is table(bound + 199, cause,
                                                         None)
         assert table(1, cause, None) == RelationEdge(1, cause, None)
+
+    def test_a_pickled_sense_and_edge_hash_as_their_fields_where_loaded(
+            self, tmp_path):
+        """Each keeps its hash from construction; one loaded in another
+        process, under either hash seed, hashes as its fields do there."""
+        cause = load_registry().lookup("Cause", RelationKind.IMPLICIT)
+        edge = RelationEdge(2, cause, CauseDirection.RESULT)
+        assert hash(cause) == hash((cause.name, cause.kind))
+        assert hash(edge) == hash((edge.i, cause, edge.direction))
+        blob = tmp_path / "edge.pickle"
+        blob.write_bytes(pickle.dumps((cause, edge)))
+        check = (
+            "import pickle, sys\n"
+            "from cohgraph.graph import RelationEdge\n"
+            "from cohgraph.relations import load_registry\n"
+            "sense, edge = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+            "assert hash(sense) == hash((sense.name, sense.kind))\n"
+            "assert hash(edge) == hash((edge.i, sense, edge.direction))\n"
+            "assert sense in set(load_registry().all_senses())\n"
+            "assert edge in {RelationEdge(2, load_registry().lookup(\n"
+            "    'Cause', sense.kind), edge.direction)}\n"
+            "print(hash(sense.name))\n")
+        src = str(Path(cohgraph.__file__).parents[1])
+        name_hashes = set()
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            proc = subprocess.run([sys.executable, "-c", check, str(blob)],
+                                  capture_output=True, text=True, env=env,
+                                  timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            name_hashes.add(proc.stdout)
+        # the seeds give the name different hashes, so a hash carried over
+        # from this process would have failed in at least one of them
+        assert len(name_hashes) == 2

@@ -1,7 +1,7 @@
 """FusionModel.prepare keeps one read-only context per (document, variant,
-config) for as long as the document is alive: identity, keys, lifetime,
-sharing across fits, predict keeping nothing of its own, and the memory
-bound the model module states."""
+config fields prepare reads) for as long as the document is alive:
+identity, keys, lifetime, sharing across fits, predict keeping nothing of
+its own, and the memory bound the model module states."""
 
 import gc
 import tracemalloc
@@ -51,11 +51,15 @@ def test_same_document_and_key_return_the_same_context():
     ctx = model.prepare(doc)
     assert model.prepare(doc) is ctx
     assert model.prepare(doc, Variant.FULL) is ctx
-    # another model with an equal config shares it; any other config does not
+    # another model with an equal config shares it, and so does one that
+    # differs only in fields prepare does not read
     assert FusionModel.build(tiny_model_config()).prepare(doc) is ctx
-    other = FusionModel.build(tiny_model_config(seed=3))
-    assert other.prepare(doc) is not ctx
-    assert_same_structure(other.prepare(doc), ctx)
+    other = FusionModel.build(tiny_model_config(
+        seed=3, d_model=16, n_heads=4, n_layers=2, d_ffn=24,
+        dropout_rate=0.0, dtype="float32"))
+    assert other.prepare(doc) is ctx
+    assert_same_structure(
+        other.prepare_sequence(doc, other.sequence_for(doc)), ctx)
     # an equal document is another document
     assert model.prepare(make_demo_document()) is not ctx
 
@@ -223,7 +227,7 @@ def test_predict_keeps_nothing_it_prepares(monkeypatch):
     assert model.predict(docs) == first
     assert sorted(calls) == sorted(doc.id for doc in docs[1:])
     assert fusion_model._CONTEXTS[id(docs[0])] == {
-        (Variant.FULL, model.config): kept}
+        fusion_model._context_key(Variant.FULL, model.config): kept}
 
 
 def test_run_cv_prepares_each_document_once_per_variant_in_training(
