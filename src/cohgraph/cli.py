@@ -213,13 +213,14 @@ def cmd_emit_prompts(corpus_path: str, out_dir: str, variants: tuple[str, ...],
     failures = 0
     for doc in docs:
         triples = extract_triples(build_graph(doc))
+        failed = False
         for variant in chosen:
             try:
                 prompt = render_prompt(doc, filter_triples(triples, variant),
                                        variant, max_chars)
             except PromptBudgetError as exc:
-                click.echo(f"error: {exc}", err=True)
-                failures += 1
+                click.echo(f"error: {variant.value}: {exc}", err=True)
+                failed = True
                 continue
             name = f"{doc.id}.{variant.value}.txt"
             with open(out / name, "w", encoding="utf-8", newline="\n") as fh:
@@ -228,6 +229,7 @@ def cmd_emit_prompts(corpus_path: str, out_dir: str, variants: tuple[str, ...],
                 "doc_id": doc.id, "variant": variant.value,
                 "char_count": len(prompt.text),
                 "triple_count": len(prompt.triples_used)})
+        failures += failed
     index_entries.sort(key=lambda e: (e["doc_id"], e["variant"]))
     with open(out / "index.jsonl", "w", encoding="utf-8", newline="\n") as fh:
         for entry in index_entries:

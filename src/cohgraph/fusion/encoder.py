@@ -27,12 +27,13 @@ def stable_bucket(text: str, n_buckets: int) -> int:
 def add_rows_at(table: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
     """np.add.at(table, ids, rows) for a C-contiguous 2-D table, scattered
     into its flat view: every cell receives the same additions in the same
-    order, on numpy's much faster 1-D path."""
+    order, on numpy's much faster 1-D path. ids of any integer dtype are
+    upcast to intp first, so ids * d cannot wrap in a small one."""
     if not table.flags.c_contiguous:
         raise ValueError("add_rows_at needs a C-contiguous table")
     d = table.shape[1]
-    np.add.at(table.reshape(-1), (ids[:, None] * d + np.arange(d)).ravel(),
-              rows.ravel())
+    flat = ids.astype(np.intp, copy=False)[:, None] * d + np.arange(d)
+    np.add.at(table.reshape(-1), flat.ravel(), rows.ravel())
 
 
 class HashBucketSentenceEncoder:
@@ -47,10 +48,16 @@ class HashBucketSentenceEncoder:
     def __init__(self, d_model: int, n_buckets: int):
         self.d_model = d_model
         self.n_buckets = n_buckets
+        self.bucket_dtype = np.min_scalar_type(n_buckets - 1)
 
     def prepare(self, tokens: tuple[str, ...]) -> np.ndarray:
-        return np.array([stable_bucket(t, self.n_buckets) for t in tokens],
-                        dtype=np.int64)
+        """The read-only bucket of each token, in the smallest unsigned
+        dtype holding every bucket: 1 byte up to 256 buckets, 2 up to
+        65,536."""
+        buckets = np.array([stable_bucket(t, self.n_buckets) for t in tokens],
+                           dtype=self.bucket_dtype)
+        buckets.setflags(write=False)
+        return buckets
 
     def encode_prepared(self, prepared: list[np.ndarray],
                         params: dict[str, np.ndarray]) -> np.ndarray:

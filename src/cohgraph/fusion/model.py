@@ -101,9 +101,19 @@ elements, S of them sentences, with U distinct tuples is alive, each
 S * n bytes of sentence-row visibility (bool), S * n * itemsize bytes of
 their tuple index (the smallest unsigned dtype holding U - 1: 1 byte up to
 U = 256, 2 up to 65,536) and O(n + U) for the sequence, edge keys and
-tuples, token buckets and tuple rows, under 192 bytes per element and tuple
-(about 140 measured on 140-150-element documents). Dropping the document
-drops its contexts.
+tuples, lookup slots and rows and tuple rows, under 192 bytes per element
+and tuple (about 125 measured on 140-150-element documents). Each
+parameter-independent value a document's contexts have in common is kept
+once, in the document's record beside them: each sentence's token buckets
+(uint8 up to 256 buckets, uint16 up to 65,536), per n_token_buckets, which
+every variant's context references. The linearized elements stay per
+context: shared, they would cost a run of one variant the edge elements it
+filters out. Measured with tracemalloc, the four fusion variants of 90
+short balanced documents (6-19 elements) keep about 4,100 bytes per
+context (5,070 with an int64 copy of the buckets in each), and those of
+140-150-element documents about 22 KB (28.5 KB). Dropping the document
+drops its record. The sinusoid table is shared the same way, by every
+live model with the same max_relative_distance, d_model and dtype.
 """
 
 from __future__ import annotations
@@ -190,10 +200,13 @@ class SequenceContext:
     pos_rows holds just the tuples they use.
 
     A context FusionModel.prepare keeps is shared by every model with the
-    same config and every call on the same document, so context arrays are
-    read-only, and a context holds no reference to its document. Index
-    arrays are stored in the smallest unsigned dtype that holds them;
-    upcast to intp before any arithmetic on them."""
+    same config and every call on the same document, and its token
+    buckets by every context of the document with the same
+    n_token_buckets, so context arrays are read-only, and a context holds
+    no reference to its document. Index arrays (token buckets, lookup slots
+    and rows, tuple indices) are stored in the smallest unsigned dtype that
+    holds them, 1 byte on short documents; upcast to intp before any
+    arithmetic on them, since a sum of a small dtype wraps in it."""
 
     seq: FlatSequence
     visible: np.ndarray         # (S, n) bool: sentence s may attend to slot t
@@ -207,7 +220,8 @@ class SequenceContext:
                                 # clipped distance tuple of a visible pair:
                                 # the edge rows' tuples first
     n_edge_tuples: int          # how many of them the edge rows use
-    sentences: tuple            # encoder-prepared tokens of each sentence
+    sentences: tuple            # token buckets of each sentence, shared
+                                # with the document's other contexts
     lookups: tuple              # (table name, edge slots, table rows) for
                                 # the entity and relation elements
     label: int | None
@@ -253,11 +267,28 @@ class Visibility:
                        tuple_cols=self.tuple_cols[:, :, :0])
 
 
-# FusionModel.prepare's kept contexts:
-# id(document) -> {_context_key(variant, config): context}.
-# A weakref.finalize on the document drops its entry when it is collected;
+class _Kept:
+    """What FusionModel.prepare keeps of one live document: its contexts by
+    _context_key(variant, config), and the values they share, each
+    sentence's token buckets by n_token_buckets, so every variant's context
+    of the document references one array per sentence."""
+
+    __slots__ = ("contexts", "buckets")
+
+    def __init__(self) -> None:
+        self.contexts: dict[tuple, SequenceContext] = {}
+        self.buckets: dict[int, tuple[np.ndarray, ...]] = {}
+
+
+# FusionModel.prepare's kept documents: id(document) -> its _Kept record.
+# A weakref.finalize on the document drops its record when it is collected;
 # the identity is the key because hashing a Document walks its content.
-_CONTEXTS: dict[int, dict[tuple, SequenceContext]] = {}
+_CONTEXTS: dict[int, _Kept] = {}
+
+# The sinusoid table of each (max_relative_distance, d_model, dtype) that a
+# live model uses, read-only and shared by all of them; held weakly, so it
+# is freed with the last model that uses it.
+_POSITION_TABLES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _context_key(variant: Variant, config: ModelConfig) -> tuple:
@@ -750,7 +781,10 @@ def _cross_entropy(label_probs: np.ndarray) -> np.float64:
 class FusionModel:
     """Config + parameters, with forward/backward over documents. The model
     owns its sentence encoder, built from the config. variant, which save
-    records, is the fusion variant the model was trained under."""
+    records, is the fusion variant the model was trained under.
+    position_table, the read-only sinusoid table, is shared by every live
+    model with the same max_relative_distance, d_model and dtype, and freed
+    with the last of them."""
 
     def __init__(self, config: ModelConfig, params: dict[str, np.ndarray],
                  variant: Variant = Variant.FULL):
@@ -761,9 +795,13 @@ class FusionModel:
         self.variant = variant
         self.dtype = np.dtype(config.dtype)
         self.registry = load_registry()
-        self.position_table = sinusoid_table(
-            config.max_relative_distance, config.d_model).astype(
-                self.dtype, copy=False)
+        key = (config.max_relative_distance, config.d_model, self.dtype)
+        table = _POSITION_TABLES.get(key)
+        if table is None:
+            table = _POSITION_TABLES[key] = _read_only(sinusoid_table(
+                config.max_relative_distance, config.d_model).astype(
+                    self.dtype, copy=False))
+        self.position_table = table
         self._validate_shapes()
 
     @classmethod
@@ -819,11 +857,11 @@ class FusionModel:
                                 f"an empty sequence")
         sentence_rows, edge_rows, sentences = [], [], []
         lookups = {"embed/entity": ([], []), "embed/relation": ([], [])}
+        buckets = self._token_buckets(doc)
         for pos, el in enumerate(seq.elements):
             if el.kind is ElementKind.SENTENCE:
                 sentence_rows.append(pos)
-                sentences.append(self.encoder.prepare(
-                    doc.sentences[el.payload - 1].tokens))
+                sentences.append(buckets[el.payload - 1])
                 continue
             if el.kind is ElementKind.ENTITY:
                 name = "embed/entity"
@@ -872,8 +910,6 @@ class FusionModel:
             dist[rows, order][visible])
         sentence_pos = np.zeros(visible.shape, dtype=np.intp)
         sentence_pos[visible] = visible_pos + len(edge_tuples)
-        for tokens in sentences:
-            _read_only(tokens)
         return SequenceContext(
             seq=seq,
             visible=_read_only(visible),
@@ -883,35 +919,52 @@ class FusionModel:
             pos_rows=_compact(np.concatenate([edge_tuples, sentence_tuples])),
             n_edge_tuples=len(edge_tuples),
             sentences=tuple(sentences),
-            lookups=tuple((name, _read_only(np.array(slots, dtype=np.int64)),
-                           _read_only(np.array(ids, dtype=np.int64)))
+            lookups=tuple((name, _compact(np.array(slots, dtype=np.intp)),
+                           _compact(np.array(ids, dtype=np.intp)))
                           for name, (slots, ids) in lookups.items()),
             label=int(doc.label) if doc.label is not None else None,
             doc_id=doc.id)
 
+    def _token_buckets(self, doc: Document) -> tuple[np.ndarray, ...]:
+        """Each sentence's token buckets under this config, in sentence
+        order: the arrays doc's record holds, if it holds them, else made
+        afresh."""
+        kept = _CONTEXTS.get(id(doc))
+        buckets = (None if kept is None
+                   else kept.buckets.get(self.config.n_token_buckets))
+        if buckets is None:
+            buckets = tuple(self.encoder.prepare(sentence.tokens)
+                            for sentence in doc.sentences)
+        return buckets
+
     def _kept(self, doc: Document, variant: Variant) -> SequenceContext | None:
-        entry = _CONTEXTS.get(id(doc))
-        return None if entry is None else entry.get(
+        kept = _CONTEXTS.get(id(doc))
+        return None if kept is None else kept.contexts.get(
             _context_key(variant, self.config))
 
     def prepare(self, doc: Document, variant: Variant = Variant.FULL,
                 seq: FlatSequence | None = None) -> SequenceContext:
         """doc's context under variant. A kept context is returned as is.
-        Otherwise, without seq, one is prepared and kept: the same object
-        for every model whose config agrees on the fields _context_key
-        names, until the document is collected. With seq (doc's
-        sequence_for(variant), built by the caller) it is prepared from seq
-        and not kept."""
+        Otherwise, without seq, one is prepared and kept in doc's record:
+        the same object for every model whose config agrees on the fields
+        _context_key names, until the document is collected, referencing
+        the token buckets the record keeps for the document's contexts.
+        With seq (doc's sequence_for(variant), built by the caller) it is
+        prepared from seq and nothing is kept: it reuses buckets the
+        record already has, and makes no record."""
         ctx = self._kept(doc, variant)
         if ctx is not None:
             return ctx
         if seq is not None:
             return self.prepare_sequence(doc, seq)
-        entry = _CONTEXTS.get(id(doc))
-        if entry is None:
-            entry = _CONTEXTS[id(doc)] = {}
+        kept = _CONTEXTS.get(id(doc))
+        if kept is None:
+            kept = _CONTEXTS[id(doc)] = _Kept()
             weakref.finalize(doc, _CONTEXTS.pop, id(doc), None)
-        ctx = entry[_context_key(variant, self.config)] = (
+        if self.config.n_token_buckets not in kept.buckets:
+            kept.buckets[self.config.n_token_buckets] = (
+                self._token_buckets(doc))
+        ctx = kept.contexts[_context_key(variant, self.config)] = (
             self.prepare_sequence(doc, self.sequence_for(doc, variant)))
         return ctx
 
@@ -930,9 +983,13 @@ class FusionModel:
         sentences = [tokens for ctx in contexts for tokens in ctx.sentences]
         x[sentence_rows] = self.encoder.encode_prepared(sentences, self.params)
         lookups = []
+        edge_starts = np.arange(len(contexts)) * n + n_sent
         for t, (name, _, _) in enumerate(contexts[0].lookups):
-            rows = np.concatenate([ctx.lookups[t][1] + (off + n_sent)
-                                   for ctx, off in zip(contexts, offsets)])
+            slots = [ctx.lookups[t][1] for ctx in contexts]
+            # the compact slots are offset by an intp array, so the sum is
+            # intp and cannot wrap
+            rows = np.concatenate(slots) + np.repeat(
+                edge_starts, [len(s) for s in slots])
             ids = np.concatenate([ctx.lookups[t][2] for ctx in contexts])
             x[rows] = self.params[name][ids]
             lookups.append((name, rows, ids))

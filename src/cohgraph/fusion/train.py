@@ -83,6 +83,9 @@ def train(dataset: list[Document], model_config: ModelConfig,
                 raise TrainingDivergedError(
                     epoch, step // train_config.batch_size, str(exc)) from exc
             optimizer.step(grads)
+            # unbound before the next step allocates its own, so one set of
+            # gradients is alive at a time
+            del grads
             loss_sum += loss * len(batch)
             correct += sum(int(pred == ctx.label)
                            for pred, ctx in zip(predictions, batch))

@@ -822,6 +822,26 @@ class TestFrontDoor:
         assert isinstance(result.exception, SystemExit)
         assert "error: 1 documents exceeded the prompt budget" in result.output
 
+    def test_budget_overflow_under_three_variants_counts_one_document(
+            self, runner, demo_corpus, tmp_path):
+        """One document over budget under three variants is one failed
+        document, with one error line per variant, each naming it."""
+        result = runner.invoke(main, [
+            "emit-prompts", str(demo_corpus), str(tmp_path / "p"),
+            "--max-chars", "50", "--variant", "Full", "--variant", "TextOnly",
+            "--variant", "TextRel"])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        errors = [line for line in result.output.splitlines()
+                  if line.startswith("error: ")]
+        assert [line.split(": ")[1] for line in errors[:3]] == [
+            "Full", "TextOnly", "TextRel"]
+        doc_id = make_demo_document().id
+        assert all(f"prompt for document {doc_id!r}" in line and "over the "
+                   "50-character budget" in line for line in errors[:3])
+        assert errors[3:] == [
+            "error: 1 documents exceeded the prompt budget"]
+
     def test_bare_command_prints_help_and_exits_0(self, runner):
         result = runner.invoke(main, [])
         assert result.exit_code == 0, result.output

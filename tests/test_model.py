@@ -124,6 +124,55 @@ class TestFlatScatter:
             np.testing.assert_array_equal(grads[name], expected[name], name)
 
 
+    def test_compact_token_buckets_scatter_as_int64_ones(self):
+        """At 1,024 buckets of 256 values, ids * d passes 2**16; the
+        gradient through uint16 buckets equals the int64 path's bit for
+        bit."""
+        enc = HashBucketSentenceEncoder(256, 1024)
+        prepared = [enc.prepare(tuple(f"w{i}-{j}" for j in range(i % 7)))
+                    for i in range(40)]
+        assert all(p.dtype == np.uint16 for p in prepared)
+        assert max(int(p.max(initial=0)) for p in prepared) * 256 > 1 << 16
+        dvecs = np.random.default_rng(4).standard_normal((40, 256))
+        table = np.random.default_rng(5).standard_normal((1024, 256))
+        got = {enc.PARAM_NAME: table.copy()}
+        want = {enc.PARAM_NAME: table.copy()}
+        enc.accumulate_grad_prepared(prepared, dvecs, got)
+        enc.accumulate_grad_prepared([p.astype(np.int64) for p in prepared],
+                                     dvecs, want)
+        np.testing.assert_array_equal(got[enc.PARAM_NAME],
+                                      want[enc.PARAM_NAME])
+
+    def test_a_chunk_past_255_rows_embeds_as_its_documents_alone(self):
+        """Edge slots are kept as uint8; a chunk whose row offsets pass 255
+        gathers each document's embeddings exactly as the document alone
+        does, and scatters their gradients as int64 indices would."""
+        model = FusionModel.build(tiny_model_config())
+        contexts = [model.prepare(doc) for doc in small_docs(40)]
+        assert all(ctx.lookups[0][1].dtype == np.uint8 for ctx in contexts)
+        vis, _ = chunk_visibility(contexts, model.config.n_heads)
+        _, _, n_sent, n = vis.mask.shape
+        x, index = model._embed(contexts, n_sent, n)
+        _, _, lookups = index
+        assert max(rows.max() for _, rows, _ in lookups) > 255
+        x = x.reshape(len(contexts), n, -1)
+        for b, ctx in enumerate(contexts):
+            s, e = len(ctx.sentences), len(ctx.edge_pos)
+            alone, _ = model._embed([ctx], s, s + e)
+            np.testing.assert_array_equal(x[b, :s], alone[:s])
+            np.testing.assert_array_equal(x[b, n_sent:n_sent + e], alone[s:])
+            assert not x[b, s:n_sent].any() and not x[b, n_sent + e:].any()
+        dx = np.random.default_rng(6).standard_normal((len(contexts) * n,
+                                                       model.config.d_model))
+        grads = model.zero_grads()
+        model._embed_backward(dx, index, grads)
+        for name, rows, ids in lookups:
+            expected = np.zeros_like(grads[name])
+            np.add.at(expected, ids.astype(np.int64),
+                      dx[rows.astype(np.int64)])
+            np.testing.assert_array_equal(grads[name], expected, name)
+
+
 class TestStableBucket:
     def test_memoized_buckets_equal_a_fresh_blake2b(self):
         for text in ("John", "airport", "", "ünïcode", "John"):

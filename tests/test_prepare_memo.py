@@ -1,7 +1,9 @@
 """FusionModel.prepare keeps one read-only context per (document, variant,
 config fields prepare reads) for as long as the document is alive:
-identity, keys, lifetime, sharing across fits, predict keeping nothing of
-its own, and the memory bound the model module states."""
+identity, keys, lifetime, sharing across fits, the token buckets a
+document's contexts share and the position table models share, predict
+keeping nothing of its own, and the memory bounds the model module
+states."""
 
 import gc
 import tracemalloc
@@ -13,12 +15,12 @@ import pytest
 
 from cohgraph.documents import Document
 from cohgraph.fusion import model as fusion_model
-from cohgraph.fusion.config import TrainConfig
+from cohgraph.fusion.config import ModelConfig, TrainConfig
 from cohgraph.fusion.model import DropoutStream, FusionModel
 from cohgraph.fusion.train import FusionClassifier
 from cohgraph.harness import run_cv
 from cohgraph.synth import SynthProfile, synth_generate
-from cohgraph.variants import Variant
+from cohgraph.variants import FUSION_VARIANTS, Variant
 
 from conftest import make_demo_document, tiny_model_config
 from oracles import slot_order
@@ -86,6 +88,58 @@ def test_each_variant_gives_its_own_context():
     model = FusionModel.build(tiny_model_config())
     contexts = [model.prepare(doc, variant) for variant in Variant]
     assert len({id(ctx) for ctx in contexts}) == len(Variant)
+
+
+def test_a_documents_contexts_share_its_token_buckets():
+    """Every variant's context of a document, and every model whose config
+    has the same n_token_buckets, references one array per sentence;
+    another n_token_buckets has its own arrays."""
+    doc = make_demo_document()
+    model = FusionModel.build(tiny_model_config())
+    shared = [model.prepare(doc, variant).sentences for variant in Variant]
+    assert len(shared[0]) == len(doc.sentences)
+    assert all(all(a is b for a, b in zip(sentences, shared[0]))
+               for sentences in shared[1:])
+    other = FusionModel.build(tiny_model_config(max_relative_distance=3))
+    assert all(a is b for a, b in zip(other.prepare(doc).sentences,
+                                      shared[0]))
+    wider = FusionModel.build(tiny_model_config(n_token_buckets=300))
+    own = wider.prepare(doc).sentences
+    assert not any(a is b for a, b in zip(own, shared[0]))
+    assert all(a.dtype == np.uint16 for a in own)
+    assert all(a.dtype == np.uint8 for a in shared[0])
+    assert all(a is b for a, b in zip(
+        wider.prepare(doc, Variant.TEXT_ONLY).sentences, own))
+
+
+def test_models_of_one_config_share_one_position_table():
+    """Live models with the same max_relative_distance, d_model and dtype
+    share one read-only sinusoid table, which goes with the last of them
+    without the collector's help; another d_model or dtype has its own."""
+    config = tiny_model_config(max_relative_distance=37)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        first = FusionModel.build(config)
+        second = FusionModel.build(tiny_model_config(
+            max_relative_distance=37, seed=1))
+        table = first.position_table
+        assert second.position_table is table
+        assert not table.flags.writeable
+        np.testing.assert_array_equal(
+            table, fusion_model.sinusoid_table(37, config.d_model))
+        for overrides in ({"d_model": 16}, {"dtype": "float32"}):
+            assert FusionModel.build(tiny_model_config(
+                max_relative_distance=37, **overrides)).position_table \
+                is not table
+        ref = weakref.ref(table)
+        del table, first
+        assert ref() is not None
+        del second
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def counted_prepare_sequence(monkeypatch):
@@ -172,9 +226,13 @@ def test_compact_dtypes_hold_their_range():
         order = slot_order(ctx.seq)
         n_sent = len(ctx.sentences)
         assert ctx.visible.dtype == np.bool_
-        for arr in (ctx.sentence_pos, ctx.edge_keys,
-                    ctx.edge_pos, ctx.pos_rows):
+        for arr in (ctx.sentence_pos, ctx.edge_keys, ctx.edge_pos,
+                    ctx.pos_rows, *(a for _, slots, ids in ctx.lookups
+                                    for a in (slots, ids))):
             assert arr.dtype == np.min_scalar_type(arr.max(initial=0))
+        # token buckets are in the smallest dtype holding every bucket
+        assert all(tokens.dtype == np.min_scalar_type(
+            model.config.n_token_buckets - 1) for tokens in ctx.sentences)
         assert ctx.pos_rows.dtype == np.uint8
         sentence_tuples = ctx.pos_rows[ctx.sentence_pos]
         assert np.array_equal(sentence_tuples[ctx.visible],
@@ -226,8 +284,22 @@ def test_predict_keeps_nothing_it_prepares(monkeypatch):
     del calls[:]
     assert model.predict(docs) == first
     assert sorted(calls) == sorted(doc.id for doc in docs[1:])
-    assert fusion_model._CONTEXTS[id(docs[0])] == {
+    # the one kept document's record holds its context and the token
+    # buckets that context references, nothing more, and no other document
+    # has a record
+    assert [id(doc) in fusion_model._CONTEXTS for doc in docs] == [
+        True] + [False] * 5
+    record = fusion_model._CONTEXTS[id(docs[0])]
+    assert record.contexts == {
         fusion_model._context_key(Variant.FULL, model.config): kept}
+    assert list(record.buckets) == [model.config.n_token_buckets]
+    assert {id(a) for a in record.buckets[model.config.n_token_buckets]} == {
+        id(a) for a in kept.sentences}
+    # a model with other buckets predicting it adds nothing to its record
+    FusionModel.build(tiny_model_config(n_token_buckets=32)).predict(docs)
+    assert list(record.contexts) == [
+        fusion_model._context_key(Variant.FULL, model.config)]
+    assert list(record.buckets) == [model.config.n_token_buckets]
 
 
 def test_run_cv_prepares_each_document_once_per_variant_in_training(
@@ -246,6 +318,32 @@ def test_run_cv_prepares_each_document_once_per_variant_in_training(
         run_cv(docs, 3, lambda: FusionClassifier(tiny_model_config(),
                                                  train_config), seed=0)
     assert sorted(calls) == sorted(len(variants) * [doc.id for doc in docs])
+
+
+def test_four_variants_keep_under_4500_bytes_a_context():
+    """90 short balanced documents prepared under the four fusion variants,
+    as a cross-validation of the ablations keeps them, hold under 4,500
+    bytes per context (tracemalloc): about 4,100 with the token buckets
+    shared by a document's contexts, 5,070 with a copy in each."""
+    config = ModelConfig(d_model=32, n_heads=2, n_layers=2, d_ffn=64,
+                         n_token_buckets=512, n_entity_buckets=128, seed=0)
+    model = FusionModel.build(config)
+    docs = synth_generate(90, 1, "balanced")
+    # fill the token, entity and graph caches, which outlive the contexts
+    for doc in docs:
+        for variant in FUSION_VARIANTS:
+            model.prepare_sequence(doc, model.sequence_for(doc, variant))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        contexts = [model.prepare(doc, variant)
+                    for variant in FUSION_VARIANTS for doc in docs]
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 4500 * len(contexts)
 
 
 def test_retained_memory_is_within_the_stated_bound():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,33 @@ def test_an_empty_sentence_warns_once_naming_its_document(caplog):
     assert [record.getMessage() for record in caplog.records] == [
         f"document 'has-empty': sentence(s) {empty.index} have no tokens; "
         f"each is encoded as a zero vector"]
+
+
+def test_a_step_starts_after_the_last_steps_gradients_are_freed(monkeypatch):
+    """Each step enters with no more traced memory than the first: the
+    previous step's gradients are gone before the next step allocates its
+    own, so one set is alive at a time."""
+    config = tiny_model_config(n_token_buckets=2048)
+    entries = []
+    loss_and_grad = FusionModel.loss_and_grad_contexts
+
+    def traced(self, *args, **kwargs):
+        entries.append(tracemalloc.get_traced_memory()[0])
+        return loss_and_grad(self, *args, **kwargs)
+
+    monkeypatch.setattr(FusionModel, "loss_and_grad_contexts", traced)
+    tracemalloc.start()
+    try:
+        train(train_corpus(8), config,
+              TrainConfig(epochs=1, batch_size=2, seed=5))
+    finally:
+        tracemalloc.stop()
+    grad_bytes = sum(arr.nbytes for arr in
+                     FusionModel.build(config).params.values())
+    assert len(entries) == 4
+    # a gradient set is over 0.5 MiB here; what else a step leaves behind
+    # (its loss, predictions and dropout stream) is a few hundred bytes
+    assert max(entries[1:]) - entries[0] < grad_bytes / 8
 
 
 def test_different_seed_differs():
